@@ -176,6 +176,12 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_hodge(args) -> int:
+    if args.g < 0 or args.n < 0:
+        print("error: need --g >= 0 and --n >= 0", file=sys.stderr)
+        return 2
+    if any(a < 0 for a in args.psi) or any(r < 0 for r in args.lam):
+        print("error: --psi and --lambda entries must be nonnegative", file=sys.stderr)
+        return 2
     if len(args.psi) > args.n:
         print("error: more psi exponents than points", file=sys.stderr)
         return 2
@@ -233,69 +239,10 @@ _COMMANDS = {
     "tables": _cmd_tables,
 }
 
-#: Set this environment variable to a directory to persist the intersection
-#: number caches across invocations.  Off by default.
-CACHE_ENV = "REALGW_CACHE_DIR"
-
-
-def _cache_file(directory: str):
-    import os
-
-    return os.path.join(directory, "realgw-memo.pickle")
-
-
-def _load_cache(directory: str) -> None:
-    import os
-    import pickle
-
-    from . import hodge, psi_kappa
-
-    path = _cache_file(directory)
-    if not os.path.exists(path):
-        return
-    try:
-        with open(path, "rb") as fh:
-            blob = pickle.load(fh)
-    except (OSError, pickle.PickleError):
-        return
-    psi_kappa._psi_memo.update(blob.get("psi", {}))
-    psi_kappa._kappa_memo.update(blob.get("kappa", {}))
-    hodge._ch_memo.update(blob.get("ch", {}))
-    hodge._hodge_memo.update(blob.get("hodge", {}))
-
-
-def _save_cache(directory: str) -> None:
-    import os
-    import pickle
-
-    from . import hodge, psi_kappa
-
-    os.makedirs(directory, exist_ok=True)
-    blob = {
-        "psi": psi_kappa._psi_memo,
-        "kappa": psi_kappa._kappa_memo,
-        "ch": hodge._ch_memo,
-        "hodge": hodge._hodge_memo,
-    }
-    try:
-        with open(_cache_file(directory), "wb") as fh:
-            pickle.dump(blob, fh)
-    except OSError:
-        pass
-
 
 def main(argv: list[str] | None = None) -> int:
-    import os
-
     args = build_parser().parse_args(argv)
-    cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir:
-        _load_cache(cache_dir)
-    try:
-        return _COMMANDS[args.command](args)
-    finally:
-        if cache_dir:
-            _save_cache(cache_dir)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ representation and plain Euclidean gcd.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -448,7 +449,7 @@ def series_exp(s: Series) -> Series:
     # exp(s) = sum s^k / k!; s has valuation >= 1 so k <= n terms suffice.
     for k in range(1, n + 1):
         term = term * s
-        out = out + term.scale(Fraction(1, _factorial(k)))
+        out = out + term.scale(Fraction(1, math.factorial(k)))
     return out
 
 
@@ -466,13 +467,6 @@ def series_log(s: Series) -> Series:
     return out
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def series_sinc(kind: str, order: int) -> Series:
     """Normalized (hyperbolic) sine kernel as a truncated series.
 
@@ -486,5 +480,5 @@ def series_sinc(kind: str, order: int) -> Series:
     sign = -1 if kind == "sin" else 1
     coeffs = [Fraction(0)] * (order + 1)
     for g in range(order // 2 + 1):
-        coeffs[2 * g] = Fraction(sign**g, 4**g * _factorial(2 * g + 1))
+        coeffs[2 * g] = Fraction(sign**g, 4**g * math.factorial(2 * g + 1))
     return Series(coeffs, order, parity="even")

@@ -36,11 +36,12 @@ contract, same as the psi-kappa layer.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_arith import RatLike, Rational, RationalFunction
+from .exact_arith import Polynomial, RatLike, Rational, RationalFunction
 from .psi_kappa import _kappa_value
 
 _hodge_memo: dict[tuple, Fraction] = {}
@@ -98,13 +99,6 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 @lru_cache(maxsize=None)
 def grr_expand(l: int, context: tuple[int, int]) -> tuple[tuple[Fraction, ChernTerm], ...]:
     """GRR expansion of ch_(2l-1)(E) on the genus-g space with n points.
@@ -120,7 +114,7 @@ def grr_expand(l: int, context: tuple[int, int]) -> tuple[tuple[Fraction, ChernT
     if l < 1:
         raise ValueError("Chern character index must be positive")
     g, n = context
-    pref = bernoulli(2 * l) / _factorial(2 * l)
+    pref = bernoulli(2 * l) / math.factorial(2 * l)
     m = 2 * l - 1
     terms: list[tuple[Fraction, ChernTerm]] = [(pref, ChernTerm("kappa", index=m))]
     for i in range(n):
@@ -208,7 +202,7 @@ def _lambda_class(k: int) -> LambdaPolynomial:
         return LambdaPolynomial.const(1)
     acc = LambdaPolynomial()
     for i in range(1, k + 1):
-        p_i = LambdaPolynomial.ch(i).scale(_factorial(i))
+        p_i = LambdaPolynomial.ch(i).scale(math.factorial(i))
         if not p_i.terms:
             continue
         term = (_lambda_class(k - i) * p_i).scale(Fraction((-1) ** (i - 1)))
@@ -240,17 +234,10 @@ def _split_multiset(ms: tuple[int, ...]):
         new = []
         for left, right, weight in splits:
             for j in range(mult + 1):
-                w = weight * _binomial(mult, j)
+                w = weight * math.comb(mult, j)
                 new.append((left + (v,) * j, right + (v,) * (mult - j), w))
         splits = new
     return splits
-
-
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def _ch_integral(
@@ -360,6 +347,20 @@ def lambda_product_integral(
     1/(w - psi) at that point, expanded as a geometric series truncated at the
     dimension of the space; a None entry is a plain marked point.  Optional
     ``psi_exponents`` attach fixed psi powers on top.
+
+    The sum runs over lambda tuples (r_i) and compositions (s_j) of the
+    remaining psi degree over the flagged points.  With u_i = a_i/b_i,
+    w_j = c_j/d_j and ``top`` the psi degree left after the fixed exponents,
+    every term is a polynomial over the common denominator
+    D = prod b_i^g * prod c_j^(top+1):
+
+        u_i^(g-r)    = a_i^(g-r) b_i^r        / b_i^g,
+        w_j^-(s+1)   = d_j^(s+1) c_j^(top-s)  / c_j^(top+1).
+
+    The numerators come from power tables built once per call; each lambda
+    tuple sums its composition terms first and multiplies by its u-part once.
+    Only the final quotient by D is normalized, so the whole sum costs one
+    polynomial gcd.
     """
     n = len(point_denominators)
     if 2 * genus - 2 + n <= 0:
@@ -376,19 +377,30 @@ def lambda_product_integral(
         if w.is_zero():
             raise ZeroDivisionError("zero weight in a geometric denominator")
         flagged.append((i, w))
-    dim = 3 * genus - 3 + n
-    total = RationalFunction.const(0)
+    top = 3 * genus - 3 + n - sum(base)
+    if top < 0:
+        return RationalFunction.const(0)
+    # u_tables[i][r] = a_i^(g-r) * b_i^r
+    u_tables = []
+    den = Polynomial.const(1)
+    for u in us:
+        num_pows, den_pows = _powers(u.num, genus), _powers(u.den, genus)
+        u_tables.append([num_pows[genus - r] * den_pows[r] for r in range(genus + 1)])
+        den = den * den_pows[genus]
+    # w_tables[j][s] = d_j^(s+1) * c_j^(top-s)
+    w_tables = []
+    for _, w in flagged:
+        num_pows, den_pows = _powers(w.num, top + 1), _powers(w.den, top + 1)
+        w_tables.append([den_pows[s + 1] * num_pows[top - s] for s in range(top + 1)])
+        den = den * num_pows[top + 1]
+    acc = Polynomial()
     for rs in itertools.product(range(genus + 1), repeat=len(us)):
         rsum = sum(rs)
-        remaining = dim - rsum - sum(base)
+        remaining = top - rsum
         if remaining < 0:
             continue
-        if not flagged and remaining != 0:
-            continue
-        weight_u = RationalFunction.const((-1) ** rsum)
-        for u, r in zip(us, rs):
-            weight_u = weight_u * u ** (genus - r)
         lam = tuple(r for r in rs if r > 0)
+        inner = Polynomial()
         for comp in _compositions(remaining, len(flagged)):
             exps = list(base)
             for (i, _), s in zip(flagged, comp):
@@ -396,11 +408,26 @@ def lambda_product_integral(
             value = hodge_integral(HodgeQuery(genus, exps, lam))
             if value == 0:
                 continue
-            weight = weight_u * value
-            for (_, w), s in zip(flagged, comp):
-                weight = weight * w ** (-(s + 1))
-            total = total + weight
-    return total
+            term = Polynomial.const(value)
+            for table, s in zip(w_tables, comp):
+                term = term * table[s]
+            inner = inner + term
+        if inner.is_zero():
+            continue
+        if rsum % 2:
+            inner = -inner
+        for table, r in zip(u_tables, rs):
+            inner = inner * table[r]
+        acc = acc + inner
+    return RationalFunction(acc, den)
+
+
+def _powers(p: Polynomial, k: int) -> list[Polynomial]:
+    """[p^0, p^1, ..., p^k]."""
+    out = [Polynomial.const(1)]
+    for _ in range(k):
+        out.append(out[-1] * p)
+    return out
 
 
 def _compositions(total: int, parts: int):

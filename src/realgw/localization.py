@@ -37,12 +37,13 @@ marking-preserving bijections that commute with the involutions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact_arith import Rational, RationalFunction
-from .hodge import lambda_product_integral
+from .hodge import _compositions, lambda_product_integral
 
 TAU4 = {1: 2, 2: 1, 3: 4, 4: 3}
 
@@ -432,16 +433,6 @@ def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
     return tuple(found)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def euler_tangent(label: int) -> RationalFunction:
     """Equivariant Euler class of the tangent space of P^3 at a fixed point."""
     out = RationalFunction.const(1)
@@ -527,7 +518,7 @@ def _free_edge_contribution(
             denom = denom * (
                 (ALPHA[t1] * (deg - r) + ALPHA[t2] * r) / deg - ALPHA[j]
             )
-    return RationalFunction.const(Fraction((-1) ** deg, deg * _factorial(deg) ** 2)) / denom
+    return RationalFunction.const(Fraction((-1) ** deg, deg * math.factorial(deg) ** 2)) / denom
 
 
 def _fixed_edge_contribution(
@@ -548,15 +539,8 @@ def _fixed_edge_contribution(
         for r in range((deg - 1) // 2 + 1):
             denom = denom * (ALPHA[t1] * (deg - 2 * r) / deg - ALPHA[j])
     return RationalFunction.const(
-        Fraction((-1) ** ((deg - 1) // 2), deg * _factorial(deg))
+        Fraction((-1) ** ((deg - 1) // 2), deg * math.factorial(deg))
     ) / denom
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def pair_contribution(

@@ -264,21 +264,31 @@ def genus0_closed_form(exponents) -> Rational:
 def self_validate() -> None:
     """Quick consistency check of the recursion constants.
 
-    Runs on import unless Python is started with -O; the DVV constants are a
-    known risk point, so the seeds plus one string and one dilaton instance
-    are pinned here.
+    Runs on import, also under ``python -O``; the DVV constants are a known
+    risk point, so the seeds plus one string and one dilaton instance are
+    pinned here.  Raises ArithmeticError on the first mismatch.
     """
-    assert witten_psi(PsiQuery(0, (0, 0, 0))) == 1
-    assert witten_psi(PsiQuery(1, (1,))) == Fraction(1, 24)
-    assert witten_psi(PsiQuery(0, (1, 0, 0, 0))) == 1
-    assert witten_psi(PsiQuery(2, (4,))) == Fraction(1, 1152)
-    # string: <t0 t2 t4>_2 = <t1 t4>_2 + <t2 t3>_2
-    assert witten_psi(PsiQuery(2, (0, 2, 4))) == witten_psi(
-        PsiQuery(2, (1, 4))
-    ) + witten_psi(PsiQuery(2, (2, 3)))
-    # dilaton: <t1 t4>_2 = (2*2 - 2 + 1) <t4>_2
-    assert witten_psi(PsiQuery(2, (1, 4))) == 3 * witten_psi(PsiQuery(2, (4,)))
+    t4 = witten_psi(PsiQuery(2, (4,)))
+    t14 = witten_psi(PsiQuery(2, (1, 4)))
+    checks = (
+        ("<t0^3>_0", witten_psi(PsiQuery(0, (0, 0, 0))), 1),
+        ("<t1>_1", witten_psi(PsiQuery(1, (1,))), Fraction(1, 24)),
+        ("<t0^3 t1>_0", witten_psi(PsiQuery(0, (1, 0, 0, 0))), 1),
+        ("<t4>_2", t4, Fraction(1, 1152)),
+        # string: <t0 t2 t4>_2 = <t1 t4>_2 + <t2 t3>_2
+        (
+            "string <t0 t2 t4>_2",
+            witten_psi(PsiQuery(2, (0, 2, 4))),
+            t14 + witten_psi(PsiQuery(2, (2, 3))),
+        ),
+        # dilaton: <t1 t4>_2 = (2*2 - 2 + 1) <t4>_2
+        ("dilaton <t1 t4>_2", t14, 3 * t4),
+    )
+    for name, got, want in checks:
+        if got != want:
+            raise ArithmeticError(
+                f"psi self-validation failed: {name} is {got}, expected {want}"
+            )
 
 
-if __debug__:
-    self_validate()
+self_validate()

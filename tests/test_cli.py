@@ -47,6 +47,23 @@ def test_hodge_command_too_many_exponents(capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--g", "1", "--n", "1", "--psi=-1"), "nonnegative"),
+        (("--g", "1", "--n", "2", "--psi", "1,-1"), "nonnegative"),
+        (("--g", "1", "--n", "1", "--lambda=-1"), "nonnegative"),
+        (("--g", "1", "--n", "-2"), "--n >= 0"),
+        (("--g", "-1", "--n", "1"), "--g >= 0"),
+    ],
+)
+def test_hodge_command_rejects_negative_input(capsys, argv, message):
+    code, out, err = run(capsys, "hodge", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_enum_command(capsys):
     code, out, _ = run(capsys, "enum", "--degree", "4", "--max-genus", "3")
     assert code == 0
@@ -146,10 +163,10 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-def test_cache_round_trip(tmp_path, capsys, monkeypatch):
+def test_cache_dir_is_ignored(tmp_path, capsys, monkeypatch):
+    # No cache layer reads REALGW_CACHE_DIR, so a truncated file there
+    # changes neither the output nor the exit code.
+    (tmp_path / "realgw-memo.pickle").write_bytes(b"\x80\x04\x95")
     monkeypatch.setenv("REALGW_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "hodge", "--g", "1", "--n", "1", "--psi", "1")
-    assert code == 0 and out == "1/24\n"
-    assert (tmp_path / "realgw-memo.pickle").exists()
-    code, out, _ = run(capsys, "hodge", "--g", "1", "--n", "1", "--psi", "1")
-    assert code == 0 and out == "1/24\n"
+    code, out, err = run(capsys, "hodge", "--g", "1", "--n", "1", "--psi", "1")
+    assert (code, out, err) == (0, "1/24\n", "")

@@ -244,7 +244,88 @@ def test_lambda_product_integral_validates_exponents():
     with pytest.raises(ValueError):
         lambda_product_integral(1, (1, 2, 3), [None], [0, 0])
     with pytest.raises(ValueError):
+        lambda_product_integral(1, (1, 2, 3), [None, None], [1, -1])
+    with pytest.raises(ValueError):
         lambda_product_integral(0, (1, 2, 3), [None, None])
+
+
+def test_lambda_product_integral_rejects_zero_weight():
+    z = RationalFunction.z()
+    with pytest.raises(ZeroDivisionError):
+        lambda_product_integral(1, (1, 2, 3), [1 - z, 0])
+    with pytest.raises(ZeroDivisionError):
+        lambda_product_integral(2, (1, 2, 3), [None, z - z])
+
+
+def _term_by_term_lambda_product(genus, lambda_args, points, psi_exponents=None):
+    """Reference: the direct sum of one normalized rational function per
+    (lambda tuple, composition) term."""
+    n = len(points)
+    base = list(psi_exponents) if psi_exponents is not None else [0] * n
+    us = [RationalFunction.coerce(u) for u in lambda_args]
+    flagged = [
+        (i, RationalFunction.coerce(w))
+        for i, w in enumerate(points)
+        if w is not None
+    ]
+    dim = 3 * genus - 3 + n
+    total = RationalFunction.const(0)
+    for rs in itertools.product(range(genus + 1), repeat=len(us)):
+        remaining = dim - sum(rs) - sum(base)
+        if remaining < 0:
+            continue
+        weight_u = RationalFunction.const((-1) ** sum(rs))
+        for u, r in zip(us, rs):
+            weight_u = weight_u * u ** (genus - r)
+        lam = tuple(r for r in rs if r > 0)
+        for comp in itertools.product(range(remaining + 1), repeat=len(flagged)):
+            if sum(comp) != remaining:
+                continue
+            exps = list(base)
+            for (i, _), s in zip(flagged, comp):
+                exps[i] += s
+            weight = weight_u * hodge_integral(HodgeQuery(genus, exps, lam))
+            for (_, w), s in zip(flagged, comp):
+                weight = weight * w ** (-(s + 1))
+            total = total + weight
+    return total
+
+
+def test_lambda_product_integral_matches_term_by_term_sum():
+    # Vertex-factor shaped inputs: Lambda arguments alpha_label - alpha_j and
+    # edge weights -(alpha_other - alpha_label)/degree with the torus weights
+    # (1, -1, z, -z).  The last triple and weight add a zero entry and
+    # non-polynomial values, so the denominator tables are exercised too.
+    z = RationalFunction.z()
+    alpha = {1: RationalFunction.const(1), 2: RationalFunction.const(-1), 3: z, 4: -z}
+    lambda_args = [
+        tuple(alpha[1] - alpha[j] for j in (2, 3, 4)),
+        tuple(alpha[3] - alpha[j] for j in (1, 2, 4)),
+        (RationalFunction.const(0), (1 - z) / (2 + z), Fraction(2, 3)),
+    ]
+    weights = [
+        -(alpha[2] - alpha[1]),
+        -(alpha[4] - alpha[1]) / 3,
+        -(alpha[1] - alpha[3]) / (1 + 2 * z),
+    ]
+    checked = 0
+    for g in (1, 2, 3):
+        for k in range(4):
+            for extra in range(2):
+                n = k + extra
+                # The reference sum takes over 10 s from genus 3 with three
+                # denominators on.
+                if 2 * g - 2 + n <= 0 or 3 * g - 3 + n > 6 or g + k > 5:
+                    continue
+                points = weights[:k] + [None] * extra
+                psis = [None, [0] * (n - 1) + [1]] if n else [None]
+                for psi in psis:
+                    us = lambda_args[checked % len(lambda_args)]
+                    got = lambda_product_integral(g, us, points, psi)
+                    want = _term_by_term_lambda_product(g, us, points, psi)
+                    assert got == want, (g, k, extra, psi, us)
+                    checked += 1
+    assert checked == 28
 
 
 # -- symmetries and homogeneity ------------------------------------------------

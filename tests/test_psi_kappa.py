@@ -6,7 +6,10 @@ classical correlator values, and the string/dilaton equations are checked on
 randomized stable queries.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -181,3 +184,25 @@ def test_kappa1_cubed_genus2_weil_petersson_value():
 def test_kappa_rejects_nonpositive_indices():
     with pytest.raises(ValueError):
         kappa_psi(KappaPsiQuery(1, (1,), (0,)))
+
+
+def test_self_validation_survives_optimize_flag():
+    # With asserts stripped by -O, a wrong seed value must still be caught.
+    probe = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from realgw import psi_kappa\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        "psi_kappa._psi_memo[(2, (4,))] = Fraction(1, 1151)\n"
+        "try:\n"
+        "    psi_kappa.self_validate()\n"
+        "except ArithmeticError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(2)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-O", "-c", probe], env=env, timeout=60)
+    assert done.returncode == 0
