@@ -12,8 +12,8 @@ Subcommands:
 
 All rationals print in lowest terms as ``p/q`` (or a bare integer), matching
 the bundled table encoding; identical invocations produce identical bytes.
-Exit status: 2 for usage errors, 1 for a failed non-conjecture identity in
-``verify``, 0 otherwise.
+Exit status: 2 for usage errors and for a non-integer count in ``enum``, 1
+for a failed non-conjecture identity in ``verify``, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -140,6 +140,14 @@ def _cmd_enum(args) -> int:
             gw_table.entries[(g, d)] = value
             sources[g] = src
     e_table = gw_convert.e_from_gw(gw_table)
+    bad = gw_convert.integrality_check(e_table)
+    if bad:
+        entries = ", ".join(f"g={g}: {v}" for g, _, v in bad)
+        print(
+            f"error: non-integer enumerative counts in degree {d}: {entries}",
+            file=sys.stderr,
+        )
+        return 2
     print(f"real enumerative counts, degree {d}, genus 0..{max_g}")
     for g in range(max_g + 1):
         note = sources[g] if sources[g] == "parity" else f"via {sources[g]}"

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact_arith import Polynomial, RatLike, Rational, RationalFunction
-from .psi_kappa import _kappa_value
+from .psi_kappa import _kappa_value, _subsets_of_multiset
 
 _hodge_memo: dict[tuple, Fraction] = {}
 _ch_memo: dict[tuple, Fraction] = {}
@@ -220,26 +220,6 @@ def lambda_to_ch(lambda_indices) -> LambdaPolynomial:
     return out
 
 
-def _split_multiset(ms: tuple[int, ...]):
-    """All splits of a sorted multiset into (left, right) with multiplicity.
-
-    The multiplicity counts how many subsets of the underlying labeled
-    collection realize the split.
-    """
-    values: list[tuple[int, int]] = []
-    for v in sorted(set(ms)):
-        values.append((v, ms.count(v)))
-    splits: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 1)]
-    for v, mult in values:
-        new = []
-        for left, right, weight in splits:
-            for j in range(mult + 1):
-                w = weight * math.comb(mult, j)
-                new.append((left + (v,) * j, right + (v,) * (mult - j), w))
-        splits = new
-    return splits
-
-
 def _ch_integral(
     genus: int,
     psi: tuple[int, ...],
@@ -293,8 +273,8 @@ def _ch_integral(
             right.remove(v)
         psi1 = tuple(sorted(left + (a,)))
         psi2 = tuple(sorted(right + [b]))
-        for k1, k2, wk in _split_multiset(kappa):
-            for c1, c2, wc in _split_multiset(rest_ch):
+        for k1, k2, wk in _subsets_of_multiset(kappa):
+            for c1, c2, wc in _subsets_of_multiset(rest_ch):
                 v1 = _ch_integral(h, psi1, k1, c1)
                 if v1 == 0:
                     continue
@@ -313,10 +293,13 @@ def hodge_integral(q: HodgeQuery) -> Rational:
     genus (the Hodge bundle has rank g).  A query with too few points for a
     stable space is interpreted on the minimal stable space with extra psi^0
     points, so a genus-1 query with no points integrates over the 1-pointed
-    space (same convention as the kappa layer).
+    space (same convention as the kappa layer).  A negative genus, psi
+    exponent or lambda index raises ``ValueError``.
     """
     if q.genus < 0:
         raise ValueError("genus must be nonnegative")
+    if any(a < 0 for a in q.psi_exponents) or any(r < 0 for r in q.lambda_indices):
+        raise ValueError("psi exponents and lambda indices must be nonnegative")
     psi = q.psi_exponents
     while 2 * q.genus - 2 + len(psi) <= 0:
         psi = psi + (0,)

@@ -29,9 +29,12 @@ the dehomogenized weight z (weights 1, -1, z, -z at the four fixed points);
 the assembled sum must be constant in z, which is asserted.
 
 Enumeration is exhaustive over the tiny graphs involved (vertex and edge
-counts are bounded by the degree), with isomorphism classes and automorphism
-orders computed by backtracking over label-, genus-, degree-, and
-marking-preserving bijections that commute with the involutions.
+counts are bounded by the degree).  Each candidate is reduced to a canonical
+form: the least encoding of its involution, plus points and edges over the
+vertex relabelings that keep every (label, genus) cell in its own block.  A
+candidate is kept when its form is new, and the relabelings reaching the
+least code, times closed-form counts of edge permutations within each edge
+class, give its automorphism order.
 """
 
 from __future__ import annotations
@@ -258,106 +261,70 @@ def _edge_involutions(graph_edges, sigma_v: tuple[int, ...]):
     yield from backtrack(0)
 
 
-def _invariant_key(pair: AdmissiblePair):
-    g = pair.graph
-    edge_types = sorted(
-        (
-            tuple(sorted((g.theta[a], g.theta[b]))),
-            deg,
-            pair.involution.edges[i] == i,
+def _canonical_form(graph: DecoratedGraph, involution: GraphInvolution):
+    """Canonical form of a pair and its automorphism order.
+
+    Vertices fall into cells by (theta, genus), taken in sorted order, and
+    only the relabelings that send each cell onto its own block of positions
+    are tried.  Each relabeling encodes the conjugated vertex involution, the
+    relabeled plus points and the sorted edge list with sigma-fixed flags;
+    the least code, after the sorted vertex types, is the canonical form.
+    The relabelings reaching it are the vertex automorphisms.  Each of them
+    extends to the same number of edge automorphisms: per sigma-stable edge
+    class (a, b, degree) with f fixed edges and p swapped pairs there are
+    f! p! 2^p, and per two classes swapped by sigma with n edges each, n!.
+    """
+    sigma_v, sigma_e = involution.vertices, involution.edges
+    cells: dict[tuple[int, int], list[int]] = {}
+    for v, kind in enumerate(zip(graph.theta, graph.genus)):
+        cells.setdefault(kind, []).append(v)
+    kinds = sorted(cells)
+    position = [0] * graph.num_vertices
+    best = None
+    vertex_auts = 0
+    for blocks in itertools.product(*(itertools.permutations(cells[k]) for k in kinds)):
+        order = [v for block in blocks for v in block]
+        for i, v in enumerate(order):
+            position[v] = i
+        edges = []
+        for i, (a, b, deg) in enumerate(graph.edges):
+            pa, pb = position[a], position[b]
+            edges.append((min(pa, pb), max(pa, pb), deg, sigma_e[i] == i))
+        edges.sort()
+        code = (
+            tuple(position[sigma_v[v]] for v in order),
+            tuple(position[m] for m in graph.marks_plus),
+            tuple(edges),
         )
-        for i, (a, b, deg) in enumerate(g.edges)
-    )
-    vertex_types = sorted(zip(g.theta, g.genus))
-    mark_types = tuple(g.genus[m] for m in g.marks_plus)
-    return (tuple(vertex_types), tuple(edge_types), mark_types)
-
-
-def _vertex_bijections(p: AdmissiblePair, q: AdmissiblePair):
-    gp, gq = p.graph, q.graph
-    nv = gp.num_vertices
-    if nv != gq.num_vertices:
-        return
-    for perm in itertools.permutations(range(nv)):
-        if any(gq.theta[perm[v]] != gp.theta[v] for v in range(nv)):
-            continue
-        if any(gq.genus[perm[v]] != gp.genus[v] for v in range(nv)):
-            continue
-        if any(perm[m] != mq for m, mq in zip(gp.marks_plus, gq.marks_plus)):
-            continue
-        if any(
-            perm[p.involution.vertices[v]] != q.involution.vertices[perm[v]]
-            for v in range(nv)
-        ):
-            continue
-        yield perm
-
-
-def _edge_bijections(p: AdmissiblePair, q: AdmissiblePair, perm):
-    ep, eq = p.graph.edges, q.graph.edges
-    ne = len(ep)
-    if ne != len(eq):
-        return
-
-    def candidates(i: int):
-        a, b, deg = ep[i]
-        target = {perm[a], perm[b]}
-        return [
-            j
-            for j, (c, d, deg2) in enumerate(eq)
-            if deg2 == deg and {c, d} == target
-        ]
-
-    assign = [-1] * ne
-    used = [False] * ne
-
-    def backtrack(i: int):
-        if i == ne:
-            yield tuple(assign)
-            return
-        if assign[i] != -1:
-            yield from backtrack(i + 1)
-            return
-        for j in candidates(i):
-            if used[j]:
-                continue
-            # commuting with the involutions pins the image of sigma(i); the
-            # two elements of a sigma-orbit are always assigned together, so
-            # sigma(i) is unassigned here whenever it differs from i.
-            si = p.involution.edges[i]
-            sj = q.involution.edges[j]
-            if si == i:
-                if sj != j:
-                    continue
-                assign[i] = j
-                used[j] = True
-                yield from backtrack(i + 1)
-                assign[i] = -1
-                used[j] = False
-            else:
-                if sj == j or used[sj] or sj not in candidates(si):
-                    continue
-                assign[i], assign[si] = j, sj
-                used[j] = used[sj] = True
-                yield from backtrack(i + 1)
-                assign[i] = assign[si] = -1
-                used[j] = used[sj] = False
-
-    yield from backtrack(0)
-
-
-def _isomorphisms(p: AdmissiblePair, q: AdmissiblePair):
-    for perm in _vertex_bijections(p, q):
-        for edge_map in _edge_bijections(p, q, perm):
-            yield perm, edge_map
+        if best is None or code < best:
+            best, vertex_auts = code, 1
+        elif code == best:
+            vertex_auts += 1
+    classes: dict[tuple[int, int, int], list[int]] = {}
+    for i, edge in enumerate(graph.edges):
+        classes.setdefault(edge, []).append(i)
+    edge_auts = 1
+    for (a, b, deg), members in classes.items():
+        image = (*sorted((sigma_v[a], sigma_v[b])), deg)
+        if image == (a, b, deg):
+            fixed = sum(1 for i in members if sigma_e[i] == i)
+            swapped = (len(members) - fixed) // 2
+            edge_auts *= math.factorial(fixed) * math.factorial(swapped) * 2**swapped
+        elif (a, b, deg) < image:
+            edge_auts *= math.factorial(len(members))
+    form = (tuple(k for k in kinds for _ in cells[k]), best)
+    return form, vertex_auts * edge_auts
 
 
 def isomorphic(p: AdmissiblePair, q: AdmissiblePair) -> bool:
-    return next(_isomorphisms(p, q), None) is not None
+    return (
+        _canonical_form(p.graph, p.involution)[0]
+        == _canonical_form(q.graph, q.involution)[0]
+    )
 
 
 def automorphism_order(pair: AdmissiblePair) -> int:
-    return sum(1 for _ in _isomorphisms(pair, pair))
+    return _canonical_form(pair.graph, pair.involution)[1]
 
 
 @lru_cache(maxsize=None)
@@ -373,7 +340,7 @@ def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
     if g < 0:
         raise ValueError("genus must be nonnegative")
     found: list[AdmissiblePair] = []
-    keys: dict[tuple, list[int]] = {}
+    seen: set[tuple] = set()
     for nv in range(2, d + 2, 2):
         for theta in _theta_tuples(nv):
             label_vertices = {
@@ -412,24 +379,12 @@ def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
                                 graph = DecoratedGraph(
                                     theta, tuple(genus), edges, marks
                                 )
-                                pair = AdmissiblePair(
-                                    graph,
-                                    GraphInvolution(sigma_v, sigma_e),
-                                    0,
-                                )
-                                key = _invariant_key(pair)
-                                bucket = keys.setdefault(key, [])
-                                if any(
-                                    isomorphic(pair, found[k]) for k in bucket
-                                ):
+                                involution = GraphInvolution(sigma_v, sigma_e)
+                                form, aut = _canonical_form(graph, involution)
+                                if form in seen:
                                     continue
-                                pair = AdmissiblePair(
-                                    graph,
-                                    pair.involution,
-                                    automorphism_order(pair),
-                                )
-                                bucket.append(len(found))
-                                found.append(pair)
+                                seen.add(form)
+                                found.append(AdmissiblePair(graph, involution, aut))
     return tuple(found)
 
 
@@ -522,15 +477,15 @@ def _free_edge_contribution(
 
 
 def _fixed_edge_contribution(
-    graph: DecoratedGraph, a: int, b: int, deg: int, anchor_conjugate: bool = False
+    graph: DecoratedGraph, a: int, b: int, deg: int
 ) -> RationalFunction:
     """Fixed-edge factor, anchored at the endpoint with label in {1, 3}.
 
-    ``anchor_conjugate`` anchors at the other endpoint instead; for odd
-    degrees the two agree (checked by a unit test).
+    For odd degrees the other anchor gives the same factor (checked by a
+    unit test).
     """
     t1, t2 = graph.theta[a], graph.theta[b]
-    if (t1 in (2, 4)) != anchor_conjugate:
+    if t1 in (2, 4):
         t1, t2 = t2, t1
     denom = (2 * ALPHA[t1] / deg) ** (deg - 1)
     for j in (1, 2, 3, 4):

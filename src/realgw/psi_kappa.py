@@ -26,6 +26,7 @@ contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -199,20 +200,15 @@ def kappa_psi(q: KappaPsiQuery) -> Rational:
 def _subsets_of_multiset(ms: tuple[int, ...]):
     """(subset, complement, count) triples of a sorted multiset, where count
     is the number of labeled subsets realizing the split."""
-    values = sorted(set(ms))
     splits: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 1)]
-    for v in values:
+    for v in sorted(set(ms)):
         mult = ms.count(v)
-        binom = 1
-        options = []
-        for j in range(mult + 1):
-            options.append((j, binom))
-            binom = binom * (mult - j) // (j + 1)
-        splits = [
-            (inc + (v,) * j, exc + (v,) * (mult - j), w * bj)
-            for inc, exc, w in splits
-            for j, bj in options
-        ]
+        new = []
+        for inc, exc, w in splits:
+            for j in range(mult + 1):
+                w_j = w * math.comb(mult, j)
+                new.append((inc + (v,) * j, exc + (v,) * (mult - j), w_j))
+        splits = new
     return splits
 
 

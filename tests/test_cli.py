@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+from fractions import Fraction
+
 import pytest
 
+from realgw import cli
 from realgw.cli import main
 from realgw.gw_convert import bundled_text
 
@@ -81,6 +84,14 @@ def test_enum_command_bundled(capsys):
     assert code == 0
     assert "g=2: -10 [via bundled]" in out
     assert "g=4: -1 [via bundled]" in out
+
+
+def test_enum_rejects_non_integer_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_gw_value", lambda g, d: (Fraction(1, 2), "localization"))
+    code, out, err = run(capsys, "enum", "--degree", "1", "--max-genus", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: non-integer") and err.count("\n") == 1
+    assert "g=0: 1/2" in err
 
 
 def test_tables_byte_identical_to_bundled(capsys):

@@ -128,6 +128,20 @@ def test_lambda_index_above_rank_vanishes():
     assert hodge_integral(HodgeQuery(1, (0,), (2,))) == 0
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        HodgeQuery(1, (-1, 3), ()),
+        HodgeQuery(2, (0, -2), (1,)),
+        HodgeQuery(1, (1,), (-1,)),
+        HodgeQuery(3, (), (2, -5)),
+    ],
+)
+def test_negative_exponent_or_index_rejected(query):
+    with pytest.raises(ValueError, match="nonnegative"):
+        hodge_integral(query)
+
+
 def test_classical_genus2_lambda_values():
     assert hodge_integral(HodgeQuery(2, (), (1, 1, 1))) == Fraction(1, 2880)
     assert hodge_integral(HodgeQuery(2, (), (1, 2))) == Fraction(1, 5760)

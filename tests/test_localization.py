@@ -6,6 +6,8 @@ of one- and two-partition Hodge integrals that the degree-wise localization
 analysis produces.
 """
 
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,13 +15,14 @@ from fractions import Fraction
 import pytest
 
 from realgw.exact_arith import RationalFunction
-from realgw.hodge import i1, i2
+from realgw.hodge import _compositions, i1, i2
 from realgw.localization import (
     ALPHA,
     AdmissiblePair,
     DecoratedGraph,
     GraphInvolution,
     automorphism_order,
+    bracket,
     edge_contribution,
     enumerate_pairs,
     gw_real,
@@ -28,7 +31,12 @@ from realgw.localization import (
     pair_contributions,
     psi_edge_weight,
     vertex_contribution,
+    _edge_involutions,
+    _edge_multisets,
     _fixed_edge_contribution,
+    _is_connected,
+    _theta_tuples,
+    _vertex_involutions,
 )
 
 A1, A2, A3, A4 = ALPHA[1], ALPHA[2], ALPHA[3], ALPHA[4]
@@ -85,9 +93,167 @@ def test_enumeration_is_deterministic():
     assert first == second
 
 
+# -- reference enumeration: pairwise isomorphism tests by backtracking ---------
+
+
+def _reference_key(pair: AdmissiblePair):
+    g = pair.graph
+    edge_types = sorted(
+        (
+            tuple(sorted((g.theta[a], g.theta[b]))),
+            deg,
+            pair.involution.edges[i] == i,
+        )
+        for i, (a, b, deg) in enumerate(g.edges)
+    )
+    vertex_types = sorted(zip(g.theta, g.genus))
+    mark_types = tuple(g.genus[m] for m in g.marks_plus)
+    return (tuple(vertex_types), tuple(edge_types), mark_types)
+
+
+def _reference_vertex_bijections(p: AdmissiblePair, q: AdmissiblePair):
+    gp, gq = p.graph, q.graph
+    nv = gp.num_vertices
+    if nv != gq.num_vertices:
+        return
+    for perm in itertools.permutations(range(nv)):
+        if any(gq.theta[perm[v]] != gp.theta[v] for v in range(nv)):
+            continue
+        if any(gq.genus[perm[v]] != gp.genus[v] for v in range(nv)):
+            continue
+        if any(perm[m] != mq for m, mq in zip(gp.marks_plus, gq.marks_plus)):
+            continue
+        if any(
+            perm[p.involution.vertices[v]] != q.involution.vertices[perm[v]]
+            for v in range(nv)
+        ):
+            continue
+        yield perm
+
+
+def _reference_edge_bijections(p: AdmissiblePair, q: AdmissiblePair, perm):
+    ep, eq = p.graph.edges, q.graph.edges
+    ne = len(ep)
+    if ne != len(eq):
+        return
+
+    def candidates(i: int):
+        a, b, deg = ep[i]
+        target = {perm[a], perm[b]}
+        return [
+            j for j, (c, d, deg2) in enumerate(eq) if deg2 == deg and {c, d} == target
+        ]
+
+    assign = [-1] * ne
+    used = [False] * ne
+
+    def backtrack(i: int):
+        if i == ne:
+            yield tuple(assign)
+            return
+        if assign[i] != -1:
+            yield from backtrack(i + 1)
+            return
+        for j in candidates(i):
+            if used[j]:
+                continue
+            si = p.involution.edges[i]
+            sj = q.involution.edges[j]
+            if si == i:
+                if sj != j:
+                    continue
+                assign[i] = j
+                used[j] = True
+                yield from backtrack(i + 1)
+                assign[i] = -1
+                used[j] = False
+            else:
+                if sj == j or used[sj] or sj not in candidates(si):
+                    continue
+                assign[i], assign[si] = j, sj
+                used[j] = used[sj] = True
+                yield from backtrack(i + 1)
+                assign[i] = assign[si] = -1
+                used[j] = used[sj] = False
+
+    yield from backtrack(0)
+
+
+def _reference_isomorphisms(p: AdmissiblePair, q: AdmissiblePair):
+    for perm in _reference_vertex_bijections(p, q):
+        for edge_map in _reference_edge_bijections(p, q, perm):
+            yield perm, edge_map
+
+
+def _reference_aut_order(pair: AdmissiblePair) -> int:
+    return sum(1 for _ in _reference_isomorphisms(pair, pair))
+
+
+def _reference_enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
+    """The same candidates as enumerate_pairs, deduplicated by pairwise
+    isomorphism tests within buckets of a cheap invariant."""
+    found: list[AdmissiblePair] = []
+    keys: dict[tuple, list[int]] = {}
+    for nv in range(2, d + 2, 2):
+        for theta in _theta_tuples(nv):
+            label_vertices = {t: [v for v in range(nv) if theta[v] == t] for t in (1, 3)}
+            if not label_vertices[1] or (d >= 2 and not label_vertices[3]):
+                continue
+            for edges in _edge_multisets(theta, d):
+                if not _is_connected(nv, edges):
+                    continue
+                b1 = len(edges) - nv + 1
+                if b1 > g or (g - b1) % 2:
+                    continue
+                for sigma_v in _vertex_involutions(theta):
+                    for sigma_e in _edge_involutions(edges, sigma_v):
+                        if any(
+                            edges[i][2] % 2 == 0
+                            for i in range(len(edges))
+                            if sigma_e[i] == i
+                        ):
+                            continue
+                        orbits = [v for v in range(nv) if sigma_v[v] > v]
+                        for split in _compositions((g - b1) // 2, len(orbits)):
+                            genus = [0] * nv
+                            for v, gv in zip(orbits, split):
+                                genus[v] = genus[sigma_v[v]] = gv
+                            for marks in itertools.product(
+                                *[label_vertices[bracket(i)] for i in range(1, d + 1)]
+                            ):
+                                pair = AdmissiblePair(
+                                    DecoratedGraph(theta, tuple(genus), edges, marks),
+                                    GraphInvolution(sigma_v, sigma_e),
+                                    0,
+                                )
+                                bucket = keys.setdefault(_reference_key(pair), [])
+                                if any(
+                                    next(_reference_isomorphisms(pair, found[k]), None)
+                                    for k in bucket
+                                ):
+                                    continue
+                                bucket.append(len(found))
+                                found.append(
+                                    AdmissiblePair(
+                                        pair.graph,
+                                        pair.involution,
+                                        _reference_aut_order(pair),
+                                    )
+                                )
+    return tuple(found)
+
+
+@pytest.mark.parametrize(
+    "g, d", [(g, d) for d in range(1, 5) for g in range(6)] + [(0, 5)]
+)
+def test_enumeration_matches_pairwise_reference(g, d):
+    # Same representatives in the same order, with the same |Aut|.
+    assert enumerate_pairs(g, d) == _reference_enumerate_pairs(g, d)
+
+
 def test_isomorphism_stable_under_relabeling():
     rng = random.Random(47)
-    for p in enumerate_pairs(1, 4) + enumerate_pairs(2, 3):
+    for p in enumerate_pairs(1, 4) + enumerate_pairs(2, 3) + enumerate_pairs(0, 5):
         nv = p.graph.num_vertices
         ne = len(p.graph.edges)
         perm = list(range(nv))
@@ -121,6 +287,7 @@ def test_isomorphism_stable_under_relabeling():
         )
         assert isomorphic(p, relabeled)
         assert automorphism_order(relabeled) == p.aut_order
+        assert automorphism_order(relabeled) == _reference_aut_order(relabeled)
 
 
 # -- elementary weights --------------------------------------------------------
@@ -157,14 +324,27 @@ def test_fixed_edge_contribution_value():
     assert (edge_contribution(p, 0) - 1 / (A1**2 - A3**2)).is_zero()
 
 
+def _fixed_edge_anchored(anchor: int, other: int, deg: int) -> RationalFunction:
+    """The fixed-edge factor written out with the given anchor label."""
+    denom = (2 * ALPHA[anchor] / deg) ** (deg - 1)
+    for j in (1, 2, 3, 4):
+        if j in (anchor, other):
+            continue
+        for r in range((deg - 1) // 2 + 1):
+            denom = denom * (ALPHA[anchor] * (deg - 2 * r) / deg - ALPHA[j])
+    sign = (-1) ** ((deg - 1) // 2)
+    return RationalFunction.const(Fraction(sign, deg * math.factorial(deg))) / denom
+
+
 def test_fixed_edge_anchor_convention_is_symmetric():
     # Both endpoint anchors give the same factor for odd degrees.
-    for deg in (1, 3):
-        for theta in ((1, 2), (3, 4)):
+    for deg in (1, 3, 5):
+        for theta in ((1, 2), (2, 1), (3, 4), (4, 3)):
             g = DecoratedGraph(theta, (0, 0), ((0, 1, deg),), ())
-            a = _fixed_edge_contribution(g, 0, 1, deg, anchor_conjugate=False)
-            b = _fixed_edge_contribution(g, 0, 1, deg, anchor_conjugate=True)
-            assert (a - b).is_zero(), (deg, theta)
+            value = _fixed_edge_contribution(g, 0, 1, deg)
+            for anchor, other in (theta, theta[::-1]):
+                expect = _fixed_edge_anchored(anchor, other, deg)
+                assert (value - expect).is_zero(), (deg, theta, anchor)
 
 
 def test_free_edge_contributions():

@@ -21,6 +21,7 @@ from realgw.psi_kappa import (
     kappa_psi,
     self_validate,
     witten_psi,
+    _subsets_of_multiset,
 )
 
 # Classical correlator values (Witten-Kontsevich theory).
@@ -206,3 +207,18 @@ def test_self_validation_survives_optimize_flag():
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-O", "-c", probe], env=env, timeout=60)
     assert done.returncode == 0
+
+
+def test_multiset_splits_count_labeled_subsets():
+    assert _subsets_of_multiset(()) == [((), (), 1)]
+    assert _subsets_of_multiset((1, 1, 2)) == [
+        ((), (1, 1, 2), 1),
+        ((2,), (1, 1), 1),
+        ((1,), (1, 2), 2),
+        ((1, 2), (1,), 2),
+        ((1, 1), (2,), 1),
+        ((1, 1, 2), (), 1),
+    ]
+    # The weights count all 2^n labeled subsets.
+    for ms in ((0, 0, 0, 1), (2, 2, 3, 3, 3), (1, 4, 4, 4, 4)):
+        assert sum(w for _, _, w in _subsets_of_multiset(ms)) == 2 ** len(ms)
