@@ -12,8 +12,10 @@ Subcommands:
 
 All rationals print in lowest terms as ``p/q`` (or a bare integer), matching
 the bundled table encoding; identical invocations produce identical bytes.
-Exit status: 2 for usage errors and for a non-integer count in ``enum``, 1
-for a failed non-conjecture identity in ``verify``, 0 otherwise.
+Exit status: 2 for usage errors, for an unreadable, non-UTF-8 or malformed
+input table or an unwritable output in ``convert``, and for a non-integer
+count in ``enum``; 1 for a failed non-conjecture identity in ``verify``; 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -161,6 +163,9 @@ def _cmd_convert(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input}: not UTF-8 text (byte {exc.start})", file=sys.stderr)
+        return 2
     except gw_convert.TableParseError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 2
@@ -176,8 +181,12 @@ def _cmd_convert(args) -> int:
         return 2
     out = gw_convert.emit_tables([transform(t) for t in selected], args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out)
     return 0

@@ -209,6 +209,8 @@ def parse_tables(text: str) -> list[InvariantTable]:
             value = Fraction(fields[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise TableParseError(line_no, str(exc)) from exc
+        if g < 0 or d < 1:
+            raise TableParseError(line_no, f"need genus >= 0 and degree >= 1, got {line!r}")
         if (g, d) in current.entries:
             raise TableParseError(line_no, f"duplicate entry g={g}, d={d}")
         current.entries[(g, d)] = value

@@ -35,6 +35,13 @@ vertex relabelings that keep every (label, genus) cell in its own block.  A
 candidate is kept when its form is new, and the relabelings reaching the
 least code, times closed-form counts of edge permutations within each edge
 class, give its automorphism order.
+
+Vertex and edge factors depend only on local data, and many classes share it,
+so they are cached on it: a vertex on (label, genus, sorted (other-end label,
+edge degree) pairs, mark count), an edge on (sorted labels, degree, fixed by
+sigma?).  The class contributions are added as a balanced tree, so most
+additions see small denominators; the normal form is unique, so the total is
+the same as in any other order.
 """
 
 from __future__ import annotations
@@ -92,9 +99,6 @@ class DecoratedGraph:
 
     def arithmetic_genus(self) -> int:
         return self.betti() + sum(self.genus)
-
-    def vertex_edges(self, v: int) -> list[int]:
-        return [i for i, (a, b, _) in enumerate(self.edges) if v in (a, b)]
 
     def markings_at(self, v: int, sigma_v: tuple[int, ...]) -> int:
         plus = sum(1 for m in self.marks_plus if m == v)
@@ -388,6 +392,7 @@ def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
     return tuple(found)
 
 
+@lru_cache(maxsize=None)
 def euler_tangent(label: int) -> RationalFunction:
     """Equivariant Euler class of the tangent space of P^3 at a fixed point."""
     out = RationalFunction.const(1)
@@ -397,94 +402,83 @@ def euler_tangent(label: int) -> RationalFunction:
     return out
 
 
-def psi_edge_weight(graph: DecoratedGraph, edge_index: int, v: int) -> RationalFunction:
-    """Weight of the cotangent direction along an edge at one endpoint:
-    (alpha_other - alpha_v) / degree."""
-    a, b, deg = graph.edges[edge_index]
-    if v == a:
-        other = b
-    elif v == b:
-        other = a
-    else:
-        raise ValueError(f"vertex {v} is not an endpoint of edge {edge_index}")
-    return (ALPHA[graph.theta[other]] - ALPHA[graph.theta[v]]) / deg
+def psi_edge_weight(label: int, other: int, deg: int) -> RationalFunction:
+    """Cotangent weight at the ``label`` end of an edge to ``other``."""
+    return (ALPHA[other] - ALPHA[label]) / deg
+
+
+def vertex_key(pair: AdmissiblePair, v: int):
+    """(label, genus, sorted (other label, degree) per edge, mark count)."""
+    graph = pair.graph
+    ends = [(graph.theta[a + b - v], deg) for a, b, deg in graph.edges if v in (a, b)]
+    n_marks = graph.markings_at(v, pair.involution.vertices)
+    return graph.theta[v], graph.genus[v], tuple(sorted(ends)), n_marks
 
 
 @lru_cache(maxsize=None)
-def vertex_contribution(pair: AdmissiblePair, v: int) -> RationalFunction:
-    """Signed fixed-locus factor of one vertex.
+def vertex_contribution(
+    label: int, genus: int, neighbours: tuple[tuple[int, int], ...], n_marks: int
+) -> RationalFunction:
+    """Signed fixed-locus factor of one vertex, from its local data.
 
     Unstable vertices (genus 0 with at most two special points) contribute a
     closed product of weights; stable vertices contribute a triple-Lambda
     Hodge integral over the moduli of the vertex curve, with one geometric
     denominator per incident edge.
     """
-    graph = pair.graph
-    sigma_v = pair.involution.vertices
-    label = graph.theta[v]
-    edge_ids = graph.vertex_edges(v)
-    n_marks = graph.markings_at(v, sigma_v)
-    n_special = len(edge_ids) + n_marks
+    n_special = len(neighbours) + n_marks
     e_t = euler_tangent(label)
-    psis = [psi_edge_weight(graph, i, v) for i in edge_ids]
-    if graph.genus[v] == 0 and n_special <= 2:
+    psis = [psi_edge_weight(label, other, deg) for other, deg in neighbours]
+    if genus == 0 and n_special <= 2:
         out = RationalFunction.const((-1) ** n_marks) * e_t ** (n_special - 1)
         total = RationalFunction.const(0)
         for w in psis:
             out = out / w
             total = total + w
-        exponent = 3 - n_special - len(edge_ids)
+        exponent = 3 - n_special - len(neighbours)
         return out * total**exponent
-    lambda_args = tuple(
-        ALPHA[label] - ALPHA[j] for j in (1, 2, 3, 4) if j != label
-    )
+    lambda_args = tuple(ALPHA[label] - ALPHA[j] for j in (1, 2, 3, 4) if j != label)
     denominators: list[RationalFunction | None] = [-w for w in psis]
     denominators += [None] * n_marks
-    integral = lambda_product_integral(graph.genus[v], lambda_args, denominators)
-    out = RationalFunction.const(-((-1) ** (graph.genus[v] + len(edge_ids))))
+    integral = lambda_product_integral(genus, lambda_args, denominators)
+    out = RationalFunction.const(-((-1) ** (genus + len(neighbours))))
     out = out * e_t ** (n_special - 1) * integral
     for w in psis:
         out = out / (-w)
     return out
 
 
+def edge_key(pair: AdmissiblePair, i: int):
+    """(sorted endpoint labels, degree, sigma-fixed?)."""
+    a, b, deg = pair.graph.edges[i]
+    t1, t2 = sorted((pair.graph.theta[a], pair.graph.theta[b]))
+    return t1, t2, deg, pair.involution.edges[i] == i
+
+
 @lru_cache(maxsize=None)
-def edge_contribution(pair: AdmissiblePair, edge_index: int) -> RationalFunction:
+def edge_contribution(t1: int, t2: int, deg: int, fixed: bool) -> RationalFunction:
     """Fixed-locus factor of one edge (degree-d(e) cover of a fixed line)."""
-    graph = pair.graph
-    a, b, deg = graph.edges[edge_index]
-    if pair.involution.edges[edge_index] == edge_index:
+    if fixed:
         if deg % 2 == 0:
             raise ValueError("sigma-fixed edge of even degree is not admissible")
-        return _fixed_edge_contribution(graph, a, b, deg)
-    return _free_edge_contribution(graph, a, b, deg)
+        return _fixed_edge_contribution(t1, t2, deg)
+    return _free_edge_contribution(t1, t2, deg)
 
 
-def _free_edge_contribution(
-    graph: DecoratedGraph, a: int, b: int, deg: int
-) -> RationalFunction:
-    t1, t2 = graph.theta[a], graph.theta[b]
+def _free_edge_contribution(t1: int, t2: int, deg: int) -> RationalFunction:
     base = (ALPHA[t1] - ALPHA[t2]) / deg
     denom = base ** (2 * deg - 2)
     for j in (1, 2, 3, 4):
         if j in (t1, t2):
             continue
         for r in range(deg + 1):
-            denom = denom * (
-                (ALPHA[t1] * (deg - r) + ALPHA[t2] * r) / deg - ALPHA[j]
-            )
+            denom = denom * ((ALPHA[t1] * (deg - r) + ALPHA[t2] * r) / deg - ALPHA[j])
     return RationalFunction.const(Fraction((-1) ** deg, deg * math.factorial(deg) ** 2)) / denom
 
 
-def _fixed_edge_contribution(
-    graph: DecoratedGraph, a: int, b: int, deg: int
-) -> RationalFunction:
-    """Fixed-edge factor, anchored at the endpoint with label in {1, 3}.
-
-    For odd degrees the other anchor gives the same factor (checked by a
-    unit test).
-    """
-    t1, t2 = graph.theta[a], graph.theta[b]
+def _fixed_edge_contribution(t1: int, t2: int, deg: int) -> RationalFunction:
+    """Fixed-edge factor, anchored at the endpoint with label in {1, 3}; for
+    odd degrees the other anchor gives the same factor (checked by a test)."""
     if t1 in (2, 4):
         t1, t2 = t2, t1
     denom = (2 * ALPHA[t1] / deg) ** (deg - 1)
@@ -508,17 +502,23 @@ def pair_contribution(
     vplus, eplus = halves
     out = RationalFunction.const(Fraction(1, pair.aut_order))
     for v in vplus:
-        out = out * vertex_contribution(pair, v)
-    for i in pair.involution.fixed_edges(pair.graph):
-        out = out * edge_contribution(pair, i)
-    for i in eplus:
-        out = out * edge_contribution(pair, i)
+        out = out * vertex_contribution(*vertex_key(pair, v))
+    for i in pair.involution.fixed_edges(pair.graph) + list(eplus):
+        out = out * edge_contribution(*edge_key(pair, i))
     return out
 
 
 def pair_contributions(g: int, d: int) -> list[tuple[AdmissiblePair, RationalFunction]]:
     """Per-class contributions, for inspection and the symbolic tests."""
     return [(p, pair_contribution(p)) for p in enumerate_pairs(g, d)]
+
+
+def _tree_sum(values: list[RationalFunction]) -> RationalFunction:
+    """Sum as a balanced tree (see the module docstring)."""
+    if len(values) <= 1:
+        return values[0] if values else RationalFunction.const(0)
+    mid = len(values) // 2
+    return _tree_sum(values[:mid]) + _tree_sum(values[mid:])
 
 
 @lru_cache(maxsize=None)
@@ -534,9 +534,7 @@ def gw_real(g: int, d: int, verify_parity_sum: bool = False) -> Rational:
         raise ValueError("degree must be positive")
     if (d - g) % 2 == 0 and not verify_parity_sum:
         return Fraction(0)
-    total = RationalFunction.const(0)
-    for _, value in pair_contributions(g, d):
-        total = total + value
+    total = _tree_sum([value for _, value in pair_contributions(g, d)])
     if not total.is_constant():
         raise ArithmeticError(
             f"localization sum for (g={g}, d={d}) is not constant: {total}"

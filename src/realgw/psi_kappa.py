@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact_arith import Rational
 
@@ -197,9 +198,13 @@ def kappa_psi(q: KappaPsiQuery) -> Rational:
     return _kappa_value(q.genus, psi, q.kappa_indices)
 
 
-def _subsets_of_multiset(ms: tuple[int, ...]):
+@lru_cache(maxsize=None)
+def _subsets_of_multiset(
+    ms: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
     """(subset, complement, count) triples of a sorted multiset, where count
-    is the number of labeled subsets realizing the split."""
+    is the number of labeled subsets realizing the split.  Memoized: a few
+    dozen multisets recur hundreds of thousands of times in high genus."""
     splits: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 1)]
     for v in sorted(set(ms)):
         mult = ms.count(v)
@@ -209,7 +214,7 @@ def _subsets_of_multiset(ms: tuple[int, ...]):
                 w_j = w * math.comb(mult, j)
                 new.append((inc + (v,) * j, exc + (v,) * (mult - j), w_j))
         splits = new
-    return splits
+    return tuple(splits)
 
 
 def _kappa_value(

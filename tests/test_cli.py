@@ -168,6 +168,36 @@ def test_convert_missing_file(capsys):
     assert code == 2 and err
 
 
+def test_convert_rejects_non_utf8_input(tmp_path, capsys):
+    src = tmp_path / "latin1.csv"
+    src.write_bytes("real,GW\n0,1,1 # g\xe9nus\n".encode("latin-1"))
+    code, out, err = run(capsys, "convert", "--input", str(src), "--direction", "e-from-gw")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "UTF-8" in err and err.count("\n") == 1
+
+
+def test_convert_output_in_missing_directory(tmp_path, capsys):
+    src = tmp_path / "gw.csv"
+    src.write_text("real,GW\n0,1,1\n", encoding="utf-8")
+    target = tmp_path / "missing" / "e.csv"
+    code, out, err = run(
+        capsys, "convert", "--input", str(src), "--direction", "e-from-gw",
+        "--output", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("row", ["-1,1,1", "0,0,1", "2,-3,1"])
+def test_convert_rejects_out_of_range_rows(tmp_path, capsys, row):
+    src = tmp_path / "gw.csv"
+    src.write_text(f"real,GW\n{row}\n", encoding="utf-8")
+    code, out, err = run(capsys, "convert", "--input", str(src), "--direction", "e-from-gw")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "line 2" in err and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["gw", "--genus", "two", "--degree", "1"])

@@ -188,6 +188,20 @@ def test_parse_errors_carry_line_numbers():
         parse_tables("purple,GW\n")
 
 
+@pytest.mark.parametrize("row", ["-1,1,1", "0,0,1", "1,-1,0"])
+def test_rows_outside_the_genus_degree_range_are_rejected(row):
+    with pytest.raises(TableParseError) as err:
+        parse_tables(f"real,GW\n0,1,1\n{row}\n")
+    assert "line 3" in str(err.value)
+
+
+def test_load_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"real,GW\n0,1,\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_tables(path)
+
+
 def test_load_single_and_multi_section(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("real,GW\n0,1,1\n", encoding="utf-8")

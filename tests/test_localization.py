@@ -6,16 +6,21 @@ of one- and two-partition Hodge integrals that the degree-wise localization
 analysis produces.
 """
 
+import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from realgw import localization
 from realgw.exact_arith import RationalFunction
-from realgw.hodge import _compositions, i1, i2
+from realgw.hodge import _compositions, i1, i2, lambda_product_integral
 from realgw.localization import (
     ALPHA,
     AdmissiblePair,
@@ -24,18 +29,23 @@ from realgw.localization import (
     automorphism_order,
     bracket,
     edge_contribution,
+    edge_key,
     enumerate_pairs,
+    euler_tangent,
     gw_real,
     isomorphic,
     pair_contribution,
     pair_contributions,
     psi_edge_weight,
     vertex_contribution,
+    vertex_key,
     _edge_involutions,
     _edge_multisets,
     _fixed_edge_contribution,
+    _free_edge_contribution,
     _is_connected,
     _theta_tuples,
+    _tree_sum,
     _vertex_involutions,
 )
 
@@ -251,64 +261,78 @@ def test_enumeration_matches_pairwise_reference(g, d):
     assert enumerate_pairs(g, d) == _reference_enumerate_pairs(g, d)
 
 
+def _relabel(p: AdmissiblePair, rng: random.Random):
+    """A random relabeling of p's vertices and edges, with the two maps."""
+    nv = p.graph.num_vertices
+    ne = len(p.graph.edges)
+    perm = list(range(nv))
+    rng.shuffle(perm)
+    eperm = list(range(ne))
+    rng.shuffle(eperm)
+    edges = [None] * ne
+    for old, new in enumerate(eperm):
+        a, b, deg = p.graph.edges[old]
+        edges[new] = (min(perm[a], perm[b]), max(perm[a], perm[b]), deg)
+    sigma_v = [0] * nv
+    for v in range(nv):
+        sigma_v[perm[v]] = perm[p.involution.vertices[v]]
+    sigma_e = [0] * ne
+    for i in range(ne):
+        sigma_e[eperm[i]] = eperm[p.involution.edges[i]]
+    theta = [0] * nv
+    genus = [0] * nv
+    for v in range(nv):
+        theta[perm[v]] = p.graph.theta[v]
+        genus[perm[v]] = p.graph.genus[v]
+    relabeled = AdmissiblePair(
+        DecoratedGraph(
+            tuple(theta),
+            tuple(genus),
+            tuple(edges),
+            tuple(perm[m] for m in p.graph.marks_plus),
+        ),
+        GraphInvolution(tuple(sigma_v), tuple(sigma_e)),
+        p.aut_order,
+    )
+    return relabeled, perm, eperm
+
+
 def test_isomorphism_stable_under_relabeling():
     rng = random.Random(47)
     for p in enumerate_pairs(1, 4) + enumerate_pairs(2, 3) + enumerate_pairs(0, 5):
-        nv = p.graph.num_vertices
-        ne = len(p.graph.edges)
-        perm = list(range(nv))
-        rng.shuffle(perm)
-        eperm = list(range(ne))
-        rng.shuffle(eperm)
-        edges = [None] * ne
-        for old, new in enumerate(eperm):
-            a, b, deg = p.graph.edges[old]
-            edges[new] = (min(perm[a], perm[b]), max(perm[a], perm[b]), deg)
-        sigma_v = [0] * nv
-        for v in range(nv):
-            sigma_v[perm[v]] = perm[p.involution.vertices[v]]
-        sigma_e = [0] * ne
-        for i in range(ne):
-            sigma_e[eperm[i]] = eperm[p.involution.edges[i]]
-        theta = [0] * nv
-        genus = [0] * nv
-        for v in range(nv):
-            theta[perm[v]] = p.graph.theta[v]
-            genus[perm[v]] = p.graph.genus[v]
-        relabeled = AdmissiblePair(
-            DecoratedGraph(
-                tuple(theta),
-                tuple(genus),
-                tuple(edges),
-                tuple(perm[m] for m in p.graph.marks_plus),
-            ),
-            GraphInvolution(tuple(sigma_v), tuple(sigma_e)),
-            p.aut_order,
-        )
+        relabeled, _, _ = _relabel(p, rng)
         assert isomorphic(p, relabeled)
         assert automorphism_order(relabeled) == p.aut_order
         assert automorphism_order(relabeled) == _reference_aut_order(relabeled)
+
+
+def test_local_keys_stable_under_relabeling():
+    # Relabeled vertices and edges keep their keys, so the factor caches see
+    # one entry per local configuration whatever the vertex and edge order.
+    rng = random.Random(53)
+    for p in enumerate_pairs(1, 4) + enumerate_pairs(2, 3) + enumerate_pairs(0, 5):
+        relabeled, perm, eperm = _relabel(p, rng)
+        for v in range(p.graph.num_vertices):
+            assert vertex_key(relabeled, perm[v]) == vertex_key(p, v)
+        for i in range(len(p.graph.edges)):
+            assert edge_key(relabeled, eperm[i]) == edge_key(p, i)
 
 
 # -- elementary weights --------------------------------------------------------
 
 
 def test_psi_edge_weights():
-    p = degree1_pair(0)
-    assert psi_edge_weight(p.graph, 0, 0) == A2 - A1  # equals -2
-    assert (psi_edge_weight(p.graph, 0, 0) - RationalFunction.const(-2)).is_zero()
-    g13 = DecoratedGraph((1, 3), (0, 0), ((0, 1, 1),), ())
-    assert (psi_edge_weight(g13, 0, 0) - (A3 - A1)).is_zero()
-    g13_deg3 = DecoratedGraph((1, 2), (0, 0), ((0, 1, 3),), ())
-    assert (
-        psi_edge_weight(g13_deg3, 0, 0) - RationalFunction.const(Fraction(-2, 3))
-    ).is_zero()
+    assert psi_edge_weight(1, 2, 1) == A2 - A1  # equals -2
+    assert (psi_edge_weight(1, 2, 1) - RationalFunction.const(-2)).is_zero()
+    assert (psi_edge_weight(1, 3, 1) - (A3 - A1)).is_zero()
+    assert (psi_edge_weight(1, 2, 3) - RationalFunction.const(Fraction(-2, 3))).is_zero()
 
 
 def test_degree1_vertex_contributions():
     p0 = degree1_pair(0)
+    assert vertex_key(p0, 0) == (1, 0, ((2, 1),), 1)
     expect0 = A1 * A1 - A3 * A3
-    assert (vertex_contribution(p0, 0) - expect0).is_zero()
+    assert (vertex_contribution(*vertex_key(p0, 0)) - expect0).is_zero()
     for gp in (1, 2):
         p = degree1_pair(gp)
         expect = (
@@ -316,12 +340,13 @@ def test_degree1_vertex_contributions():
             * (A1**2 - A3**2)
             * i1(gp, 2 * A1, A1 - A3, A1 + A3)
         )
-        assert (vertex_contribution(p, 0) - expect).is_zero()
+        assert (vertex_contribution(*vertex_key(p, 0)) - expect).is_zero()
 
 
 def test_fixed_edge_contribution_value():
     p = degree1_pair(0)
-    assert (edge_contribution(p, 0) - 1 / (A1**2 - A3**2)).is_zero()
+    assert edge_key(p, 0) == (1, 2, 1, True)
+    assert (edge_contribution(*edge_key(p, 0)) - 1 / (A1**2 - A3**2)).is_zero()
 
 
 def _fixed_edge_anchored(anchor: int, other: int, deg: int) -> RationalFunction:
@@ -340,35 +365,151 @@ def test_fixed_edge_anchor_convention_is_symmetric():
     # Both endpoint anchors give the same factor for odd degrees.
     for deg in (1, 3, 5):
         for theta in ((1, 2), (2, 1), (3, 4), (4, 3)):
-            g = DecoratedGraph(theta, (0, 0), ((0, 1, deg),), ())
-            value = _fixed_edge_contribution(g, 0, 1, deg)
+            value = _fixed_edge_contribution(*theta, deg)
             for anchor, other in (theta, theta[::-1]):
                 expect = _fixed_edge_anchored(anchor, other, deg)
                 assert (value - expect).is_zero(), (deg, theta, anchor)
 
 
 def test_free_edge_contributions():
-    from realgw.localization import _free_edge_contribution
-
     # endpoints with labels 1,3: -1 / (4 a1 a3 (a1+a3)^2)
-    g13 = DecoratedGraph((1, 3), (0, 0), ((0, 1, 1),), ())
     expect13 = RationalFunction.const(-1) / (4 * A1 * A3 * (A1 + A3) ** 2)
-    assert (_free_edge_contribution(g13, 0, 1, 1) - expect13).is_zero()
+    assert (_free_edge_contribution(1, 3, 1) - expect13).is_zero()
     # endpoints with labels 1,4: +1 / (4 a1 a3 (a1-a3)^2)
-    g14 = DecoratedGraph((1, 4), (0, 0), ((0, 1, 1),), ())
     expect14 = RationalFunction.const(1) / (4 * A1 * A3 * (A1 - A3) ** 2)
-    assert (_free_edge_contribution(g14, 0, 1, 1) - expect14).is_zero()
+    assert (_free_edge_contribution(1, 4, 1) - expect14).is_zero()
     # endpoint order does not matter
-    assert (
-        _free_edge_contribution(g13, 1, 0, 1) - _free_edge_contribution(g13, 0, 1, 1)
-    ).is_zero()
+    assert (_free_edge_contribution(3, 1, 1) - _free_edge_contribution(1, 3, 1)).is_zero()
 
 
 def test_fixed_edge_even_degree_rejected():
     g = DecoratedGraph((1, 2), (0, 0), ((0, 1, 2),), ())
     pair = AdmissiblePair(g, GraphInvolution((1, 0), (0,)), 1)
     with pytest.raises(ValueError):
-        edge_contribution(pair, 0)
+        edge_contribution(*edge_key(pair, 0))
+
+
+# -- reference factors: computed per (pair, vertex) and per (pair, edge) -------
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_lambda_product(genus, lambda_args, denominators):
+    # Memoized on its own arguments, in edge-index order, only to keep the
+    # reference fast; the vertex data still comes from the pair.
+    return lambda_product_integral(genus, lambda_args, list(denominators))
+
+
+def _reference_psi_edge_weight(graph: DecoratedGraph, edge_index: int, v: int):
+    a, b, deg = graph.edges[edge_index]
+    other = b if v == a else a
+    return (ALPHA[graph.theta[other]] - ALPHA[graph.theta[v]]) / deg
+
+
+def _reference_vertex_contribution(pair: AdmissiblePair, v: int) -> RationalFunction:
+    graph = pair.graph
+    label = graph.theta[v]
+    edge_ids = [i for i, (a, b, _) in enumerate(graph.edges) if v in (a, b)]
+    n_marks = sum(m == v for m in graph.marks_plus) + sum(
+        pair.involution.vertices[m] == v for m in graph.marks_plus
+    )
+    n_special = len(edge_ids) + n_marks
+    e_t = euler_tangent(label)
+    psis = [_reference_psi_edge_weight(graph, i, v) for i in edge_ids]
+    if graph.genus[v] == 0 and n_special <= 2:
+        out = RationalFunction.const((-1) ** n_marks) * e_t ** (n_special - 1)
+        total = RationalFunction.const(0)
+        for w in psis:
+            out = out / w
+            total = total + w
+        return out * total ** (3 - n_special - len(edge_ids))
+    lambda_args = tuple(ALPHA[label] - ALPHA[j] for j in (1, 2, 3, 4) if j != label)
+    denominators = tuple(-w for w in psis) + (None,) * n_marks
+    integral = _reference_lambda_product(graph.genus[v], lambda_args, denominators)
+    out = RationalFunction.const(-((-1) ** (graph.genus[v] + len(edge_ids))))
+    out = out * e_t ** (n_special - 1) * integral
+    for w in psis:
+        out = out / (-w)
+    return out
+
+
+def _reference_edge_contribution(pair: AdmissiblePair, i: int) -> RationalFunction:
+    a, b, deg = pair.graph.edges[i]
+    fixed = pair.involution.edges[i] == i
+    return _reference_edge_factor(pair.graph.theta[a], pair.graph.theta[b], deg, fixed)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_edge_factor(t1: int, t2: int, deg: int, fixed: bool) -> RationalFunction:
+    # Endpoint labels in edge order, not sorted.
+    if fixed:
+        assert deg % 2 == 1
+        return _fixed_edge_anchored(*((t1, t2) if t1 in (1, 3) else (t2, t1)), deg)
+    denom = ((ALPHA[t1] - ALPHA[t2]) / deg) ** (2 * deg - 2)
+    for j in (1, 2, 3, 4):
+        if j in (t1, t2):
+            continue
+        for r in range(deg + 1):
+            denom = denom * ((ALPHA[t1] * (deg - r) + ALPHA[t2] * r) / deg - ALPHA[j])
+    sign = (-1) ** deg
+    return RationalFunction.const(Fraction(sign, deg * math.factorial(deg) ** 2)) / denom
+
+
+@pytest.mark.parametrize(
+    "g, d", [(g, d) for d in range(1, 5) for g in range(6)] + [(0, 5)]
+)
+def test_local_factors_match_per_pair_reference(g, d):
+    # Every vertex factor in V+ and every edge factor the class multiplies.
+    for pair in enumerate_pairs(g, d):
+        vplus, _ = pair.default_halves()
+        for v in vplus:
+            got = vertex_contribution(*vertex_key(pair, v))
+            assert got == _reference_vertex_contribution(pair, v), (pair, v)
+        for i in range(len(pair.graph.edges)):
+            got = edge_contribution(*edge_key(pair, i))
+            assert got == _reference_edge_contribution(pair, i), (pair, i)
+
+
+def test_factor_caches_hold_one_entry_per_local_key():
+    # A fresh interpreter, so the caches start empty and no other test's
+    # caches are cleared.
+    probe = (
+        "from realgw.localization import edge_contribution, gw_real, "
+        "vertex_contribution\n"
+        "print(gw_real(0, 5), vertex_contribution.cache_info().misses, "
+        "edge_contribution.cache_info().misses)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["5", "80", "10"]
+
+
+def test_balanced_sum_equals_left_to_right_sum():
+    values = [v for _, v in pair_contributions(0, 5)]
+    total = RationalFunction.const(0)
+    for v in values:
+        total = total + v
+    assert _tree_sum(values) == total == RationalFunction.const(5)
+    assert _tree_sum([]) == RationalFunction.const(0)
+    assert _tree_sum(values[:1]) == values[0]
+
+
+def test_weight_dependent_sum_raises(monkeypatch):
+    # Scaling the genus-0 degree-1 vertex factor by z makes the sum depend on
+    # the weight; the uncached gw_real must notice.
+    original = localization.vertex_contribution
+
+    def skewed(*key):
+        out = original(*key)
+        return out * A3 if key == (1, 0, ((2, 1),), 1) else out
+
+    monkeypatch.setattr(localization, "vertex_contribution", skewed)
+    with pytest.raises(ArithmeticError, match="not constant"):
+        gw_real.__wrapped__(0, 1)
 
 
 # -- per-class symbolic values ---------------------------------------------------

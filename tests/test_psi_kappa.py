@@ -210,8 +210,8 @@ def test_self_validation_survives_optimize_flag():
 
 
 def test_multiset_splits_count_labeled_subsets():
-    assert _subsets_of_multiset(()) == [((), (), 1)]
-    assert _subsets_of_multiset((1, 1, 2)) == [
+    assert list(_subsets_of_multiset(())) == [((), (), 1)]
+    assert list(_subsets_of_multiset((1, 1, 2))) == [
         ((), (1, 1, 2), 1),
         ((2,), (1, 1), 1),
         ((1,), (1, 2), 2),
