@@ -8,15 +8,21 @@ The evaluation pipeline:
 1. ``lambda_to_ch`` rewrites a lambda monomial as a polynomial in the odd
    Chern characters ch_1, ch_3, ch_5, ... by Newton's identities; the even
    Chern characters of E vanish identically (Mumford), so they are dropped.
-2. ``grr_expand`` expands one ch_(2l-1) into psi, kappa, and boundary terms
-   with Bernoulli-number prefactors.
-3. The integrator eliminates ch factors one at a time.  Kappa and psi terms
-   stay on the same space; boundary terms push the remaining integrand to the
+2. ``_ch_integral`` eliminates ch factors one at a time, expanding the
+   largest ch_(2l-1) by GRR into kappa, psi, and boundary terms with the
+   Bernoulli-number prefactor B_(2l)/(2l)!.  Kappa and psi terms stay on the
+   same space; boundary terms push the remaining integrand to the
    normalization (irreducible divisor) or to a product of two smaller spaces
    (separating divisors) by the projection formula, and recurse.  Kappa, psi,
    and remaining ch factors restrict to boundary pieces in the standard way:
    psi_i lands on the piece carrying the point i, while kappa and ch restrict
    to the sum over pieces.
+3. The terms are generated already grouped by the integral they lead to:
+   one psi term per distinct exponent times its multiplicity, and one
+   separating term per split of the psi-exponent multiset times the number
+   of labeled point subsets realizing it.  The kappa and ch splits of a
+   separating term are bucketed by the degree they send to the genus-h
+   side, and only the bucket that side's dimension asks for is visited.
 4. With no ch factors left, the integral is a psi-kappa correlator.
 
 On top of this the module exposes the products Lambda(u_1)Lambda(u_2)
@@ -66,25 +72,6 @@ class HodgeQuery:
         return 2 * self.genus - 2 + len(self.psi_exponents) > 0
 
 
-@dataclass(frozen=True)
-class ChernTerm:
-    """One summand of the GRR expansion of ch_(2l-1) of the Hodge bundle.
-
-    kind is one of ``kappa``, ``psi``, ``boundary_irr``, ``boundary_sep``.
-    Kappa terms carry ``index``; psi terms carry ``point`` and ``index`` (the
-    power); boundary terms carry the node exponent pair ``node_exponents``
-    with a + b = 2l - 2, and separating terms also carry ``h`` and the
-    ``marking_subset`` of point positions going to the genus-h side.
-    """
-
-    kind: str
-    index: int = 0
-    point: int | None = None
-    h: int | None = None
-    marking_subset: tuple[int, ...] | None = None
-    node_exponents: tuple[int, int] | None = None
-
-
 @lru_cache(maxsize=None)
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m for the generating function x / (e^x - 1)."""
@@ -97,55 +84,6 @@ def bernoulli(m: int) -> Fraction:
             binom = binom * (m + 2 - j) // j
         acc += binom * bernoulli(j)
     return -acc / (m + 1)
-
-
-@lru_cache(maxsize=None)
-def grr_expand(l: int, context: tuple[int, int]) -> tuple[tuple[Fraction, ChernTerm], ...]:
-    """GRR expansion of ch_(2l-1)(E) on the genus-g space with n points.
-
-    Returns (coefficient, term) pairs:
-
-        ch_(2l-1) = B_(2l)/(2l)! * [ kappa_(2l-1) - sum_i psi_i^(2l-1)
-                    + 1/2 * sum_boundary push(sum_(a+b=2l-2) (-psi')^a psi''^b) ]
-
-    Separating types are ordered pairs (h, marking subset), each divisor
-    appearing twice, which the global 1/2 compensates.
-    """
-    if l < 1:
-        raise ValueError("Chern character index must be positive")
-    g, n = context
-    pref = bernoulli(2 * l) / math.factorial(2 * l)
-    m = 2 * l - 1
-    terms: list[tuple[Fraction, ChernTerm]] = [(pref, ChernTerm("kappa", index=m))]
-    for i in range(n):
-        terms.append((-pref, ChernTerm("psi", index=m, point=i)))
-    half = pref / 2
-    for a in range(2 * l - 1):
-        b = 2 * l - 2 - a
-        sign = Fraction((-1) ** a)
-        if g >= 1:
-            terms.append(
-                (half * sign, ChernTerm("boundary_irr", node_exponents=(a, b)))
-            )
-        for h in range(g + 1):
-            for size in range(n + 1):
-                if 2 * h - 2 + size + 1 <= 0:
-                    continue
-                if 2 * (g - h) - 2 + (n - size) + 1 <= 0:
-                    continue
-                for subset in itertools.combinations(range(n), size):
-                    terms.append(
-                        (
-                            half * sign,
-                            ChernTerm(
-                                "boundary_sep",
-                                h=h,
-                                marking_subset=subset,
-                                node_exponents=(a, b),
-                            ),
-                        )
-                    )
-    return tuple(terms)
 
 
 class LambdaPolynomial:
@@ -226,7 +164,19 @@ def _ch_integral(
     kappa: tuple[int, ...],
     ch: tuple[int, ...],
 ) -> Fraction:
-    """Integral of a psi-kappa monomial times prod ch_(m)(E), m odd."""
+    """Integral of a psi-kappa monomial times prod ch_(m)(E), m odd.
+
+    Eliminates the largest ch factor by the GRR expansion
+
+        ch_m = B_(m+1)/(m+1)! * [ kappa_m - sum_i psi_i^m
+               + 1/2 * sum_boundary push(sum_(a+b=m-1) (-psi')^a psi''^b) ],
+
+    with the terms generated already grouped: one psi term per distinct
+    exponent times its multiplicity, and one separating term per
+    (genus-h side, point multiset) split times the number of labeled point
+    subsets realizing it.  Separating types are ordered, so each divisor
+    appears twice, which the global 1/2 compensates.
+    """
     n = len(psi)
     if 2 * genus - 2 + n <= 0:
         return Fraction(0)
@@ -240,50 +190,65 @@ def _ch_integral(
         return cached
     m = ch[-1]
     rest_ch = ch[:-1]
-    l = (m + 1) // 2
-    total = Fraction(0)
-    # Group the separating terms of the expansion by the psi-exponent multiset
-    # they send to the genus-h side; point subsets with equal exponent
-    # multisets contribute identical integrals.
-    sep_groups: dict[tuple, Fraction] = {}
-    for coeff, term in grr_expand(l, (genus, n)):
-        if term.kind == "kappa":
-            total += coeff * _ch_integral(
-                genus, psi, tuple(sorted(kappa + (term.index,))), rest_ch
-            )
-        elif term.kind == "psi":
-            exps = list(psi)
-            exps[term.point] += term.index
-            total += coeff * _ch_integral(
-                genus, tuple(sorted(exps)), kappa, rest_ch
-            )
-        elif term.kind == "boundary_irr":
-            a, b = term.node_exponents
-            total += coeff * _ch_integral(
-                genus - 1, tuple(sorted(psi + (a, b))), kappa, rest_ch
-            )
-        else:
-            a, b = term.node_exponents
-            left = tuple(sorted(psi[i] for i in term.marking_subset))
-            key_g = (term.h, left, a, b)
-            sep_groups[key_g] = sep_groups.get(key_g, Fraction(0)) + coeff
-    for (h, left, a, b), coeff in sep_groups.items():
-        right = list(psi)
-        for v in left:
-            right.remove(v)
-        psi1 = tuple(sorted(left + (a,)))
-        psi2 = tuple(sorted(right + [b]))
-        for k1, k2, wk in _subsets_of_multiset(kappa):
-            for c1, c2, wc in _subsets_of_multiset(rest_ch):
-                v1 = _ch_integral(h, psi1, k1, c1)
-                if v1 == 0:
+    # kappa_m and psi_i^m stay on the same space.
+    same = _ch_integral(genus, psi, tuple(sorted(kappa + (m,))), rest_ch)
+    for i, v in enumerate(psi):
+        if i and psi[i - 1] == v:
+            continue
+        bumped = tuple(sorted(psi[:i] + (v + m,) + psi[i + 1 :]))
+        same -= psi.count(v) * _ch_integral(genus, bumped, kappa, rest_ch)
+    # Boundary terms, summed with the sign (-1)^a of the node exponent a.
+    node = Fraction(0)
+    if genus >= 1:
+        for a in range(m):
+            psi_irr = tuple(sorted(psi + (a, m - 1 - a)))
+            v = _ch_integral(genus - 1, psi_irr, kappa, rest_ch)
+            node += -v if a % 2 else v
+    buckets = _splits_by_degree(kappa, rest_ch)
+    for left, right, count in _subsets_of_multiset(psi):
+        n_left = len(left)
+        free = n_left - sum(left) - 2
+        for h in range(genus + 1):
+            if 2 * h - 1 + n_left <= 0 or 2 * (genus - h) - 1 + n - n_left <= 0:
+                continue
+            # Degree the genus-h side needs from its node exponent a plus the
+            # kappa and ch factors it receives; the other side then matches.
+            need = 3 * h + free
+            for a in range(min(m, need + 1)):
+                bucket = buckets.get(need - a)
+                if bucket is None:
                     continue
-                v2 = _ch_integral(genus - h, psi2, k2, c2)
-                if v2 == 0:
-                    continue
-                total += coeff * wk * wc * v1 * v2
+                psi1 = tuple(sorted(left + (a,)))
+                psi2 = tuple(sorted(right + (m - 1 - a,)))
+                acc = 0
+                for k1, c1, k2, c2, w in bucket:
+                    v1 = _ch_integral(h, psi1, k1, c1)
+                    if v1 == 0:
+                        continue
+                    v2 = _ch_integral(genus - h, psi2, k2, c2)
+                    if v2 == 0:
+                        continue
+                    acc += w * v1 * v2
+                if acc:
+                    node += (-count if a % 2 else count) * acc
+    pref = bernoulli(m + 1) / math.factorial(m + 1)
+    total = pref * same + pref / 2 * node
     _ch_memo[key] = total
     return total
+
+
+def _splits_by_degree(
+    kappa: tuple[int, ...], ch: tuple[int, ...]
+) -> dict[int, list[tuple]]:
+    """Splits (k1, c1, k2, c2, count) of the kappa and ch multisets between
+    the two sides of a separating node, bucketed by the degree
+    sum(k1) + sum(c1) they send to the first side."""
+    buckets: dict[int, list[tuple]] = {}
+    for k1, k2, wk in _subsets_of_multiset(kappa):
+        for c1, c2, wc in _subsets_of_multiset(ch):
+            degree = sum(k1) + sum(c1)
+            buckets.setdefault(degree, []).append((k1, c1, k2, c2, wk * wc))
+    return buckets
 
 
 def hodge_integral(q: HodgeQuery) -> Rational:

@@ -156,11 +156,13 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> Fraction:
 def witten_psi(q: PsiQuery) -> Rational:
     """Exact value of <tau_{a_1} ... tau_{a_n}>_g.
 
-    Returns 0 whenever the exponents miss the dimension 3g - 3 + n; raises on
-    an unstable query.
+    Returns 0 whenever the exponents miss the dimension 3g - 3 + n; raises
+    ``ValueError`` on an unstable query or a negative exponent.
     """
     if not q.is_stable():
         raise ValueError(f"unstable query: genus {q.genus} with {len(q.exponents)} points")
+    if any(a < 0 for a in q.exponents):
+        raise ValueError("psi exponents must be nonnegative")
     return _psi_value(q.genus, q.exponents)
 
 
@@ -183,13 +185,16 @@ def kappa_psi(q: KappaPsiQuery) -> Rational:
     A query whose nominal base space is unstable (genus 1 with no marked
     points) is interpreted on the minimal stable space with extra psi^0
     points, so e.g. the genus-1 kappa_1 query evaluates kappa_1 on the
-    1-pointed space.
+    1-pointed space.  A negative psi exponent or a kappa index below 1
+    raises ``ValueError``.
     """
     if not q.is_stable():
         raise ValueError(
             f"unstable query: genus {q.genus}, {len(q.psi_exponents)} points, "
             f"{len(q.kappa_indices)} kappa classes"
         )
+    if any(a < 0 for a in q.psi_exponents):
+        raise ValueError("psi exponents must be nonnegative")
     if any(b <= 0 for b in q.kappa_indices):
         raise ValueError("kappa indices must be positive")
     psi = q.psi_exponents

@@ -37,16 +37,6 @@ from .hodge import alpha_coeff, i1, i2
 
 
 @dataclass
-class CoefficientTable:
-    """Values of one coefficient family at fixed (h, c1B), indexed by g."""
-
-    kind: str  # real_tilde | complex | real_hat
-    h: int
-    c1B: int
-    values: dict[int, Fraction] = field(default_factory=dict)
-
-
-@dataclass
 class IdentityReport:
     """Outcome of one order-by-order identity or conjecture check."""
 
@@ -111,15 +101,6 @@ def _ordered_tuples(total: int):
     for first in range(1, total + 1):
         for rest in _ordered_tuples(total - first):
             yield (first,) + rest
-
-
-def coefficient_table(kind: str, h: int, c1B: int, max_g: int) -> CoefficientTable:
-    """Tabulate one coefficient family for g = 0..max_g."""
-    fns = {"real_tilde": coeff_real, "complex": coeff_cx, "real_hat": coeff_hat}
-    fn = fns[kind]
-    return CoefficientTable(
-        kind, h, c1B, {g: fn(h, c1B, g) for g in range(max_g + 1)}
-    )
 
 
 def F1_series(u1: RatLike, u2: RatLike, u3: RatLike, order: int) -> Series:

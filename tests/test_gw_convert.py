@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realgw.gw_convert import (
     InvariantTable,
@@ -95,6 +96,31 @@ def test_round_trip_on_random_tables():
         # and the other composition
         gw = gw_from_e(t)
         assert gw_from_e(e_from_gw(gw)).entries == gw.entries
+
+
+@st.composite
+def gw_tables(draw):
+    """A GW table with every entry the inverse transform needs: for each
+    degree, all genera up to a bound (only d - g odd in the real flavor,
+    whose other entries are implied zeros)."""
+    flavor = draw(st.sampled_from(("real", "complex")))
+    t = InvariantTable(flavor, "GW")
+    for d in draw(st.sets(st.integers(1, 8), min_size=1, max_size=3)):
+        for g in range(draw(st.integers(0, 6)) + 1):
+            if flavor == "real" and (d - g) % 2 == 0:
+                continue
+            t.entries[(g, d)] = Fraction(
+                draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**4))
+            )
+    return t
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(gw_tables())
+def test_round_trip_property(t):
+    back = gw_from_e(e_from_gw(t))
+    assert (back.flavor, back.kind) == (t.flavor, t.kind)
+    assert back.entries == t.entries
 
 
 def test_real_transform_never_mixes_parities():

@@ -7,8 +7,11 @@ the marked-point reduction lemma for the one- and two-partition integrals.
 """
 
 import itertools
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -16,14 +19,16 @@ from realgw.exact_arith import RationalFunction, series_log, series_pow, series_
 from realgw.hodge import (
     HodgeQuery,
     alpha_coeff,
+    _ch_integral,
     bernoulli,
-    grr_expand,
+    clear_caches,
     hodge_integral,
     i1,
     i2,
     lambda_product_integral,
     lambda_to_ch,
 )
+from realgw.psi_kappa import _kappa_value, _subsets_of_multiset
 
 
 def test_bernoulli_values():
@@ -58,6 +63,186 @@ def test_lambda3_terms():
         (1, 1, 1): Fraction(1, 6),
         (3,): Fraction(2),
     }
+
+
+# -- GRR expansion, per labeled point subset (reference) ------------------------
+
+
+@dataclass(frozen=True)
+class ChernTerm:
+    """One summand of the GRR expansion of ch_(2l-1) of the Hodge bundle.
+
+    kind is one of ``kappa``, ``psi``, ``boundary_irr``, ``boundary_sep``.
+    Kappa terms carry ``index``; psi terms carry ``point`` and ``index`` (the
+    power); boundary terms carry the node exponent pair ``node_exponents``
+    with a + b = 2l - 2, and separating terms also carry ``h`` and the
+    ``marking_subset`` of point positions going to the genus-h side.
+    """
+
+    kind: str
+    index: int = 0
+    point: int | None = None
+    h: int | None = None
+    marking_subset: tuple[int, ...] | None = None
+    node_exponents: tuple[int, int] | None = None
+
+
+@lru_cache(maxsize=None)
+def grr_expand(l, context):
+    """GRR expansion of ch_(2l-1)(E) on the genus-g space with n points, as
+    (coefficient, term) pairs:
+
+        ch_(2l-1) = B_(2l)/(2l)! * [ kappa_(2l-1) - sum_i psi_i^(2l-1)
+                    + 1/2 * sum_boundary push(sum_(a+b=2l-2) (-psi')^a psi''^b) ]
+
+    Separating types are ordered pairs (h, marking subset), each divisor
+    appearing twice, which the global 1/2 compensates.
+    """
+    g, n = context
+    pref = bernoulli(2 * l) / math.factorial(2 * l)
+    m = 2 * l - 1
+    terms = [(pref, ChernTerm("kappa", index=m))]
+    for i in range(n):
+        terms.append((-pref, ChernTerm("psi", index=m, point=i)))
+    half = pref / 2
+    for a in range(2 * l - 1):
+        b = 2 * l - 2 - a
+        sign = Fraction((-1) ** a)
+        if g >= 1:
+            terms.append(
+                (half * sign, ChernTerm("boundary_irr", node_exponents=(a, b)))
+            )
+        for h in range(g + 1):
+            for size in range(n + 1):
+                if 2 * h - 2 + size + 1 <= 0:
+                    continue
+                if 2 * (g - h) - 2 + (n - size) + 1 <= 0:
+                    continue
+                for subset in itertools.combinations(range(n), size):
+                    term = ChernTerm(
+                        "boundary_sep",
+                        h=h,
+                        marking_subset=subset,
+                        node_exponents=(a, b),
+                    )
+                    terms.append((half * sign, term))
+    return tuple(terms)
+
+
+def _reference_ch_integral(genus, psi, kappa, ch, memo):
+    """The term-by-term walk over ``grr_expand``: every labeled point subset
+    of a separating term adds its coefficient to the group of its exponent
+    multiset, and every kappa x ch split of a group is evaluated, with no
+    dimension pruning."""
+    n = len(psi)
+    if 2 * genus - 2 + n <= 0:
+        return Fraction(0)
+    if sum(psi) + sum(kappa) + sum(ch) != 3 * genus - 3 + n:
+        return Fraction(0)
+    if not ch:
+        return _kappa_value(genus, psi, kappa)
+    key = (genus, psi, kappa, ch)
+    if key in memo:
+        return memo[key]
+    rest_ch = ch[:-1]
+    total = Fraction(0)
+    sep_groups = {}
+    for coeff, term in grr_expand((ch[-1] + 1) // 2, (genus, n)):
+        if term.kind == "kappa":
+            total += coeff * _reference_ch_integral(
+                genus, psi, tuple(sorted(kappa + (term.index,))), rest_ch, memo
+            )
+        elif term.kind == "psi":
+            exps = list(psi)
+            exps[term.point] += term.index
+            total += coeff * _reference_ch_integral(
+                genus, tuple(sorted(exps)), kappa, rest_ch, memo
+            )
+        elif term.kind == "boundary_irr":
+            a, b = term.node_exponents
+            total += coeff * _reference_ch_integral(
+                genus - 1, tuple(sorted(psi + (a, b))), kappa, rest_ch, memo
+            )
+        else:
+            a, b = term.node_exponents
+            left = tuple(sorted(psi[i] for i in term.marking_subset))
+            key_g = (term.h, left, a, b)
+            sep_groups[key_g] = sep_groups.get(key_g, Fraction(0)) + coeff
+    for (h, left, a, b), coeff in sep_groups.items():
+        right = list(psi)
+        for v in left:
+            right.remove(v)
+        psi1 = tuple(sorted(left + (a,)))
+        psi2 = tuple(sorted(right + [b]))
+        for k1, k2, wk in _subsets_of_multiset(kappa):
+            for c1, c2, wc in _subsets_of_multiset(rest_ch):
+                v1 = _reference_ch_integral(h, psi1, k1, c1, memo)
+                if v1 == 0:
+                    continue
+                v2 = _reference_ch_integral(genus - h, psi2, k2, c2, memo)
+                total += coeff * wk * wc * v1 * v2
+    memo[key] = total
+    return total
+
+
+def _reference_hodge_integral(genus, psi, lambda_indices, memo):
+    psi = tuple(sorted(psi))
+    while 2 * genus - 2 + len(psi) <= 0:
+        psi = psi + (0,)
+    if any(r > genus for r in lambda_indices):
+        return Fraction(0)
+    return sum(
+        coeff * _reference_ch_integral(genus, psi, (), ch_key, memo)
+        for ch_key, coeff in lambda_to_ch(lambda_indices).terms.items()
+    )
+
+
+def _psi_tuples(n, total):
+    """Sorted n-tuples of nonnegative integers with the given sum."""
+    return [
+        c
+        for c in itertools.combinations_with_replacement(range(total + 1), n)
+        if sum(c) == total
+    ]
+
+
+def test_ch_integral_matches_per_subset_reference():
+    # Every psi-lambda integral with genus <= 4, 1-3 points and 0-2 lambda
+    # indices, evaluated by the grouped recursion and by the reference.
+    hodge_cases = []
+    for g in range(5):
+        lams = [()] + [
+            lam
+            for k in (1, 2)
+            for lam in itertools.combinations_with_replacement(range(1, g + 1), k)
+        ]
+        for n in (1, 2, 3):
+            dim = 3 * g - 3 + max(n, 3 - 2 * g)
+            for lam in lams:
+                if sum(lam) <= dim:
+                    for psi in _psi_tuples(n, dim - sum(lam)):
+                        hodge_cases.append((g, psi, lam))
+    # Direct keys with kappa classes and several ch factors, which no lambda
+    # monomial reaches at the top level.
+    ch_cases = []
+    for g in (2, 3):
+        for kappa in ((1,), (2,), (1, 1), (1, 3)):
+            for ch in ((1, 1), (1, 3), (1, 1, 1), (3, 3), (1, 5)):
+                for n in (0, 1, 2):
+                    rest = 3 * g - 3 + n - sum(kappa) - sum(ch)
+                    if 2 * g - 2 + n > 0 and rest >= 0:
+                        for psi in _psi_tuples(n, rest):
+                            ch_cases.append((g, psi, kappa, ch))
+    memo = {}
+    want_hodge = [_reference_hodge_integral(*case, memo) for case in hodge_cases]
+    want_ch = [_reference_ch_integral(*case, memo) for case in ch_cases]
+    clear_caches()
+    got_hodge = [hodge_integral(HodgeQuery(*case)) for case in hodge_cases]
+    got_ch = [_ch_integral(*case) for case in ch_cases]
+    assert got_hodge == want_hodge
+    assert got_ch == want_ch
+    assert (len(hodge_cases), len(ch_cases)) == (405, 61)
+    assert sum(v != 0 for v in want_hodge + want_ch) == 446
 
 
 # -- GRR expansion structure ---------------------------------------------------

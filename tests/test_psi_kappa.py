@@ -187,6 +187,15 @@ def test_kappa_rejects_nonpositive_indices():
         kappa_psi(KappaPsiQuery(1, (1,), (0,)))
 
 
+def test_negative_psi_exponent_rejected():
+    # Both queries have exponents summing to the dimension, so the negative
+    # entry is the only thing wrong with them.
+    with pytest.raises(ValueError, match="nonnegative"):
+        witten_psi(PsiQuery(0, (-1, 2, 0, 0)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        kappa_psi(KappaPsiQuery(1, (-1, 2), (1,)))
+
+
 def test_self_validation_survives_optimize_flag():
     # With asserts stripped by -O, a wrong seed value must still be caught.
     probe = (

@@ -12,7 +12,6 @@ from realgw.series_ids import (
     coeff_cx,
     coeff_hat,
     coeff_real,
-    coefficient_table,
     verify_identity,
 )
 
@@ -60,8 +59,8 @@ def test_hat_equals_real_everywhere_computed():
 
 
 def test_coefficient_table_builder():
-    table = coefficient_table("real_tilde", 0, 4, 2)
-    assert table.values == {0: 1, 1: Fraction(1, 24), 2: Fraction(1, 1920)}
+    table = {g: coeff_real(0, 4, g) for g in range(3)}
+    assert table == {0: 1, 1: Fraction(1, 24), 2: Fraction(1, 1920)}
 
 
 def test_unit_diagonal_of_both_transforms():
