@@ -101,6 +101,15 @@ def _gw_value(genus: int, degree: int) -> tuple[Fraction, str]:
     return gw_convert.bundled_table(2, "GW").value(genus, degree), "bundled"
 
 
+def _out_of_range(genus: int, degree: int) -> int:
+    print(
+        f"error: degree {degree} exceeds the localization range and "
+        f"g={genus} is outside the bundled data",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def _cmd_gw(args) -> int:
     if args.degree < 1 or args.genus < 0:
         print("error: need degree >= 1 and genus >= 0", file=sys.stderr)
@@ -108,12 +117,7 @@ def _cmd_gw(args) -> int:
     try:
         value, _ = _gw_value(args.genus, args.degree)
     except KeyError:
-        print(
-            f"error: degree {args.degree} exceeds the localization range and "
-            f"g={args.genus} is outside the bundled data",
-            file=sys.stderr,
-        )
-        return 2
+        return _out_of_range(args.genus, args.degree)
     print(value)
     return 0
 
@@ -133,12 +137,7 @@ def _cmd_enum(args) -> int:
             try:
                 value, src = _gw_value(g, d)
             except KeyError:
-                print(
-                    f"error: degree {d} exceeds the localization range and "
-                    f"g={g} is outside the bundled data",
-                    file=sys.stderr,
-                )
-                return 2
+                return _out_of_range(g, d)
             gw_table.entries[(g, d)] = value
             sources[g] = src
     e_table = gw_convert.e_from_gw(gw_table)
@@ -216,7 +215,7 @@ def _cmd_verify(args) -> int:
     if args.order % 2 or args.order < 2:
         print("error: --order must be even and >= 2", file=sys.stderr)
         return 2
-    if args.order > 6:
+    if args.order >= 10:
         print(
             f"note: order {args.order} needs Hodge integrals through genus "
             f"{args.order // 2} and can take much longer than the default t^6",

@@ -40,7 +40,6 @@ class InvariantTable:
     flavor: str
     kind: str
     entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-    provenance: dict[tuple[int, int], str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.flavor not in FLAVORS:
@@ -91,7 +90,6 @@ def gw_from_e(table: InvariantTable) -> InvariantTable:
         for h in _lower_genera(table.flavor, g):
             total += _transform_coeff(table.flavor, h, d, g) * table.value(h, d)
         out.entries[(g, d)] = total
-        out.provenance[(g, d)] = "transform"
     return out
 
 
@@ -110,7 +108,6 @@ def e_from_gw(table: InvariantTable) -> InvariantTable:
         for h in _lower_genera(table.flavor, g):
             value -= _transform_coeff(table.flavor, h, d, g) * out.value(h, d)
         out.entries[(g, d)] = value
-        out.provenance[(g, d)] = "transform"
     return out
 
 
@@ -214,7 +211,6 @@ def parse_tables(text: str) -> list[InvariantTable]:
         if (g, d) in current.entries:
             raise TableParseError(line_no, f"duplicate entry g={g}, d={d}")
         current.entries[(g, d)] = value
-        current.provenance[(g, d)] = "file"
     return tables
 
 
@@ -249,11 +245,7 @@ def bundled_text(which: int) -> str:
 
 def bundled_tables(which: int) -> list[InvariantTable]:
     """The bundled GW and E tables (1 complex, 2 real)."""
-    tables = parse_tables(bundled_text(which))
-    for t in tables:
-        for key in t.provenance:
-            t.provenance[key] = "bundled"
-    return tables
+    return parse_tables(bundled_text(which))
 
 
 def bundled_table(which: int, kind: str) -> InvariantTable:

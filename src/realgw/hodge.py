@@ -68,9 +68,6 @@ class HodgeQuery:
         object.__setattr__(self, "psi_exponents", tuple(sorted(psi_exponents)))
         object.__setattr__(self, "lambda_indices", tuple(sorted(lambda_indices)))
 
-    def is_stable(self) -> bool:
-        return 2 * self.genus - 2 + len(self.psi_exponents) > 0
-
 
 @lru_cache(maxsize=None)
 def bernoulli(m: int) -> Fraction:
@@ -86,75 +83,43 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-class LambdaPolynomial:
-    """Polynomial in the odd Chern characters of the Hodge bundle.
-
-    Stored as a map from sorted tuples of odd indices to rational
-    coefficients; the empty tuple indexes the constant term.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, ...], Fraction] | None = None) -> None:
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
-
-    @staticmethod
-    def const(value) -> "LambdaPolynomial":
-        return LambdaPolynomial({(): Fraction(value)})
-
-    @staticmethod
-    def ch(index: int) -> "LambdaPolynomial":
-        if index % 2 == 0:
-            return LambdaPolynomial()  # even Chern characters of E vanish
-        return LambdaPolynomial({(index,): Fraction(1)})
-
-    def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return LambdaPolynomial(out)
-
-    def __mul__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(sorted(k1 + k2))
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return LambdaPolynomial(out)
-
-    def scale(self, c) -> "LambdaPolynomial":
-        c = Fraction(c)
-        return LambdaPolynomial({k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LambdaPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
+def _ch_mul(p: dict, q: dict) -> dict[tuple[int, ...], Fraction]:
+    """Product of two polynomials in the odd Chern characters, each a map from
+    sorted index tuples to coefficients; zero coefficients are dropped."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for k1, v1 in p.items():
+        for k2, v2 in q.items():
+            k = tuple(sorted(k1 + k2))
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
-def _lambda_class(k: int) -> LambdaPolynomial:
+def _lambda_class(k: int) -> dict[tuple[int, ...], Fraction]:
     """lambda_k as a polynomial in odd Chern characters via Newton's identities:
-    e_k = (1/k) * sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i  with  p_i = i! ch_i."""
+    e_k = (1/k) * sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i  with  p_i = i! ch_i.
+    The even ch_i vanish, so only odd i, where the sign is +1, contribute."""
     if k == 0:
-        return LambdaPolynomial.const(1)
-    acc = LambdaPolynomial()
-    for i in range(1, k + 1):
-        p_i = LambdaPolynomial.ch(i).scale(math.factorial(i))
-        if not p_i.terms:
-            continue
-        term = (_lambda_class(k - i) * p_i).scale(Fraction((-1) ** (i - 1)))
-        acc = acc + term
-    return acc.scale(Fraction(1, k))
+        return {(): Fraction(1)}
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for i in range(1, k + 1, 2):
+        p_i = {(i,): Fraction(math.factorial(i), k)}
+        for key, v in _ch_mul(_lambda_class(k - i), p_i).items():
+            acc[key] = acc.get(key, 0) + v
+    return {key: v for key, v in acc.items() if v}
 
 
-def lambda_to_ch(lambda_indices) -> LambdaPolynomial:
-    """Rewrite a lambda monomial as a polynomial in odd Chern characters."""
-    out = LambdaPolynomial.const(1)
+def lambda_to_ch(lambda_indices) -> dict[tuple[int, ...], Fraction]:
+    """Rewrite a lambda monomial as a polynomial in odd Chern characters.
+
+    The result maps sorted tuples of odd ch indices to their nonzero
+    rational coefficients; the empty tuple indexes the constant term.
+    """
+    out = {(): Fraction(1)}
     for r in sorted(lambda_indices):
         if r < 0:
             raise ValueError("lambda indices must be nonnegative")
-        out = out * _lambda_class(r)
+        out = _ch_mul(out, _lambda_class(r))
     return out
 
 
@@ -275,7 +240,7 @@ def hodge_integral(q: HodgeQuery) -> Rational:
     if cached is not None:
         return cached
     total = Fraction(0)
-    for ch_key, coeff in lambda_to_ch(q.lambda_indices).terms.items():
+    for ch_key, coeff in lambda_to_ch(q.lambda_indices).items():
         total += coeff * _ch_integral(q.genus, psi, (), ch_key)
     _hodge_memo[key] = total
     return total
@@ -285,22 +250,19 @@ def lambda_product_integral(
     genus: int,
     lambda_args: tuple[RatLike, ...],
     point_denominators: list[RatLike | None],
-    psi_exponents: list[int] | None = None,
 ) -> RationalFunction:
-    """Integral of prod_j Lambda(u_j) times a psi monomial over the genus-g
-    space, with one marked point per entry of ``point_denominators``.
+    """Integral of prod_j Lambda(u_j) over the genus-g space, with one marked
+    point per entry of ``point_denominators``.
 
     Lambda(u) = sum_r c_r(E*) u^(g-r) is the u-twisted Euler class of the dual
     Hodge bundle.  A non-None denominator entry w attaches the factor
     1/(w - psi) at that point, expanded as a geometric series truncated at the
-    dimension of the space; a None entry is a plain marked point.  Optional
-    ``psi_exponents`` attach fixed psi powers on top.
+    dimension of the space; a None entry is a plain marked point.
 
     The sum runs over lambda tuples (r_i) and compositions (s_j) of the
     remaining psi degree over the flagged points.  With u_i = a_i/b_i,
-    w_j = c_j/d_j and ``top`` the psi degree left after the fixed exponents,
-    every term is a polynomial over the common denominator
-    D = prod b_i^g * prod c_j^(top+1):
+    w_j = c_j/d_j and ``top`` the dimension 3g - 3 + n, every term is a
+    polynomial over the common denominator D = prod b_i^g * prod c_j^(top+1):
 
         u_i^(g-r)    = a_i^(g-r) b_i^r        / b_i^g,
         w_j^-(s+1)   = d_j^(s+1) c_j^(top-s)  / c_j^(top+1).
@@ -313,9 +275,6 @@ def lambda_product_integral(
     n = len(point_denominators)
     if 2 * genus - 2 + n <= 0:
         raise ValueError(f"unstable: genus {genus} with {n} points")
-    base = list(psi_exponents) if psi_exponents is not None else [0] * n
-    if len(base) != n or any(a < 0 for a in base):
-        raise ValueError("psi_exponents must give one nonnegative power per point")
     us = [RationalFunction.coerce(u) for u in lambda_args]
     flagged: list[tuple[int, RationalFunction]] = []
     for i, w in enumerate(point_denominators):
@@ -325,9 +284,7 @@ def lambda_product_integral(
         if w.is_zero():
             raise ZeroDivisionError("zero weight in a geometric denominator")
         flagged.append((i, w))
-    top = 3 * genus - 3 + n - sum(base)
-    if top < 0:
-        return RationalFunction.const(0)
+    top = 3 * genus - 3 + n
     # u_tables[i][r] = a_i^(g-r) * b_i^r
     u_tables = []
     den = Polynomial.const(1)
@@ -350,9 +307,9 @@ def lambda_product_integral(
         lam = tuple(r for r in rs if r > 0)
         inner = Polynomial()
         for comp in _compositions(remaining, len(flagged)):
-            exps = list(base)
+            exps = [0] * n
             for (i, _), s in zip(flagged, comp):
-                exps[i] += s
+                exps[i] = s
             value = hodge_integral(HodgeQuery(genus, exps, lam))
             if value == 0:
                 continue

@@ -90,15 +90,8 @@ class DecoratedGraph:
     def num_vertices(self) -> int:
         return len(self.theta)
 
-    @property
-    def degree(self) -> int:
-        return sum(deg for _, _, deg in self.edges)
-
     def betti(self) -> int:
         return len(self.edges) - self.num_vertices + 1
-
-    def arithmetic_genus(self) -> int:
-        return self.betti() + sum(self.genus)
 
     def markings_at(self, v: int, sigma_v: tuple[int, ...]) -> int:
         plus = sum(1 for m in self.marks_plus if m == v)
@@ -233,7 +226,8 @@ def _vertex_involutions(theta: tuple[int, ...]):
 
 
 def _edge_involutions(graph_edges, sigma_v: tuple[int, ...]):
-    """Involutions of the edge index set compatible with the vertex map."""
+    """Involutions of the edge index set compatible with the vertex map whose
+    fixed edges have odd degree (the admissible ones)."""
     ne = len(graph_edges)
 
     def image_matches(i: int, j: int) -> bool:
@@ -254,6 +248,8 @@ def _edge_involutions(graph_edges, sigma_v: tuple[int, ...]):
             if not image_matches(i, j):
                 continue
             if j == i:
+                if graph_edges[i][2] % 2 == 0:
+                    continue  # a sigma-fixed edge must have odd degree
                 mapping[i] = i
                 yield from backtrack(i + 1)
                 mapping[i] = -1
@@ -351,7 +347,7 @@ def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
                 t: [v for v in range(nv) if theta[v] == t] for t in (1, 3)
             }
             # contributing pairs need a vertex for every plus point
-            if d >= 1 and not label_vertices[1]:
+            if not label_vertices[1]:
                 continue
             if d >= 2 and not label_vertices[3]:
                 continue
@@ -359,17 +355,11 @@ def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
                 if not _is_connected(nv, edges):
                     continue
                 b1 = len(edges) - nv + 1
-                if b1 < 0 or b1 > g or (g - b1) % 2:
+                if b1 > g or (g - b1) % 2:
                     continue
                 half_genus = (g - b1) // 2
                 for sigma_v in _vertex_involutions(theta):
                     for sigma_e in _edge_involutions(edges, sigma_v):
-                        if any(
-                            edges[i][2] % 2 == 0
-                            for i in range(len(edges))
-                            if sigma_e[i] == i
-                        ):
-                            continue  # admissibility: fixed edges of odd degree
                         orbits = [
                             v for v in range(nv) if sigma_v[v] > v
                         ]
@@ -522,17 +512,19 @@ def _tree_sum(values: list[RationalFunction]) -> RationalFunction:
 
 
 @lru_cache(maxsize=None)
-def gw_real(g: int, d: int, verify_parity_sum: bool = False) -> Rational:
+def gw_real(g: int, d: int) -> Rational:
     """Real genus-g degree-d GW-invariant with d conjugate point pairs.
 
     The localization sum must be constant in the weight variable; a
     non-constant sum signals an implementation error and raises.  For d - g
-    even the invariant vanishes; ``verify_parity_sum`` recomputes the sum
-    anyway and checks it is zero.
+    even the invariant vanishes, and 0 is returned without the sum.  A
+    nonpositive degree or a negative genus raises ``ValueError``.
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    if (d - g) % 2 == 0 and not verify_parity_sum:
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
+    if (d - g) % 2 == 0:
         return Fraction(0)
     total = _tree_sum([value for _, value in pair_contributions(g, d)])
     if not total.is_constant():

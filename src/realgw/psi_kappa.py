@@ -140,16 +140,15 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> Fraction:
         w = Fraction(_double_factorial(2 * b + 1) * _double_factorial(2 * c + 1), 2)
         # Non-separating degeneration.
         total += w * _psi_value(genus - 1, tuple(sorted(rest + (b, c))))
-        # Separating degenerations over all genus and marked-point splits.
+        # Separating degenerations over all genus and marked-point splits,
+        # one term per split of the exponent multiset times its subset count.
         for g1 in range(genus + 1):
-            g2 = genus - g1
-            for mask in range(1 << len(rest)):
-                left = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-                right = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
+            for left, right, count in _subsets_of_multiset(rest):
                 lv = _psi_value(g1, tuple(sorted(left + (b,))))
                 if lv == 0:
                     continue
-                total += w * lv * _psi_value(g2, tuple(sorted(right + (c,))))
+                rv = _psi_value(genus - g1, tuple(sorted(right + (c,))))
+                total += count * w * lv * rv
     return total / _double_factorial(2 * a1 + 1)
 
 
@@ -255,16 +254,7 @@ def genus0_closed_form(exponents) -> Rational:
     n = len(exps)
     if n < 3 or sum(exps) != n - 3:
         return Fraction(0)
-    num = 1
-    for k in range(2, n - 2):
-        num *= k
-    den = 1
-    for a in exps:
-        f = 1
-        for k in range(2, a + 1):
-            f *= k
-        den *= f
-    return Fraction(num, den)
+    return Fraction(math.factorial(n - 3), math.prod(math.factorial(a) for a in exps))
 
 
 def self_validate() -> None:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from realgw import cli
+from realgw import cli, series_ids
 from realgw.cli import main
 from realgw.gw_convert import bundled_text
 
@@ -123,6 +123,16 @@ def test_verify_all_includes_conjectures(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--order", "2")
     assert code == 0
     assert "(conjecture)" in out
+
+
+def test_verify_runtime_note_from_order_10(capsys, monkeypatch):
+    # Empty suites: only the stderr note is left to look at.
+    monkeypatch.setattr(series_ids, "IDENTITY_NAMES", ())
+    monkeypatch.setattr(series_ids, "CONJECTURE_NAMES", ())
+    assert run(capsys, "verify", "--order", "8") == (0, "", "")
+    code, out, err = run(capsys, "verify", "--order", "10")
+    assert code == 0 and out == ""
+    assert err.startswith("note: order 10 ") and err.count("\n") == 1
 
 
 def test_verify_rejects_odd_order(capsys):

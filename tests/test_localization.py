@@ -633,7 +633,7 @@ def test_degree5_best_effort_matches_bundled_data():
 def test_parity_vanishing_with_verification():
     for g, d in ((1, 1), (0, 2), (1, 3), (0, 4), (2, 4)):
         assert gw_real(g, d) == 0
-        assert gw_real(g, d, verify_parity_sum=True) == 0
+        assert _tree_sum([v for _, v in pair_contributions(g, d)]).is_zero()
 
 
 def test_weight_independence_two_point_evaluation():
@@ -658,5 +658,10 @@ def test_half_choice_independence_everywhere():
 def test_gw_real_argument_validation():
     with pytest.raises(ValueError):
         gw_real(0, 0)
+    # d - g even for g = -1, odd for g = -2: both are rejected, not 0.
+    with pytest.raises(ValueError):
+        gw_real(-1, 1)
+    with pytest.raises(ValueError):
+        gw_real(-2, 1)
     with pytest.raises(ValueError):
         enumerate_pairs(-1, 2)

@@ -6,6 +6,8 @@ classical correlator values, and the string/dilaton equations are checked on
 randomized stable queries.
 """
 
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from realgw import psi_kappa
 from realgw.psi_kappa import (
     KappaPsiQuery,
     PsiQuery,
@@ -137,6 +140,78 @@ def test_symmetry_under_shuffling():
         shuffled = list(q.exponents)
         rng.shuffle(shuffled)
         assert PsiQuery(q.genus, shuffled) == q
+
+
+def _dfact(k):
+    """k!! for odd k, with (-1)!! = 1."""
+    return math.prod(range(k, 0, -2))
+
+
+def _labeled_subset_psi(genus, exps, memo):
+    """Reference correlator: the string, dilaton and DVV steps of the library,
+    but with the separating DVV sum over all labeled subsets of the points."""
+    n = len(exps)
+    if 2 * genus - 2 + n <= 0 or sum(exps) != 3 * genus - 3 + n:
+        return Fraction(0)
+    key = (genus, exps)
+    if key in memo:
+        return memo[key]
+
+    def value(g, points):
+        return _labeled_subset_psi(g, tuple(sorted(points)), memo)
+
+    if key == (0, (0, 0, 0)):
+        total = Fraction(1)
+    elif key == (1, (1,)):
+        total = Fraction(1, 24)
+    elif exps[0] == 0:
+        rest = exps[1:]
+        total = sum(
+            value(genus, rest[:j] + (rest[j] - 1,) + rest[j + 1 :])
+            for j in range(len(rest))
+            if rest[j] > 0
+        )
+    elif 1 in exps:
+        j = exps.index(1)
+        total = (2 * genus - 3 + n) * value(genus, exps[:j] + exps[j + 1 :])
+    else:
+        a1, rest = exps[-1], exps[:-1]
+        total = Fraction(0)
+        for j, aj in enumerate(rest):
+            w = Fraction(_dfact(2 * (a1 + aj) - 1), _dfact(2 * aj - 1))
+            total += w * value(genus, rest[:j] + rest[j + 1 :] + (a1 + aj - 1,))
+        for b in range(a1 - 1):
+            c = a1 - 2 - b
+            w = Fraction(_dfact(2 * b + 1) * _dfact(2 * c + 1), 2)
+            total += w * value(genus - 1, rest + (b, c))
+            for g1 in range(genus + 1):
+                for mask in range(1 << len(rest)):
+                    left = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
+                    right = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
+                    total += w * value(g1, left + (b,)) * value(genus - g1, right + (c,))
+        total /= _dfact(2 * a1 + 1)
+    memo[key] = total
+    return total
+
+
+def test_psi_reduce_matches_labeled_subset_reference():
+    # The library groups the separating DVV terms by exponent multiset; the
+    # reference sums them over every labeled subset.  Clearing the memo makes
+    # the library recompute each correlator with the grouped sum.
+    psi_kappa._psi_memo.clear()
+    memo = {}
+    checked = 0
+    for genus in range(4):
+        for n in range(1, 6):
+            if 2 * genus - 2 + n <= 0:
+                continue
+            dim = 3 * genus - 3 + n
+            for exps in itertools.combinations_with_replacement(range(dim + 1), n):
+                if sum(exps) == dim:
+                    got = witten_psi(PsiQuery(genus, exps))
+                    assert got == _labeled_subset_psi(genus, exps, memo), (genus, exps)
+                    checked += 1
+    assert checked == 140
 
 
 def test_memo_determinism():

@@ -38,6 +38,15 @@ def test_real_coeff_rejects_odd_c1B():
         coeff_real(0, 3, 1)
 
 
+def test_hat_coeff_rejects_what_real_coeff_rejects():
+    # A negative h, an odd c1B and a negative genus.
+    for args in ((-1, 4, 0), (0, 3, 1), (0, 4, -1)):
+        with pytest.raises(ValueError):
+            coeff_real(*args)
+        with pytest.raises(ValueError):
+            coeff_hat(*args)
+
+
 def test_complex_coeff_values():
     assert coeff_cx(0, 4, 1) == Fraction(-1, 12)
     assert coeff_cx(0, 4, 2) == Fraction(1, 360)
