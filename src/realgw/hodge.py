@@ -28,7 +28,10 @@ The evaluation pipeline:
 On top of this the module exposes the products Lambda(u_1)Lambda(u_2)
 Lambda(u_3) integrated against geometric-series denominators 1/(u - psi),
 the one- and two-partition Hodge integrals I1, I2, and the coefficients
-alpha_g' of the expansion of -log(sin(t/2)/(t/2)).
+alpha_g' of the expansion of -log(sin(t/2)/(t/2)).  The product integral is
+assembled over integer coefficient lists: the arguments are cleared of
+denominators once, the power tables and the common denominator are integer
+polynomials, and the only rational-function normalization is the final one.
 
 The boundary conventions (the global 1/2, ordered separating types, the sign
 (-psi')^a) are calibrated by the test suite against integral(lambda_1) = 1/24
@@ -267,9 +270,14 @@ def lambda_product_integral(
         u_i^(g-r)    = a_i^(g-r) b_i^r        / b_i^g,
         w_j^-(s+1)   = d_j^(s+1) c_j^(top-s)  / c_j^(top+1).
 
-    The numerators come from power tables built once per call; each lambda
-    tuple sums its composition terms first and multiplies by its u-part once.
-    Only the final quotient by D is normalized, so the whole sum costs one
+    Each u_i and w_j is first written as a quotient of integer coefficient
+    lists, so the power tables and D are integer polynomials built once per
+    call.  The weight product W(comp) = prod_j w_tables[j][s_j] is built once
+    per composition and shared by every lambda tuple.  Each lambda tuple
+    brings its nonzero Hodge values over one lcm L, sums (value * L) * W(comp)
+    in integers, multiplies by its u-part once and keeps the pair
+    (sum, +-L).  The pairs are brought over one common lcm at the end, and
+    only the final quotient by D is normalized, so the whole sum costs one
     polynomial gcd.
     """
     n = len(point_denominators)
@@ -287,51 +295,104 @@ def lambda_product_integral(
     top = 3 * genus - 3 + n
     # u_tables[i][r] = a_i^(g-r) * b_i^r
     u_tables = []
-    den = Polynomial.const(1)
+    den = [1]
     for u in us:
-        num_pows, den_pows = _powers(u.num, genus), _powers(u.den, genus)
-        u_tables.append([num_pows[genus - r] * den_pows[r] for r in range(genus + 1)])
-        den = den * den_pows[genus]
+        a, b = _integer_quotient(u)
+        a_pows, b_pows = _int_powers(a, genus), _int_powers(b, genus)
+        u_tables.append(
+            [_int_mul(a_pows[genus - r], b_pows[r]) for r in range(genus + 1)]
+        )
+        den = _int_mul(den, b_pows[genus])
     # w_tables[j][s] = d_j^(s+1) * c_j^(top-s)
     w_tables = []
     for _, w in flagged:
-        num_pows, den_pows = _powers(w.num, top + 1), _powers(w.den, top + 1)
-        w_tables.append([den_pows[s + 1] * num_pows[top - s] for s in range(top + 1)])
-        den = den * num_pows[top + 1]
-    acc = Polynomial()
+        c, d = _integer_quotient(w)
+        c_pows, d_pows = _int_powers(c, top + 1), _int_powers(d, top + 1)
+        w_tables.append(
+            [_int_mul(d_pows[s + 1], c_pows[top - s]) for s in range(top + 1)]
+        )
+        den = _int_mul(den, c_pows[top + 1])
+    # weights[comp] = prod_j w_tables[j][s_j], shared by every lambda tuple.
+    weights: dict[tuple[int, ...], list[int]] = {}
+    # Each lambda tuple contributes inner / scale with an integer inner.
+    terms: list[tuple[list[int], int]] = []
     for rs in itertools.product(range(genus + 1), repeat=len(us)):
         rsum = sum(rs)
         remaining = top - rsum
         if remaining < 0:
             continue
         lam = tuple(r for r in rs if r > 0)
-        inner = Polynomial()
+        values = []
         for comp in _compositions(remaining, len(flagged)):
             exps = [0] * n
             for (i, _), s in zip(flagged, comp):
                 exps[i] = s
             value = hodge_integral(HodgeQuery(genus, exps, lam))
-            if value == 0:
-                continue
-            term = Polynomial.const(value)
-            for table, s in zip(w_tables, comp):
-                term = term * table[s]
-            inner = inner + term
-        if inner.is_zero():
+            if value:
+                values.append((comp, value))
+        if not values:
             continue
-        if rsum % 2:
-            inner = -inner
+        scale = math.lcm(*(v.denominator for _, v in values))
+        inner: list[int] = []
+        for comp, value in values:
+            weight = weights.get(comp)
+            if weight is None:
+                weight = [1]
+                for table, s in zip(w_tables, comp):
+                    weight = _int_mul(weight, table[s])
+                weights[comp] = weight
+            coeff = value.numerator * (scale // value.denominator)
+            _int_add_scaled(inner, weight, coeff)
+        if not any(inner):
+            continue
         for table, r in zip(u_tables, rs):
-            inner = inner * table[r]
-        acc = acc + inner
-    return RationalFunction(acc, den)
+            inner = _int_mul(inner, table[r])
+        terms.append((inner, -scale if rsum % 2 else scale))
+    common = math.lcm(*(abs(scale) for _, scale in terms))
+    acc: list[int] = []
+    for inner, scale in terms:
+        _int_add_scaled(acc, inner, common // scale)
+    return RationalFunction(
+        Polynomial(Fraction(c, common) for c in acc), Polynomial(den)
+    )
 
 
-def _powers(p: Polynomial, k: int) -> list[Polynomial]:
-    """[p^0, p^1, ..., p^k]."""
-    out = [Polynomial.const(1)]
+def _integer_quotient(f: RationalFunction) -> tuple[list[int], list[int]]:
+    """Integer coefficient lists (a, b) with f = a / b: the numerator and
+    denominator of f times the lcm of their coefficient denominators."""
+    coeffs = f.num.coeffs + f.den.coeffs
+    m = math.lcm(*(c.denominator for c in coeffs))
+    return (
+        [c.numerator * (m // c.denominator) for c in f.num.coeffs],
+        [c.numerator * (m // c.denominator) for c in f.den.coeffs],
+    )
+
+
+def _int_mul(p: list[int], q: list[int]) -> list[int]:
+    """Product of two integer coefficient lists indexed by degree."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _int_add_scaled(acc: list[int], p: list[int], c: int) -> None:
+    """acc += c * p in place, extending acc as needed."""
+    if len(acc) < len(p):
+        acc.extend([0] * (len(p) - len(acc)))
+    for i, a in enumerate(p):
+        acc[i] += c * a
+
+
+def _int_powers(p: list[int], k: int) -> list[list[int]]:
+    """[p^0, p^1, ..., p^k] as integer coefficient lists."""
+    out = [[1]]
     for _ in range(k):
-        out.append(out[-1] * p)
+        out.append(_int_mul(out[-1], p))
     return out
 
 

@@ -90,9 +90,6 @@ class DecoratedGraph:
     def num_vertices(self) -> int:
         return len(self.theta)
 
-    def betti(self) -> int:
-        return len(self.edges) - self.num_vertices + 1
-
     def markings_at(self, v: int, sigma_v: tuple[int, ...]) -> int:
         plus = sum(1 for m in self.marks_plus if m == v)
         minus = sum(1 for m in self.marks_plus if sigma_v[m] == v)

@@ -221,8 +221,8 @@ def check_conjecture(name: str, order: int = 6) -> IdentityReport:
     distinct product.  ``F2_prod``: the conjectured closed form for
     F2(x,y,x+y) F2(x,-y,x-y), checked as a rational-function identity.
     """
-    if order % 2:
-        raise ValueError("verification order must be even")
+    if order < 0 or order % 2:
+        raise ValueError("verification order must be even and nonnegative")
     if name == "F1_dep":
         if order == 0:
             return IdentityReport(name, 0, True, note="constant term is 1", conjecture=True)

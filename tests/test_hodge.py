@@ -15,9 +15,16 @@ from functools import lru_cache
 
 import pytest
 
-from realgw.exact_arith import RationalFunction, series_log, series_pow, series_sinc
+from realgw.exact_arith import (
+    Polynomial,
+    RationalFunction,
+    series_log,
+    series_pow,
+    series_sinc,
+)
 from realgw.hodge import (
     HodgeQuery,
+    _compositions,
     alpha_coeff,
     _ch_integral,
     bernoulli,
@@ -505,6 +512,97 @@ def test_lambda_product_integral_matches_term_by_term_sum():
                 assert got == want, (g, k, extra, us)
                 checked += 1
     assert checked == 15
+
+
+def _fraction_lambda_product(genus, lambda_args, point_denominators):
+    """Reference: the common-denominator assembly over Fraction-coefficient
+    polynomials, one weight product per (lambda tuple, composition) term."""
+    n = len(point_denominators)
+    us = [RationalFunction.coerce(u) for u in lambda_args]
+    flagged = [
+        (i, RationalFunction.coerce(w))
+        for i, w in enumerate(point_denominators)
+        if w is not None
+    ]
+    top = 3 * genus - 3 + n
+
+    def powers(p, k):
+        out = [Polynomial.const(1)]
+        for _ in range(k):
+            out.append(out[-1] * p)
+        return out
+
+    u_tables = []
+    den = Polynomial.const(1)
+    for u in us:
+        num_pows, den_pows = powers(u.num, genus), powers(u.den, genus)
+        u_tables.append([num_pows[genus - r] * den_pows[r] for r in range(genus + 1)])
+        den = den * den_pows[genus]
+    w_tables = []
+    for _, w in flagged:
+        num_pows, den_pows = powers(w.num, top + 1), powers(w.den, top + 1)
+        w_tables.append([den_pows[s + 1] * num_pows[top - s] for s in range(top + 1)])
+        den = den * num_pows[top + 1]
+    acc = Polynomial()
+    for rs in itertools.product(range(genus + 1), repeat=len(us)):
+        remaining = top - sum(rs)
+        if remaining < 0:
+            continue
+        lam = tuple(r for r in rs if r > 0)
+        inner = Polynomial()
+        for comp in _compositions(remaining, len(flagged)):
+            exps = [0] * n
+            for (i, _), s in zip(flagged, comp):
+                exps[i] = s
+            value = hodge_integral(HodgeQuery(genus, exps, lam))
+            if value == 0:
+                continue
+            term = Polynomial.const(value)
+            for table, s in zip(w_tables, comp):
+                term = term * table[s]
+            inner = inner + term
+        if inner.is_zero():
+            continue
+        if sum(rs) % 2:
+            inner = -inner
+        for table, r in zip(u_tables, rs):
+            inner = inner * table[r]
+        acc = acc + inner
+    return RationalFunction(acc, den)
+
+
+def test_lambda_product_integral_matches_fraction_assembly():
+    # Grid past the reach of the term-by-term reference: genus 3-4 with
+    # three denominators, I2-shaped inputs through genus 4, rational
+    # arguments with non-integer, non-monic coefficients, a zero argument,
+    # and Lambda(0)^2 = lambda_g^2 = 0, whose whole sum vanishes.
+    z = RationalFunction.z()
+    alpha = {1: RationalFunction.const(1), 2: RationalFunction.const(-1), 3: z, 4: -z}
+    vertex = tuple(alpha[1] - alpha[j] for j in (2, 3, 4))
+    odd = ((3 * z + 2) / (4 * (5 * z - 7)), Fraction(-5, 6), (z - 3) / 7)
+    cases = []
+    for g in (3, 4):
+        weights = [
+            -(alpha[2] - alpha[1]),
+            -(alpha[4] - alpha[1]) / 3,
+            -(alpha[1] - alpha[3]) / (1 + 2 * z),
+        ]
+        cases.append((g, vertex, weights))
+    for g in (1, 2, 3, 4):
+        cases.append((g, vertex, [vertex[0], vertex[1]]))
+        cases.append((g, odd, [odd[0], odd[1]]))
+    cases.append((2, odd, [odd[2], None, (2 * z + 1) / 9]))
+    cases.append((3, (0, z + 1, Fraction(3, 2)), [z + 1, Fraction(3, 2)]))
+    cases.append((3, (0, 0, z + 1), [z + 1, Fraction(3, 2)]))
+    zeros = 0
+    for g, us, points in cases:
+        got = lambda_product_integral(g, us, points)
+        want = _fraction_lambda_product(g, us, points)
+        assert got == want, (g, us, points)
+        assert (got.num, got.den) == (want.num, want.den)
+        zeros += got.is_zero()
+    assert len(cases) == 13
+    assert zeros == 1
 
 
 # -- symmetries and homogeneity ------------------------------------------------

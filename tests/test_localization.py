@@ -74,13 +74,18 @@ def test_degree1_single_class():
         assert len(p.involution.fixed_edges(p.graph)) == 1
 
 
+def _betti(graph):
+    """First Betti number of the graph."""
+    return len(graph.edges) - graph.num_vertices + 1
+
+
 def test_degree3_four_families():
     for g in (0, 2, 4):
         pairs = enumerate_pairs(g, 3)
         splittings = g // 2 + 1
         assert len(pairs) == 4 * splittings
         assert all(p.aut_order == 1 for p in pairs)
-        assert all(p.graph.betti() == 0 for p in pairs)
+        assert all(_betti(p.graph) == 0 for p in pairs)
 
 
 def test_degree4_eleven_families():
@@ -88,7 +93,7 @@ def test_degree4_eleven_families():
     assert len(pairs) == 11
     auts = sorted(p.aut_order for p in pairs)
     assert auts == [1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2]
-    assert all(p.graph.betti() == 1 for p in pairs)
+    assert all(_betti(p.graph) == 1 for p in pairs)
 
 
 def test_parity_enumerations_are_empty():

@@ -6,6 +6,7 @@ import pytest
 
 from realgw.exact_arith import RationalFunction, series_sinc
 from realgw.series_ids import (
+    CONJECTURE_NAMES,
     F1_series,
     F2_series,
     check_conjecture,
@@ -133,6 +134,12 @@ def test_conjecture_reports_order_4():
 
 def test_conjecture_trivial_order():
     assert check_conjecture("F1_dep", 0).passed
+
+
+@pytest.mark.parametrize("name", CONJECTURE_NAMES)
+def test_conjecture_rejects_negative_order(name):
+    with pytest.raises(ValueError, match="even and nonnegative"):
+        check_conjecture(name, -2)
 
 
 def test_report_formatting():
