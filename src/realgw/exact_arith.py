@@ -6,7 +6,8 @@ functions) is computed over this tower, so all values are exact:
 * ``Rational`` is an alias for :class:`fractions.Fraction` (arbitrary
   precision, always reduced, positive denominator).
 * :class:`Polynomial` is a dense univariate polynomial over the rationals in
-  the dehomogenized weight variable ``z``.
+  the dehomogenized weight variable ``z``, stored as integer numerators over
+  one common denominator in a unique reduced form.
 * :class:`RationalFunction` is a quotient of two polynomials kept in normal
   form (coprime, monic denominator), so equality of values is equality of
   normal forms.
@@ -14,7 +15,10 @@ functions) is computed over this tower, so all values are exact:
   coefficients live either in the rationals or in rational functions of ``z``.
 
 Degrees stay small in the target computations (below ~40), hence the dense
-representation and plain Euclidean gcd.
+representation.  Polynomial arithmetic runs on Python integers: sums and
+products work on the numerators and reduce by one integer gcd, and division
+and the polynomial gcd share one integer pseudo-division.  Only this module
+reads a polynomial's stored numerators and denominator.
 """
 
 from __future__ import annotations
@@ -29,109 +33,147 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction_tuple(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(c) for c in coeffs)
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return out
+def _poly(ints: Iterable[int], den: int = 1) -> "Polynomial":
+    """The polynomial sum_i ints[i] z^i / den in its unique stored form."""
+    ints = list(ints)
+    while ints and not ints[-1]:
+        ints.pop()
+    # g takes the sign of den, and the zero polynomial reduces to 0 / 1.
+    g = math.gcd(den, *ints) if ints else den
+    if den < 0 < g:
+        g = -g
+    if g != 1:
+        ints, den = [c // g for c in ints], den // g
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "_ints", tuple(ints))
+    object.__setattr__(p, "_den", den)
+    return p
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list, list, int]:
+    """Integer pseudo-division: lists q, r and an integer s > 0 with
+    s * a = q * b + r, deg r < deg b and no trailing zero in r.  A step
+    scales by the leading coefficient of b only as far as its quotient
+    coefficient needs, so s stays small when b is monic or nearly so."""
+    n = len(b) - 1
+    lead = b[-1]
+    rem = list(a)
+    quot = [0] * (len(a) - n)
+    s = 1
+    for k in range(len(a) - 1 - n, -1, -1):
+        top = rem.pop()
+        f, m = divmod(top, lead)
+        if m:
+            mult = abs(lead) // math.gcd(top, lead)
+            s *= mult
+            rem = [c * mult for c in rem]
+            quot = [c * mult for c in quot]
+            f = top * mult // lead
+        quot[k] = f
+        for i in range(n):
+            rem[k + i] -= f * b[i]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, s
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial in ``z`` with Fraction coefficients.
+    """Dense univariate polynomial in ``z`` with rational coefficients.
 
-    The coefficient tuple is indexed by degree and never has a trailing zero,
-    so the zero polynomial is the empty tuple.
+    It is stored as integer numerators indexed by degree over one positive
+    common denominator, with no trailing zero and no common factor, so each
+    polynomial has exactly one stored form and equality and hashing compare
+    values.  The zero polynomial stores no numerators over 1.  ``coeffs`` is
+    a read-only view of the coefficients as Fractions.
     """
 
-    coeffs: tuple[Fraction, ...]
+    _ints: tuple[int, ...]
+    _den: int
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        object.__setattr__(self, "coeffs", _as_fraction_tuple(coeffs))
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        p = _poly((c.numerator * (den // c.denominator) for c in fracs), den)
+        object.__setattr__(self, "_ints", p._ints)
+        object.__setattr__(self, "_den", p._den)
 
     @staticmethod
     def const(value: Scalar) -> "Polynomial":
-        return Polynomial((Fraction(value),))
+        return Polynomial((value,))
 
     @staticmethod
     def variable() -> "Polynomial":
         """The polynomial ``z``."""
-        return Polynomial((Fraction(0), Fraction(1)))
+        return _poly((0, 1))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients indexed by degree, with no trailing zero."""
+        return tuple(Fraction(c, self._den) for c in self._ints)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     def leading_coefficient(self) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._ints[-1], self._den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self._den, other._den)
+        a = [c * (den // self._den) for c in self._ints]
+        b = [c * (den // other._den) for c in other._ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a[i] += c
+        return _poly(a, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _poly((-c for c in self._ints), self._den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        a, b = self._ints, other._ints
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _poly(out, self._den * other._den)
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(tuple(a * c for a in self.coeffs))
+        return _poly((x * c.numerator for x in self._ints), self._den * c.denominator)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Euclidean division: self = q * other + r with deg r < deg other."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading_coefficient()
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top == 0:
-                continue
-            f = top / lead
-            quot[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-        return Polynomial(quot), Polynomial(rem)
+        # s * A = Q * B + R on the numerators gives A/a = (Q b/(a s)) (B/b) + R/(a s).
+        quot, rem, s = _pseudo_divmod(self._ints, other._ints)
+        den = self._den * s
+        return _poly((c * other._den for c in quot), den), _poly(rem, den)
 
     def eval_at(self, q: Scalar) -> Fraction:
         q = Fraction(q)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self._ints):
             acc = acc * q + c
-        return acc
+        return acc / self._den
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading_coefficient())
+        return _poly(self._ints, self._ints[-1])
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -150,13 +192,18 @@ class Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic greatest common divisor by the primitive Euclidean algorithm:
+    pseudo-division on the integer numerators, each remainder divided by the
+    gcd of its coefficients to keep them small, and the last nonzero
+    remainder made monic."""
+    x, y = a._ints, b._ints
+    while y:
+        _, r, _ = _pseudo_divmod(x, y)
+        if r:
+            content = math.gcd(*r)
+            r = [c // content for c in r]
+        x, y = y, r
+    return _poly(x, x[-1]) if x else Polynomial()
 
 
 @dataclass(frozen=True)
@@ -215,9 +262,7 @@ class RationalFunction:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"rational function {self} is not constant")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.coeffs[0]
+        return self.num.eval_at(0)
 
     def __add__(self, other: "RatLike") -> "RationalFunction":
         other = RationalFunction.coerce(other)

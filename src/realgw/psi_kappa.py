@@ -156,8 +156,10 @@ def witten_psi(q: PsiQuery) -> Rational:
     """Exact value of <tau_{a_1} ... tau_{a_n}>_g.
 
     Returns 0 whenever the exponents miss the dimension 3g - 3 + n; raises
-    ``ValueError`` on an unstable query or a negative exponent.
+    ``ValueError`` on a negative genus or exponent or an unstable query.
     """
+    if q.genus < 0:
+        raise ValueError("genus must be nonnegative")
     if not q.is_stable():
         raise ValueError(f"unstable query: genus {q.genus} with {len(q.exponents)} points")
     if any(a < 0 for a in q.exponents):
@@ -184,9 +186,11 @@ def kappa_psi(q: KappaPsiQuery) -> Rational:
     A query whose nominal base space is unstable (genus 1 with no marked
     points) is interpreted on the minimal stable space with extra psi^0
     points, so e.g. the genus-1 kappa_1 query evaluates kappa_1 on the
-    1-pointed space.  A negative psi exponent or a kappa index below 1
-    raises ``ValueError``.
+    1-pointed space.  A negative genus or psi exponent, or a kappa index
+    below 1, raises ``ValueError``.
     """
+    if q.genus < 0:
+        raise ValueError("genus must be nonnegative")
     if not q.is_stable():
         raise ValueError(
             f"unstable query: genus {q.genus}, {len(q.psi_exponents)} points, "

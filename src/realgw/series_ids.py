@@ -76,6 +76,8 @@ def coeff_cx(h: int, c1B: int, g: int) -> Rational:
     to 2h - 2 + c1B."""
     if h < 0:
         raise ValueError("h must be nonnegative")
+    if g < 0:
+        raise ValueError("g must be nonnegative")
     kernel = series_sinc("sin", 2 * g)
     return series_pow(kernel, 2 * h - 2 + c1B)[2 * g]
 

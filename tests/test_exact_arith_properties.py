@@ -3,8 +3,10 @@
 The ring and field axioms hold exactly, and the RationalFunction normal form
 is unique: equal values have equal ``num`` and ``den``.  Sums in any order
 therefore agree field by field, which the balanced class sum in
-``localization.gw_real`` relies on.  Degrees and example counts are kept
-small so the whole module runs in a few seconds.
+``localization.gw_real`` relies on.  The integer-backed Polynomial is checked
+coefficient by coefficient against a reference kept here: a tuple of
+Fractions with schoolbook division and the plain Euclidean gcd.  Degrees and
+example counts are kept small so the whole module runs in a few seconds.
 """
 
 from fractions import Fraction
@@ -21,6 +23,143 @@ ratfuncs = st.builds(RationalFunction, polys, nonzero_polys)
 nonzero_ratfuncs = ratfuncs.filter(lambda r: not r.is_zero())
 
 exact = settings(max_examples=60, deadline=None, database=None)
+
+
+class FractionPolynomial:
+    """Reference: a polynomial as a tuple of Fraction coefficients indexed by
+    degree, with no trailing zero."""
+
+    def __init__(self, coeffs=()):
+        out = tuple(Fraction(c) for c in coeffs)
+        while out and out[-1] == 0:
+            out = out[:-1]
+        self.coeffs = out
+
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPolynomial(out)
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return FractionPolynomial()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPolynomial(out)
+
+    def scale(self, c):
+        return FractionPolynomial(a * Fraction(c) for a in self.coeffs)
+
+    def divmod(self, other):
+        rem = list(self.coeffs)
+        dq = len(rem) - len(other.coeffs)
+        if dq < 0:
+            return FractionPolynomial(), self
+        quot = [Fraction(0)] * (dq + 1)
+        lead = other.coeffs[-1]
+        for k in range(dq, -1, -1):
+            f = rem[k + other.degree] / lead
+            quot[k] = f
+            for i, c in enumerate(other.coeffs):
+                rem[k + i] -= f * c
+        return FractionPolynomial(quot), FractionPolynomial(rem)
+
+    def monic(self):
+        return self if self.is_zero() else self.scale(1 / self.coeffs[-1])
+
+
+def fraction_gcd(a, b):
+    """Reference: monic gcd by the plain Euclidean algorithm."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def fraction_normal_form(num, den):
+    """Reference: the RationalFunction normal form of num / den as
+    coefficient tuples, coprime with a monic denominator."""
+    if num.is_zero():
+        return (), (1,)
+    g = fraction_gcd(num, den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = den.coeffs[-1]
+    return num.scale(1 / lead).coeffs, den.scale(1 / lead).coeffs
+
+
+coeff_lists = st.lists(fractions, max_size=5)
+nonzero_lists = coeff_lists.filter(any)
+
+
+@exact
+@given(coeff_lists, coeff_lists, fractions)
+def test_ring_operations_match_fraction_reference(a, b, c):
+    pa, pb = Polynomial(a), Polynomial(b)
+    ra, rb = FractionPolynomial(a), FractionPolynomial(b)
+    assert pa.coeffs == ra.coeffs
+    assert (pa + pb).coeffs == (ra + rb).coeffs
+    assert (pa - pb).coeffs == (ra + rb.scale(-1)).coeffs
+    assert (pa * pb).coeffs == (ra * rb).coeffs
+    assert pa.scale(c).coeffs == ra.scale(c).coeffs
+    assert pa.monic().coeffs == ra.monic().coeffs
+
+
+@exact
+@given(coeff_lists, nonzero_lists, nonzero_lists)
+def test_division_and_gcd_match_fraction_reference(a, b, common):
+    # The common factor makes nontrivial gcds frequent.
+    pa = Polynomial(a) * Polynomial(common)
+    pb = Polynomial(b) * Polynomial(common)
+    ra = FractionPolynomial(a) * FractionPolynomial(common)
+    rb = FractionPolynomial(b) * FractionPolynomial(common)
+    q, r = pa.divmod(pb)
+    rq, rr = ra.divmod(rb)
+    assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
+    assert poly_gcd(pa, pb).coeffs == fraction_gcd(ra, rb).coeffs
+    assert poly_gcd(pb, pa).coeffs == fraction_gcd(rb, ra).coeffs
+
+
+@exact
+@given(coeff_lists, nonzero_lists, nonzero_lists)
+def test_rational_function_matches_fraction_reference(num, den, common):
+    pc, rc = Polynomial(common), FractionPolynomial(common)
+    r = RationalFunction(Polynomial(num) * pc, Polynomial(den) * pc)
+    want = fraction_normal_form(
+        FractionPolynomial(num) * rc, FractionPolynomial(den) * rc
+    )
+    assert (r.num.coeffs, r.den.coeffs) == want
+
+
+@exact
+@given(coeff_lists, nonzero_lists, fractions.filter(bool))
+def test_equal_polynomials_built_differently_are_identical(a, b, c):
+    p = Polynomial(a)
+    ways = [
+        p.scale(c).scale(1 / c),
+        Polynomial(a + [0, 0]),
+        p + Polynomial(b) - Polynomial(b),
+    ]
+    # Exact division by a divisor whose leading coefficient is negative.
+    divisor = Polynomial(b)
+    if divisor.leading_coefficient() > 0:
+        divisor = -divisor
+    q, r = (p * divisor).divmod(divisor)
+    assert r == Polynomial() and hash(r) == hash(Polynomial())
+    ways.append(q)
+    for other in ways:
+        assert other == p and hash(other) == hash(p)
 
 ZERO_P, ONE_P = Polynomial(), Polynomial.const(1)
 ZERO_R, ONE_R = RationalFunction.const(0), RationalFunction.const(1)

@@ -438,6 +438,13 @@ def test_lambda_product_integral_validates_exponents():
         lambda_product_integral(0, (1, 2, 3), [None, None])
 
 
+def test_lambda_product_integral_rejects_negative_genus():
+    # Genus -1 with five points is "stable" by 2g - 2 + n > 0 and used to
+    # give 0.
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        lambda_product_integral(-1, (1, 2, 3), [None] * 5)
+
+
 def test_lambda_product_integral_rejects_zero_weight():
     z = RationalFunction.z()
     with pytest.raises(ZeroDivisionError):

@@ -20,6 +20,7 @@ import pytest
 
 from realgw import localization
 from realgw.exact_arith import RationalFunction
+from realgw.gw_convert import bundled_table
 from realgw.hodge import _compositions, i1, i2, lambda_product_integral
 from realgw.localization import (
     ALPHA,
@@ -633,6 +634,23 @@ def test_degree5_best_effort_matches_bundled_data():
     # Degrees above 4 are outside the guaranteed range, but the enumerator is
     # generic; the rational-curve count through 5 conjugate point pairs is 5.
     assert gw_real(0, 5) == 5
+
+
+@pytest.mark.parametrize(
+    "g, d",
+    [
+        (0, 5),
+        (2, 5),
+        (4, 5),
+        (1, 6),
+        pytest.param(3, 6, marks=pytest.mark.slow),
+        pytest.param(5, 6, marks=pytest.mark.slow),
+    ],
+)
+def test_localization_regenerates_bundled_real_table(g, d):
+    # The real GW values of degree 5 and up ship as data; localization
+    # re-derives them exactly.
+    assert gw_real(g, d) == bundled_table(2, "GW").entries[(g, d)]
 
 
 def test_parity_vanishing_with_verification():

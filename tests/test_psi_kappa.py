@@ -271,6 +271,16 @@ def test_negative_psi_exponent_rejected():
         kappa_psi(KappaPsiQuery(1, (-1, 2), (1,)))
 
 
+def test_negative_genus_rejected():
+    # Both queries are stable and miss the dimension, so they used to give 0;
+    # the internal recursion still reaches genus -1 and must keep giving 0.
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        witten_psi(PsiQuery(-1, (0,) * 5))
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        kappa_psi(KappaPsiQuery(-1, (0,) * 4, (1,)))
+    assert witten_psi(PsiQuery(1, (0, 2))) == Fraction(1, 24)
+
+
 def test_self_validation_survives_optimize_flag():
     # With asserts stripped by -O, a wrong seed value must still be caught.
     probe = (

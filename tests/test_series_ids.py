@@ -55,6 +55,13 @@ def test_complex_coeff_values():
     assert coeff_cx(1, 4, 0) == 1
 
 
+def test_complex_coeff_rejects_negative_arguments():
+    with pytest.raises(ValueError, match="h must be nonnegative"):
+        coeff_cx(-1, 4, 0)
+    with pytest.raises(ValueError, match="g must be nonnegative"):
+        coeff_cx(0, 4, -1)
+
+
 def test_hat_coeff_small_cases():
     assert coeff_hat(0, 4, 0) == 1
     assert coeff_hat(0, 4, 1) == Fraction(1, 24)
