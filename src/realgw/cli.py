@@ -13,8 +13,9 @@ Subcommands:
 All rationals print in lowest terms as ``p/q`` (or a bare integer), matching
 the bundled table encoding; identical invocations produce identical bytes.
 Exit status: 2 for usage errors, for an unreadable, non-UTF-8 or malformed
-input table or an unwritable output in ``convert``, and for a non-integer
-count in ``enum``; 1 for a failed non-conjecture identity in ``verify``; 0
+input table, a missing lower-genus entry, a real entry that breaks the parity
+rule or an unwritable output in ``convert``, and for a non-integer count in
+``enum``; 1 for a failed non-conjecture identity in ``verify``; 0
 otherwise.
 """
 
@@ -178,7 +179,21 @@ def _cmd_convert(args) -> int:
     if not selected:
         print(f"error: no {wanted} section in {args.input}", file=sys.stderr)
         return 2
-    out = gw_convert.emit_tables([transform(t) for t in selected], args.format)
+    for t in selected:
+        bad = gw_convert.parity_check(t) if t.flavor == "real" else []
+        if bad:
+            entries = "; ".join(f"g={g} d={d}: {v}" for g, d, v in bad)
+            print(
+                f"error: {args.input}: real {t.kind} entries with d - g even "
+                f"must be 0: {entries}",
+                file=sys.stderr,
+            )
+            return 2
+    try:
+        out = gw_convert.emit_tables([transform(t) for t in selected], args.format)
+    except KeyError as exc:
+        print(f"error: {args.input}: {exc.args[0]}", file=sys.stderr)
+        return 2
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -191,6 +191,26 @@ class Polynomial:
         return " + ".join(parts)
 
 
+def linear_combination(terms: Iterable[tuple[Scalar, Polynomial]]) -> Polynomial:
+    """sum_i c_i * p_i over the (c_i, p_i) pairs, accumulated as integer
+    numerators over a running lcm denominator and reduced once at the end."""
+    acc: list[int] = []
+    den = 1
+    for c, p in terms:
+        c = Fraction(c)
+        d = c.denominator * p._den
+        if den % d:
+            lcm = math.lcm(den, d)
+            acc = [x * (lcm // den) for x in acc]
+            den = lcm
+        f = c.numerator * (den // d)
+        if len(acc) < len(p._ints):
+            acc.extend([0] * (len(p._ints) - len(acc)))
+        for i, x in enumerate(p._ints):
+            acc[i] += f * x
+    return _poly(acc, den)
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor by the primitive Euclidean algorithm:
     pseudo-division on the integer numerators, each remainder divided by the

@@ -23,7 +23,16 @@ The evaluation pipeline:
    of labeled point subsets realizing it.  The kappa and ch splits of a
    separating term are bucketed by the degree they send to the genus-h
    side, and only the bucket that side's dimension asks for is visited.
-4. With no ch factors left, the integral is a psi-kappa correlator.
+   Within a bucket the products of the two sides are summed as integers
+   over one running denominator.
+4. Classes that vanish by theorem are not expanded.  Mumford's relation
+   c(E)c(E^dual) = 1 (Towards an enumerative geometry of the moduli space
+   of curves, 1983) gives lambda_g^2 = 0 for g >= 1, so ``hodge_integral``
+   returns 0 when lambda_g appears twice.  ``_ch_integral`` returns 0 for a
+   ch factor at genus 0, where E = 0, and for ch_m with m >= 3 at genus 1,
+   where E is pulled back from the 1-pointed space, so lambda_1^2 = 0 and
+   ch_m = lambda_1^m / m! = 0 for m >= 2.
+5. With no ch factors left, the integral is a psi-kappa correlator.
 
 On top of this the module exposes the products Lambda(u_1)Lambda(u_2)
 Lambda(u_3) integrated against geometric-series denominators 1/(u - psi),
@@ -50,7 +59,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_arith import Polynomial, RatLike, Rational, RationalFunction
+from .exact_arith import (
+    Polynomial,
+    RatLike,
+    Rational,
+    RationalFunction,
+    linear_combination,
+)
 from .psi_kappa import _kappa_value, _subsets_of_multiset
 
 _hodge_memo: dict[tuple, Fraction] = {}
@@ -144,6 +159,10 @@ def _ch_integral(
     (genus-h side, point multiset) split times the number of labeled point
     subsets realizing it.  Separating types are ordered, so each divisor
     appears twice, which the global 1/2 compensates.
+
+    A ch factor at genus 0 (where E = 0), or ch_m with m >= 3 at genus 1
+    (where lambda_1^2 = 0 by Mumford's relation, so ch_m = lambda_1^m / m!
+    vanishes for m >= 2), gives 0 without expansion.
     """
     n = len(psi)
     if 2 * genus - 2 + n <= 0:
@@ -152,6 +171,8 @@ def _ch_integral(
         return Fraction(0)
     if not ch:
         return _kappa_value(genus, psi, kappa)
+    if genus == 0 or (genus == 1 and ch[-1] >= 3):
+        return Fraction(0)
     key = (genus, psi, kappa, ch)
     cached = _ch_memo.get(key)
     if cached is not None:
@@ -188,17 +209,31 @@ def _ch_integral(
                     continue
                 psi1 = tuple(sorted(left + (a,)))
                 psi2 = tuple(sorted(right + (m - 1 - a,)))
-                acc = 0
+                # Both sides are stable and of the right dimension, so a side
+                # without ch factors is a psi-kappa correlator.  The products
+                # are summed as integers over a running lcm denominator.
+                acc, den = 0, 1
                 for k1, c1, k2, c2, w in bucket:
-                    v1 = _ch_integral(h, psi1, k1, c1)
-                    if v1 == 0:
+                    if c1:
+                        v1 = _ch_integral(h, psi1, k1, c1)
+                    else:
+                        v1 = _kappa_value(h, psi1, k1)
+                    if not v1:
                         continue
-                    v2 = _ch_integral(genus - h, psi2, k2, c2)
-                    if v2 == 0:
+                    if c2:
+                        v2 = _ch_integral(genus - h, psi2, k2, c2)
+                    else:
+                        v2 = _kappa_value(genus - h, psi2, k2)
+                    if not v2:
                         continue
-                    acc += w * v1 * v2
+                    d = v1.denominator * v2.denominator
+                    if den % d:
+                        lcm = math.lcm(den, d)
+                        acc *= lcm // den
+                        den = lcm
+                    acc += w * v1.numerator * v2.numerator * (den // d)
                 if acc:
-                    node += (-count if a % 2 else count) * acc
+                    node += Fraction(-count * acc if a % 2 else count * acc, den)
     pref = bernoulli(m + 1) / math.factorial(m + 1)
     total = pref * same + pref / 2 * node
     _ch_memo[key] = total
@@ -222,8 +257,10 @@ def _splits_by_degree(
 def hodge_integral(q: HodgeQuery) -> Rational:
     """Exact integral of a psi-lambda monomial over the moduli space.
 
-    Returns 0 on a dimension mismatch or when a lambda index exceeds the
-    genus (the Hodge bundle has rank g).  A query with too few points for a
+    Returns 0 on a dimension mismatch, when a lambda index exceeds the
+    genus (the Hodge bundle has rank g), or when lambda_g appears twice at
+    genus g >= 1 (Mumford's relation c(E)c(E^dual) = 1 gives lambda_g^2 = 0;
+    at genus 0, lambda_0 = 1).  A query with too few points for a
     stable space is interpreted on the minimal stable space with extra psi^0
     points, so a genus-1 query with no points integrates over the 1-pointed
     space (same convention as the kappa layer).  A negative genus, psi
@@ -237,6 +274,8 @@ def hodge_integral(q: HodgeQuery) -> Rational:
     while 2 * q.genus - 2 + len(psi) <= 0:
         psi = psi + (0,)
     if any(r > q.genus for r in q.lambda_indices):
+        return Fraction(0)
+    if q.genus >= 1 and q.lambda_indices.count(q.genus) >= 2:
         return Fraction(0)
     key = (q.genus, psi, q.lambda_indices)
     cached = _hodge_memo.get(key)
@@ -273,9 +312,9 @@ def lambda_product_integral(
     The power tables and D are polynomials built once per call.  The weight
     product W(comp) = prod_j w_tables[j][s_j] is built once per composition
     and shared by every lambda tuple.  Each lambda tuple sums value * W(comp)
-    over its compositions and multiplies by its u-part once, and only the
-    final quotient by D is normalized, so the whole sum costs one polynomial
-    gcd.
+    over its compositions as one linear combination, reduced once, and
+    multiplies by its u-part once; only the final quotient by D is
+    normalized, so the whole sum costs one polynomial gcd.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -313,7 +352,7 @@ def lambda_product_integral(
         if remaining < 0:
             continue
         lam = tuple(r for r in rs if r > 0)
-        inner = Polynomial()
+        terms = []
         for comp in _compositions(remaining, len(flagged)):
             exps = [0] * n
             for (i, _), s in zip(flagged, comp):
@@ -327,7 +366,8 @@ def lambda_product_integral(
                 for table, s in zip(w_tables, comp):
                     weight = weight * table[s]
                 weights[comp] = weight
-            inner = inner + weight.scale(value)
+            terms.append((value, weight))
+        inner = linear_combination(terms)
         if inner.is_zero():
             continue
         for table, r in zip(u_tables, rs):

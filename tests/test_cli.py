@@ -208,6 +208,47 @@ def test_convert_rejects_out_of_range_rows(tmp_path, capsys, row):
     assert err.startswith("error: ") and "line 2" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, direction, missing",
+    [
+        ("complex,E\n2,1,5\n", "gw-from-e", "g=1, d=1"),
+        ("real,GW\n3,2,1\n", "e-from-gw", "g=1, d=2"),
+    ],
+    ids=["complex-e", "real-gw"],
+)
+def test_convert_missing_lower_genus_entry(tmp_path, capsys, text, direction, missing):
+    src = tmp_path / "table.csv"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "convert", "--input", str(src), "--direction", direction)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and missing in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, direction, named",
+    [
+        ("real,GW\n3,1,5\n", "e-from-gw", "g=3 d=1: 5"),
+        ("real,E\n0,1,1\n1,1,2\n1,3,1/2\n", "gw-from-e", "g=1 d=1: 2; g=1 d=3: 1/2"),
+    ],
+    ids=["gw", "e"],
+)
+def test_convert_rejects_real_parity_violation(tmp_path, capsys, text, direction, named):
+    # Real entries with d - g even vanish, so a nonzero one is bad input.
+    src = tmp_path / "table.csv"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "convert", "--input", str(src), "--direction", direction)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("direction", ["e-from-gw", "gw-from-e"])
+def test_convert_accepts_bundled_real_table(tmp_path, capsys, direction):
+    src = tmp_path / "real.csv"
+    src.write_text(bundled_text(2), encoding="utf-8")
+    code, out, err = run(capsys, "convert", "--input", str(src), "--direction", direction)
+    assert (code, err) == (0, "") and out
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["gw", "--genus", "two", "--degree", "1"])

@@ -13,7 +13,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from realgw.exact_arith import Polynomial, RationalFunction, poly_gcd
+from realgw.exact_arith import (
+    Polynomial,
+    RationalFunction,
+    linear_combination,
+    poly_gcd,
+)
 from realgw.localization import _tree_sum
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
@@ -160,6 +165,23 @@ def test_equal_polynomials_built_differently_are_identical(a, b, c):
     ways.append(q)
     for other in ways:
         assert other == p and hash(other) == hash(p)
+
+
+@exact
+@given(st.lists(st.tuples(fractions, coeff_lists), max_size=5))
+def test_linear_combination_matches_fraction_reference(terms):
+    got = linear_combination((c, Polynomial(a)) for c, a in terms)
+    want = FractionPolynomial()
+    for c, a in terms:
+        want = want + FractionPolynomial(a).scale(c)
+    assert got.coeffs == want.coeffs
+    # The stored form is unique, so the sum equals the one built with + and
+    # scale, hash included.
+    same = Polynomial()
+    for c, a in terms:
+        same = same + Polynomial(a).scale(c)
+    assert got == same and hash(got) == hash(same)
+
 
 ZERO_P, ONE_P = Polynomial(), Polynomial.const(1)
 ZERO_R, ONE_R = RationalFunction.const(0), RationalFunction.const(1)

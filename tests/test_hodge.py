@@ -240,16 +240,31 @@ def test_ch_integral_matches_per_subset_reference():
                     if 2 * g - 2 + n > 0 and rest >= 0:
                         for psi in _psi_tuples(n, rest):
                             ch_cases.append((g, psi, kappa, ch))
+    # Three lambda indices through genus 3, such as (1, g, g), where the
+    # lambda_g^2 = 0 shortcut of hodge_integral applies.
+    three_cases = []
+    for g in (1, 2, 3):
+        for n in (1, 2, 3):
+            dim = 3 * g - 3 + max(n, 3 - 2 * g)
+            for lam in itertools.combinations_with_replacement(range(1, g + 1), 3):
+                if sum(lam) <= dim:
+                    for psi in _psi_tuples(n, dim - sum(lam)):
+                        three_cases.append((g, psi, lam))
     memo = {}
     want_hodge = [_reference_hodge_integral(*case, memo) for case in hodge_cases]
     want_ch = [_reference_ch_integral(*case, memo) for case in ch_cases]
+    want_three = [_reference_hodge_integral(*case, memo) for case in three_cases]
     clear_caches()
     got_hodge = [hodge_integral(HodgeQuery(*case)) for case in hodge_cases]
     got_ch = [_ch_integral(*case) for case in ch_cases]
+    got_three = [hodge_integral(HodgeQuery(*case)) for case in three_cases]
     assert got_hodge == want_hodge
     assert got_ch == want_ch
+    assert got_three == want_three
     assert (len(hodge_cases), len(ch_cases)) == (405, 61)
     assert sum(v != 0 for v in want_hodge + want_ch) == 446
+    assert (len(three_cases), sum(v != 0 for v in want_three)) == (71, 52)
+    assert sum(lam.count(g) >= 2 for g, _, lam in three_cases) == 11
 
 
 # -- GRR expansion structure ---------------------------------------------------
@@ -305,11 +320,24 @@ def test_lambda1_on_one_pointed_torus():
 
 
 def test_lambda_top_square_vanishes():
-    assert hodge_integral(HodgeQuery(1, (1, 1), (1, 1))) == 0
-    assert hodge_integral(HodgeQuery(2, (0,), (2, 2))) == 0
-    assert hodge_integral(HodgeQuery(2, (1, 1), (1, 2, 2))) == 0
-    assert hodge_integral(HodgeQuery(3, (1,), (3, 3))) == 0
-    assert hodge_integral(HodgeQuery(3, (0, 0), (1, 3, 3))) == 0
+    # hodge_integral returns these zeros by Mumford's relation without
+    # expanding them; the reference recursion has no such shortcut.
+    cases = [
+        (1, (1, 1), (1, 1)),
+        (2, (0,), (2, 2)),
+        (2, (1, 1), (1, 2, 2)),
+        (3, (1,), (3, 3)),
+        (3, (0, 0), (1, 3, 3)),
+    ]
+    memo = {}
+    for case in cases:
+        assert hodge_integral(HodgeQuery(*case)) == 0, case
+        assert _reference_hodge_integral(*case, memo) == 0, case
+
+
+def test_genus0_lambda0_square_is_one():
+    # lambda_0 = 1, so lambda_g^2 = 0 must not be applied at genus 0.
+    assert hodge_integral(HodgeQuery(0, (0, 0, 0), (0, 0))) == 1
 
 
 def test_pure_psi_delegates():
@@ -341,12 +369,36 @@ def test_classical_genus2_lambda_values():
 
 def test_genus0_chern_characters_vanish():
     # The Hodge bundle has rank 0 at genus 0, so its Chern characters kill
-    # every integrand; this lands on a nontrivial genus-0 boundary relation.
-    from realgw.hodge import _ch_integral
+    # every integrand.  _ch_integral returns 0 at once; the reference lands
+    # on a nontrivial genus-0 boundary relation.
+    cases = [
+        (0, (1, 0, 0, 0), (), (1,)),
+        (0, (0,) * 6, (), (3,)),
+        (0, (0, 0, 0, 0, 0), (1,), (1,)),
+    ]
+    memo = {}
+    for case in cases:
+        assert _ch_integral(*case) == 0, case
+        assert _reference_ch_integral(*case, memo) == 0, case
 
-    assert _ch_integral(0, (1, 0, 0, 0), (), (1,)) == 0
-    assert _ch_integral(0, (0,) * 6, (), (3,)) == 0
-    assert _ch_integral(0, (0, 0, 0, 0, 0), (1,), (1,)) == 0
+
+def test_genus1_higher_chern_characters_vanish():
+    # At genus 1, E is pulled back from the 1-pointed space, so lambda_1^2 = 0
+    # and ch_m = lambda_1^m / m! vanishes for m >= 2, while ch_1 = lambda_1
+    # does not.
+    cases = [
+        (1, (0, 0, 0), (), (3,)),
+        (1, (0, 0, 0, 1), (), (3,)),
+        (1, (0, 0, 0, 0), (1,), (3,)),
+        (1, (0, 0, 0, 0), (), (1, 3)),
+        (1, (0,) * 5, (), (5,)),
+        (1, (0,) * 6, (1,), (5,)),
+    ]
+    memo = {}
+    for case in cases:
+        assert _ch_integral(*case) == 0, case
+        assert _reference_ch_integral(*case, memo) == 0, case
+    assert _ch_integral(1, (0,), (), (1,)) == Fraction(1, 24)
 
 
 # -- Mumford's product relation at integral level ------------------------------
@@ -374,7 +426,15 @@ def test_mumford_product_relation():
     # Lambda(u)Lambda(-u) = (-1)^g u^(2g) holds as a cohomology identity, so
     # it must hold against every psi monomial T and against R in {1, Lambda(w)}.
     rng = random.Random(31)
+    memo = {}
     for g in (1, 2):
+        # The lambda_g^2 terms of both products vanish by the shortcut in
+        # hodge_integral; check them against the reference recursion.
+        for n in (1, 2):
+            for p in range(3 * g - 2 + n):
+                exps = (p,) + (0,) * (n - 1)
+                for lam in [(g, g)] + [(r, g, g) for r in range(1, g + 1)]:
+                    assert _reference_hodge_integral(g, exps, lam, memo) == 0
         for _ in range(3):
             u = Fraction(rng.randint(1, 7), rng.randint(1, 5))
             w = Fraction(rng.randint(1, 9), rng.randint(1, 4))
