@@ -98,7 +98,8 @@ def e_from_gw(table: InvariantTable) -> InvariantTable:
 
     Solves the unit-diagonal triangular system downward in the genus; all
     lower-genus GW entries of the correct parity must be present (or implied
-    zero by the real parity rule).
+    zero by the real parity rule), and a missing one raises ``KeyError``
+    naming that GW entry.
     """
     if table.kind != "GW":
         raise ValueError("e_from_gw expects a GW table")
@@ -106,6 +107,9 @@ def e_from_gw(table: InvariantTable) -> InvariantTable:
     for g, d in sorted(table.entries):
         value = table.value(g, d)
         for h in _lower_genera(table.flavor, g):
+            # E(h, d) exists exactly when GW(h, d) does; the input lookup
+            # names the entry the user has to supply.
+            table.value(h, d)
             value -= _transform_coeff(table.flavor, h, d, g) * out.value(h, d)
         out.entries[(g, d)] = value
     return out
@@ -161,16 +165,24 @@ def emit_tables(tables: list[InvariantTable], format: str = "csv") -> str:
 
 def _emit_markdown(tables: list[InvariantTable]) -> str:
     """Markdown mirror of the bundled tables: degrees as columns, one row per
-    (kind, genus)."""
+    (kind, genus).  A (genus, degree) cell without an entry, other than a
+    parity-implied real zero, is left empty."""
     degrees = sorted({d for t in tables for _, d in t.entries})
     lines = ["| d | " + " | ".join(str(d) for d in degrees) + " |"]
     lines.append("|" + "---|" * (len(degrees) + 1))
     for t in tables:
         suffix = "^phi" if t.flavor == "real" else ""
         for g in t.genera():
-            cells = [str(t.value(g, d)) for d in degrees]
+            cells = [_markdown_cell(t, g, d) for d in degrees]
             lines.append(f"| {t.kind}{suffix}[{g},d] | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
+
+
+def _markdown_cell(table: InvariantTable, genus: int, degree: int) -> str:
+    try:
+        return str(table.value(genus, degree))
+    except KeyError:
+        return ""
 
 
 class TableParseError(ValueError):

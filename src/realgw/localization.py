@@ -28,10 +28,17 @@ degree-d(e) covers.  Everything is evaluated in exact rational functions of
 the dehomogenized weight z (weights 1, -1, z, -z at the four fixed points);
 the assembled sum must be constant in z, which is asserted.
 
-Enumeration is exhaustive over the tiny graphs involved (vertex and edge
-counts are bounded by the degree).  Each candidate is reduced to a canonical
-form: the least encoding of its involution, plus points and edges over the
-vertex relabelings that keep every (label, genus) cell in its own block.  A
+Enumeration builds each candidate from its sigma-orbits (generation from
+orbits, as in McKay, "Isomorph-free exhaustive generation", J. Algorithms
+1998, without the canonical augmentation).  Per sorted label tuple the vertex
+involution is fixed once; edges are chosen as a degree multiset per orbit of
+vertex pairs, so every edge multiset is sigma-invariant, and one edge
+involution is emitted per isomorphism type (the number of sigma-fixed edges
+in each class of odd-degree edges on a fixed pair).  Connected ones with the
+right first Betti number then get every genus split and mark placement.  Each
+candidate is reduced to a canonical form: the least encoding of its
+involution, plus points and edges over the vertex relabelings that keep every
+(label, genus) cell in its own block.  This is the only deduplication: a
 candidate is kept when its form is new, and the relabelings reaching the
 least code, times closed-form counts of edge permutations within each edge
 class, give its automorphism order.
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -113,13 +121,6 @@ class GraphInvolution:
             if self.edges[i] > i
         ]
 
-    def vertex_orbits(self) -> list[tuple[int, int]]:
-        return [
-            (v, self.vertices[v])
-            for v in range(len(self.vertices))
-            if self.vertices[v] > v
-        ]
-
 
 @dataclass(frozen=True)
 class AdmissiblePair:
@@ -136,15 +137,6 @@ class AdmissiblePair:
         )
         eplus = tuple(i for i, _ in self.involution.free_edge_orbits(self.graph))
         return vplus, eplus
-
-    def all_halves(self):
-        """Every valid choice of one vertex per sigma-orbit and one edge per
-        free sigma-orbit (exhausted by the choice-independence tests)."""
-        vorbits = self.involution.vertex_orbits()
-        eorbits = self.involution.free_edge_orbits(self.graph)
-        for vpick in itertools.product(*[(a, b) for a, b in vorbits]):
-            for epick in itertools.product(*[(i, j) for i, j in eorbits]):
-                yield tuple(sorted(vpick)), tuple(sorted(epick))
 
 
 def _is_connected(nv: int, edges) -> bool:
@@ -172,90 +164,82 @@ def _theta_tuples(nv: int):
             yield tup
 
 
-def _edge_multisets(theta: tuple[int, ...], total_degree: int):
-    """Non-decreasing tuples of (v, w, degree) edges with the given total."""
+def _sigma_orbits(theta: tuple[int, ...]):
+    """The vertex involution fixed for theta and the sigma-orbits of the
+    vertex pairs that may carry edges.
+
+    sigma pairs the i-th vertex of label 1 with the i-th of label 2, and the
+    same for labels 3 and 4.  Any other involution covering tau4 becomes this
+    one after relabeling vertices inside the label-2 and label-4 groups, which
+    keeps theta sorted.  A pair {v, w} of distinct labels is either fixed
+    ({v, sigma v}) or lies in a free orbit with {sigma v, sigma w}; each orbit
+    is returned as (pair, image pair), the image equal to the pair when fixed.
+    """
     nv = len(theta)
+    group = {t: [v for v in range(nv) if theta[v] == t] for t in (1, 2, 3, 4)}
+    sigma = [0] * nv
+    for a, b in (*zip(group[1], group[2]), *zip(group[3], group[4])):
+        sigma[a], sigma[b] = b, a
+    orbits = []
+    for v in range(nv):
+        for w in range(v + 1, nv):
+            image = tuple(sorted((sigma[v], sigma[w])))
+            if theta[v] != theta[w] and (v, w) <= image:
+                orbits.append(((v, w), image))
+    return tuple(sigma), orbits
+
+
+def _invariant_edges(orbits, total_degree: int):
+    """sigma-invariant edge multisets of the given total degree, each with
+    one admissible edge involution per isomorphism type.
+
+    A degree multiset is chosen per orbit.  An edge of degree k on a free
+    orbit comes with its copy on the image pair, the two swapped, and costs
+    2k of the budget.  On a fixed pair an edge of odd degree k costs k, and
+    an even degree comes only as two swapped edges, since a sigma-fixed edge
+    has odd degree.  Up to relabeling edges, the involutions differ only in
+    the number f of fixed edges among the m of each odd degree on each fixed
+    pair: f = m, m - 2, ... down to m mod 2.  Yields (edges, involutions).
+    """
     items = [
-        (v, w, deg)
-        for v in range(nv)
-        for w in range(v + 1, nv)
-        if theta[v] != theta[w]
+        (pair, image, deg, deg if pair == image and deg % 2 else 2 * deg)
+        for pair, image in orbits
         for deg in range(1, total_degree + 1)
     ]
 
     def extend(start: int, remaining: int, acc: list):
         if remaining == 0:
-            if len(acc) >= nv - 1:
-                yield tuple(acc)
+            yield acc
             return
         for idx in range(start, len(items)):
-            deg = items[idx][2]
-            if deg > remaining:
-                continue
-            acc.append(items[idx])
-            yield from extend(idx, remaining - deg, acc)
-            acc.pop()
+            if items[idx][3] <= remaining:
+                acc.append(idx)
+                yield from extend(idx, remaining - items[idx][3], acc)
+                acc.pop()
 
-    yield from extend(0, total_degree, [])
-
-
-def _vertex_involutions(theta: tuple[int, ...]):
-    """Fixed-point-free involutions matching theta with tau4 label swaps.
-
-    Every vertex lies in one of the label groups 1..4 and gets matched with a
-    partner of the conjugate label, so the involutions are exactly the pairs
-    of bijections group 1 -> group 2 and group 3 -> group 4.
-    """
-    nv = len(theta)
-    group: dict[int, list[int]] = {t: [] for t in (1, 2, 3, 4)}
-    for v, t in enumerate(theta):
-        group[t].append(v)
-    if len(group[1]) != len(group[2]) or len(group[3]) != len(group[4]):
-        return
-    for m12 in itertools.permutations(group[2]):
-        for m34 in itertools.permutations(group[4]):
-            sigma = [0] * nv
-            for a, b in zip(group[1], m12):
-                sigma[a], sigma[b] = b, a
-            for a, b in zip(group[3], m34):
-                sigma[a], sigma[b] = b, a
-            yield tuple(sigma)
-
-
-def _edge_involutions(graph_edges, sigma_v: tuple[int, ...]):
-    """Involutions of the edge index set compatible with the vertex map whose
-    fixed edges have odd degree (the admissible ones)."""
-    ne = len(graph_edges)
-
-    def image_matches(i: int, j: int) -> bool:
-        a, b, deg = graph_edges[i]
-        c, d, deg2 = graph_edges[j]
-        return deg == deg2 and {sigma_v[a], sigma_v[b]} == {c, d}
-
-    mapping = [-1] * ne
-
-    def backtrack(i: int):
-        if i == ne:
-            yield tuple(mapping)
-            return
-        if mapping[i] != -1:
-            yield from backtrack(i + 1)
-            return
-        for j in range(ne):
-            if not image_matches(i, j):
-                continue
-            if j == i:
-                if graph_edges[i][2] % 2 == 0:
-                    continue  # a sigma-fixed edge must have odd degree
-                mapping[i] = i
-                yield from backtrack(i + 1)
-                mapping[i] = -1
-            elif mapping[j] == -1 and image_matches(j, i):
-                mapping[i], mapping[j] = j, i
-                yield from backtrack(i + 1)
-                mapping[i] = mapping[j] = -1
-
-    yield from backtrack(0)
+    for chosen in extend(0, total_degree, []):
+        edges: list[tuple[int, int, int]] = []
+        base: list[int] = []
+        blocks = []  # (first edge, edge count, fixed counts) per fixed-pair class
+        for idx, m in Counter(chosen).items():
+            pair, image, deg, _ = items[idx]
+            start = len(edges)
+            if pair == image:
+                n = m if deg % 2 else 2 * m
+                edges += [(*pair, deg)] * n
+                base += range(start, start + n)
+                blocks.append((start, n, range(n, -1, -2) if deg % 2 else (0,)))
+            else:
+                edges += [(*pair, deg)] * m + [(*image, deg)] * m
+                base += [*range(start + m, start + 2 * m), *range(start, start + m)]
+        involutions = []
+        for counts in itertools.product(*(fixed for _, _, fixed in blocks)):
+            sigma_e = list(base)
+            for (start, n, _), f in zip(blocks, counts):
+                for i in range(start + f, start + n, 2):
+                    sigma_e[i], sigma_e[i + 1] = i + 1, i
+            involutions.append(tuple(sigma_e))
+        yield tuple(edges), involutions
 
 
 def _canonical_form(graph: DecoratedGraph, involution: GraphInvolution):
@@ -348,34 +332,30 @@ def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
                 continue
             if d >= 2 and not label_vertices[3]:
                 continue
-            for edges in _edge_multisets(theta, d):
-                if not _is_connected(nv, edges):
-                    continue
+            sigma_v, orbits = _sigma_orbits(theta)
+            vertex_orbits = [v for v in range(nv) if sigma_v[v] > v]
+            for edges, involutions in _invariant_edges(orbits, d):
                 b1 = len(edges) - nv + 1
                 if b1 > g or (g - b1) % 2:
                     continue
+                if not _is_connected(nv, edges):
+                    continue
                 half_genus = (g - b1) // 2
-                for sigma_v in _vertex_involutions(theta):
-                    for sigma_e in _edge_involutions(edges, sigma_v):
-                        orbits = [
-                            v for v in range(nv) if sigma_v[v] > v
-                        ]
-                        for split in _compositions(half_genus, len(orbits)):
-                            genus = [0] * nv
-                            for v, gv in zip(orbits, split):
-                                genus[v] = genus[sigma_v[v]] = gv
-                            for marks in itertools.product(
-                                *[label_vertices[bracket(i)] for i in range(1, d + 1)]
-                            ):
-                                graph = DecoratedGraph(
-                                    theta, tuple(genus), edges, marks
-                                )
-                                involution = GraphInvolution(sigma_v, sigma_e)
-                                form, aut = _canonical_form(graph, involution)
-                                if form in seen:
-                                    continue
-                                seen.add(form)
-                                found.append(AdmissiblePair(graph, involution, aut))
+                for sigma_e in involutions:
+                    involution = GraphInvolution(sigma_v, sigma_e)
+                    for split in _compositions(half_genus, len(vertex_orbits)):
+                        genus = [0] * nv
+                        for v, gv in zip(vertex_orbits, split):
+                            genus[v] = genus[sigma_v[v]] = gv
+                        for marks in itertools.product(
+                            *[label_vertices[bracket(i)] for i in range(1, d + 1)]
+                        ):
+                            graph = DecoratedGraph(theta, tuple(genus), edges, marks)
+                            form, aut = _canonical_form(graph, involution)
+                            if form in seen:
+                                continue
+                            seen.add(form)
+                            found.append(AdmissiblePair(graph, involution, aut))
     return tuple(found)
 
 
@@ -479,14 +459,9 @@ def _fixed_edge_contribution(t1: int, t2: int, deg: int) -> RationalFunction:
     ) / denom
 
 
-def pair_contribution(
-    pair: AdmissiblePair,
-    halves: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> RationalFunction:
+def pair_contribution(pair: AdmissiblePair) -> RationalFunction:
     """Total contribution of one isomorphism class to the invariant."""
-    if halves is None:
-        halves = pair.default_halves()
-    vplus, eplus = halves
+    vplus, eplus = pair.default_halves()
     out = RationalFunction.const(Fraction(1, pair.aut_order))
     for v in vplus:
         out = out * vertex_contribution(*vertex_key(pair, v))

@@ -24,6 +24,8 @@ from realgw.series_ids import check_conjecture, verify_identity
 from test_localization import (
     _is_loop_class,
     _multiset,
+    all_halves,
+    contribution_with_halves,
     degree3_expected,
     degree4_cycle_expected,
 )
@@ -169,8 +171,9 @@ def test_criterion_7_parity_and_independence():
         assert total.eval_at(Fraction(2, 5)) == total.eval_at(Fraction(7, 3)) == gw_real(g, d)
         for pair in enumerate_pairs(g, d):
             reference = pair_contribution(pair)
-            for halves in pair.all_halves():
-                assert (pair_contribution(pair, halves) - reference).is_zero()
+            assert contribution_with_halves(pair, pair.default_halves()) == reference
+            for halves in all_halves(pair):
+                assert (contribution_with_halves(pair, halves) - reference).is_zero()
     _passed(
         "parity zeros at (1,1),(0,2),(1,3),(0,4),(2,4); weight-point and "
         "half-choice independence across every degree <= 4 class"

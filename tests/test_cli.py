@@ -103,6 +103,33 @@ def test_tables_byte_identical_to_bundled(capsys):
 def test_tables_markdown(capsys):
     code, out, _ = run(capsys, "tables", "--which", "2", "--format", "markdown")
     assert code == 0 and out.startswith("| d | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 |")
+    # The bundled grids are complete: no empty cell.
+    assert "|  |" not in out
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "complex,GW\n0,1,1\n0,2,2\n1,1,3\n",
+            "| d | 1 | 2 |\n|---|---|---|\n| E[0,d] | 1 | 2 |\n| E[1,d] | 37/12 |  |\n",
+        ),
+        (
+            # Parity-implied real zeros are values, not holes.
+            "real,GW\n0,1,1\n1,2,3\n",
+            "| d | 1 | 2 |\n|---|---|---|\n| E^phi[0,d] | 1 | 0 |\n| E^phi[1,d] | 0 | 3 |\n",
+        ),
+    ],
+    ids=["complex-hole", "real-parity-zeros"],
+)
+def test_convert_markdown_grid_with_holes(tmp_path, capsys, text, expected):
+    src = tmp_path / "gw.csv"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "convert", "--input", str(src), "--direction", "e-from-gw",
+        "--format", "markdown",
+    )
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_deterministic_output(capsys):
@@ -211,8 +238,9 @@ def test_convert_rejects_out_of_range_rows(tmp_path, capsys, row):
 @pytest.mark.parametrize(
     "text, direction, missing",
     [
-        ("complex,E\n2,1,5\n", "gw-from-e", "g=1, d=1"),
-        ("real,GW\n3,2,1\n", "e-from-gw", "g=1, d=2"),
+        ("complex,E\n2,1,5\n", "gw-from-e", "complex E entry at g=1, d=1"),
+        # The message names the missing entry of the input, not of the output.
+        ("real,GW\n3,2,1\n", "e-from-gw", "real GW entry at g=1, d=2"),
     ],
     ids=["complex-e", "real-gw"],
 )

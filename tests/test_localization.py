@@ -40,14 +40,12 @@ from realgw.localization import (
     psi_edge_weight,
     vertex_contribution,
     vertex_key,
-    _edge_involutions,
-    _edge_multisets,
+    _canonical_form,
     _fixed_edge_contribution,
     _free_edge_contribution,
     _is_connected,
     _theta_tuples,
     _tree_sum,
-    _vertex_involutions,
 )
 
 A1, A2, A3, A4 = ALPHA[1], ALPHA[2], ALPHA[3], ALPHA[4]
@@ -205,11 +203,96 @@ def _reference_aut_order(pair: AdmissiblePair) -> int:
     return sum(1 for _ in _reference_isomorphisms(pair, pair))
 
 
-def _reference_enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
-    """The same candidates as enumerate_pairs, deduplicated by pairwise
-    isomorphism tests within buckets of a cheap invariant."""
-    found: list[AdmissiblePair] = []
-    keys: dict[tuple, list[int]] = {}
+# Reference candidate generator: every edge multiset, every vertex involution
+# and every edge involution.  Redundant but simple, so it checks the
+# sigma-orbit generator inside enumerate_pairs.
+
+
+def _edge_multisets(theta: tuple[int, ...], total_degree: int):
+    """Non-decreasing tuples of (v, w, degree) edges with the given total."""
+    nv = len(theta)
+    items = [
+        (v, w, deg)
+        for v in range(nv)
+        for w in range(v + 1, nv)
+        if theta[v] != theta[w]
+        for deg in range(1, total_degree + 1)
+    ]
+
+    def extend(start: int, remaining: int, acc: list):
+        if remaining == 0:
+            if len(acc) >= nv - 1:
+                yield tuple(acc)
+            return
+        for idx in range(start, len(items)):
+            deg = items[idx][2]
+            if deg > remaining:
+                continue
+            acc.append(items[idx])
+            yield from extend(idx, remaining - deg, acc)
+            acc.pop()
+
+    yield from extend(0, total_degree, [])
+
+
+def _vertex_involutions(theta: tuple[int, ...]):
+    """Every fixed-point-free involution matching theta with tau4: the pairs
+    of bijections group 1 -> group 2 and group 3 -> group 4."""
+    nv = len(theta)
+    group: dict[int, list[int]] = {t: [] for t in (1, 2, 3, 4)}
+    for v, t in enumerate(theta):
+        group[t].append(v)
+    if len(group[1]) != len(group[2]) or len(group[3]) != len(group[4]):
+        return
+    for m12 in itertools.permutations(group[2]):
+        for m34 in itertools.permutations(group[4]):
+            sigma = [0] * nv
+            for a, b in zip(group[1], m12):
+                sigma[a], sigma[b] = b, a
+            for a, b in zip(group[3], m34):
+                sigma[a], sigma[b] = b, a
+            yield tuple(sigma)
+
+
+def _edge_involutions(graph_edges, sigma_v: tuple[int, ...]):
+    """Every involution of the edge index set compatible with the vertex map
+    whose fixed edges have odd degree."""
+    ne = len(graph_edges)
+
+    def image_matches(i: int, j: int) -> bool:
+        a, b, deg = graph_edges[i]
+        c, d, deg2 = graph_edges[j]
+        return deg == deg2 and {sigma_v[a], sigma_v[b]} == {c, d}
+
+    mapping = [-1] * ne
+
+    def backtrack(i: int):
+        if i == ne:
+            yield tuple(mapping)
+            return
+        if mapping[i] != -1:
+            yield from backtrack(i + 1)
+            return
+        for j in range(ne):
+            if not image_matches(i, j):
+                continue
+            if j == i:
+                if graph_edges[i][2] % 2 == 0:
+                    continue
+                mapping[i] = i
+                yield from backtrack(i + 1)
+                mapping[i] = -1
+            elif mapping[j] == -1 and image_matches(j, i):
+                mapping[i], mapping[j] = j, i
+                yield from backtrack(i + 1)
+                mapping[i] = mapping[j] = -1
+
+    yield from backtrack(0)
+
+
+def _reference_candidates(g: int, d: int):
+    """Every contributing admissible pair the reference generator lists,
+    with aut_order 0; each class appears many times."""
     for nv in range(2, d + 2, 2):
         for theta in _theta_tuples(nv):
             label_vertices = {t: [v for v in range(nv) if theta[v] == t] for t in (1, 3)}
@@ -237,34 +320,66 @@ def _reference_enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
                             for marks in itertools.product(
                                 *[label_vertices[bracket(i)] for i in range(1, d + 1)]
                             ):
-                                pair = AdmissiblePair(
+                                yield AdmissiblePair(
                                     DecoratedGraph(theta, tuple(genus), edges, marks),
                                     GraphInvolution(sigma_v, sigma_e),
                                     0,
                                 )
-                                bucket = keys.setdefault(_reference_key(pair), [])
-                                if any(
-                                    next(_reference_isomorphisms(pair, found[k]), None)
-                                    for k in bucket
-                                ):
-                                    continue
-                                bucket.append(len(found))
-                                found.append(
-                                    AdmissiblePair(
-                                        pair.graph,
-                                        pair.involution,
-                                        _reference_aut_order(pair),
-                                    )
-                                )
+
+
+def _reference_enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
+    """The reference candidates, deduplicated by pairwise isomorphism
+    tests within buckets of a cheap invariant."""
+    found: list[AdmissiblePair] = []
+    keys: dict[tuple, list[int]] = {}
+    for pair in _reference_candidates(g, d):
+        bucket = keys.setdefault(_reference_key(pair), [])
+        if any(next(_reference_isomorphisms(pair, found[k]), None) for k in bucket):
+            continue
+        bucket.append(len(found))
+        found.append(
+            AdmissiblePair(pair.graph, pair.involution, _reference_aut_order(pair))
+        )
     return tuple(found)
 
 
 @pytest.mark.parametrize(
-    "g, d", [(g, d) for d in range(1, 5) for g in range(6)] + [(0, 5)]
+    "g, d",
+    [(g, d) for d in range(1, 5) for g in range(6)]
+    + [(0, 5), pytest.param(2, 5, marks=pytest.mark.slow)],
 )
 def test_enumeration_matches_pairwise_reference(g, d):
-    # Same representatives in the same order, with the same |Aut|.
-    assert enumerate_pairs(g, d) == _reference_enumerate_pairs(g, d)
+    # A bijection between the classes and the reference classes: each class
+    # is isomorphic to exactly one reference class, with the same |Aut|, and
+    # no two classes share one.
+    got = enumerate_pairs(g, d)
+    reference = _reference_enumerate_pairs(g, d)
+    assert len(got) == len(reference)
+    matched = set()
+    for pair in got:
+        key = _reference_key(pair)
+        hits = [
+            k
+            for k, ref in enumerate(reference)
+            if _reference_key(ref) == key and next(_reference_isomorphisms(pair, ref), None)
+        ]
+        assert len(hits) == 1, pair
+        assert reference[hits[0]].aut_order == pair.aut_order, pair
+        matched.add(hits[0])
+    assert len(matched) == len(got)
+
+
+@pytest.mark.parametrize("g, d", [(4, 5), (1, 6)])
+def test_enumeration_matches_reference_canonical_forms(g, d):
+    # The reference generator, deduplicated by the same canonical form, gives
+    # the same set of (canonical form, |Aut|).
+    reference = {
+        _canonical_form(p.graph, p.involution) for p in _reference_candidates(g, d)
+    }
+    pairs = enumerate_pairs(g, d)
+    got = {(_canonical_form(p.graph, p.involution)[0], p.aut_order) for p in pairs}
+    assert len(got) == len(pairs)
+    assert got == reference
 
 
 def _relabel(p: AdmissiblePair, rng: random.Random):
@@ -476,14 +591,19 @@ def test_local_factors_match_per_pair_reference(g, d):
 
 
 def test_factor_caches_hold_one_entry_per_local_key():
-    # A fresh interpreter, so the caches start empty and no other test's
-    # caches are cleared.
     probe = (
         "from realgw.localization import edge_contribution, gw_real, "
         "vertex_contribution\n"
         "print(gw_real(0, 5), vertex_contribution.cache_info().misses, "
         "edge_contribution.cache_info().misses)\n"
     )
+    done = _run_fresh(probe)
+    assert done.stdout.split() == ["5", "80", "10"]
+
+
+def _run_fresh(probe: str) -> subprocess.CompletedProcess:
+    """Run probe in a fresh interpreter, so every cache starts empty and no
+    other test's caches are cleared."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
@@ -491,7 +611,29 @@ def test_factor_caches_hold_one_entry_per_local_key():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["5", "80", "10"]
+    return done
+
+
+def test_cold_enumeration_canonical_form_calls():
+    # Candidates sent to _canonical_form by a cold enumerate_pairs, counted in
+    # a fresh interpreter; the reference generator sends 584 and 1,778.
+    probe = (
+        "from realgw import localization\n"
+        "calls = 0\n"
+        "canonical_form = localization._canonical_form\n"
+        "def counted(*args):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return canonical_form(*args)\n"
+        "localization._canonical_form = counted\n"
+        "for g, d in ((0, 5), (2, 5)):\n"
+        "    calls = 0\n"
+        "    print(len(localization.enumerate_pairs(g, d)), calls)\n"
+    )
+    done = _run_fresh(probe)
+    classes, calls = zip(*(map(int, line.split()) for line in done.stdout.splitlines()))
+    assert classes == (152, 470)
+    assert calls[0] <= 296 and calls[1] <= 902
 
 
 def test_balanced_sum_equals_left_to_right_sum():
@@ -630,6 +772,15 @@ def test_table_column_degree4():
     assert gw_real(5, 4) == Fraction(-19, 360)
 
 
+@pytest.mark.parametrize(
+    "g", [0, 2, 4, 6, 8, 10, pytest.param(12, marks=pytest.mark.slow)]
+)
+def test_degree1_closed_form(g):
+    # A line has E(g, 1) = 0 for g >= 1, so the real GW-invariant is
+    # [t^g] sinh(t/2)/(t/2) = 1 / (2^g (g+1)!) for even g.
+    assert gw_real(g, 1) == Fraction(1, 2**g * math.factorial(g + 1))
+
+
 def test_degree5_best_effort_matches_bundled_data():
     # Degrees above 4 are outside the guaranteed range, but the enumerator is
     # generic; the rational-curve count through 5 conjugate point pairs is 5.
@@ -668,13 +819,36 @@ def test_weight_independence_two_point_evaluation():
         assert total.eval_at(Fraction(2, 5)) == gw_real(g, d)
 
 
+def all_halves(pair: AdmissiblePair):
+    """Every choice (V+, E+) of one vertex per sigma-orbit and one edge per
+    free sigma-orbit."""
+    sigma_v = pair.involution.vertices
+    vorbits = [(v, sigma_v[v]) for v in range(len(sigma_v)) if sigma_v[v] > v]
+    eorbits = pair.involution.free_edge_orbits(pair.graph)
+    for vpick in itertools.product(*vorbits):
+        for epick in itertools.product(*eorbits):
+            yield tuple(sorted(vpick)), tuple(sorted(epick))
+
+
+def contribution_with_halves(pair: AdmissiblePair, halves) -> RationalFunction:
+    """pair_contribution's product, over the given (V+, E+)."""
+    vplus, eplus = halves
+    out = RationalFunction.const(Fraction(1, pair.aut_order))
+    for v in vplus:
+        out = out * vertex_contribution(*vertex_key(pair, v))
+    for i in pair.involution.fixed_edges(pair.graph) + list(eplus):
+        out = out * edge_contribution(*edge_key(pair, i))
+    return out
+
+
 def test_half_choice_independence_everywhere():
     cases = [(0, 1), (2, 1), (0, 3), (2, 3), (1, 4), (3, 4)]
     for g, d in cases:
         for pair in enumerate_pairs(g, d):
             reference = pair_contribution(pair)
-            for halves in pair.all_halves():
-                alt = pair_contribution(pair, halves)
+            assert contribution_with_halves(pair, pair.default_halves()) == reference
+            for halves in all_halves(pair):
+                alt = contribution_with_halves(pair, halves)
                 assert (alt - reference).is_zero(), (g, d, halves)
 
 
