@@ -31,7 +31,6 @@ from .gw_convert import (
     parity_check,
 )
 from .hodge import (
-    HodgeQuery,
     alpha_coeff,
     hodge_integral,
     i1,
@@ -48,7 +47,7 @@ from .localization import (
     pair_contribution,
     pair_contributions,
 )
-from .psi_kappa import KappaPsiQuery, PsiQuery, kappa_psi, witten_psi
+from .psi_kappa import kappa_psi, witten_psi
 from .series_ids import (
     F1_series,
     F2_series,

@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import gw_convert, localization, series_ids
-from .hodge import HodgeQuery, hodge_integral
+from .hodge import hodge_integral
 
 MAX_LOCALIZATION_DEGREE = 4
 
@@ -83,10 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=("identities", "conjectures", "all"), default="all"
     )
     p_verify.add_argument("--order", type=int, default=6)
-    p_verify.add_argument(
-        "--strict-conjectures", action="store_true",
-        help="treat conjecture check failures as errors",
-    )
 
     p_tables = sub.add_parser("tables", help="emit a bundled invariant table")
     p_tables.add_argument("--which", type=int, choices=(1, 2), required=True)
@@ -217,9 +213,8 @@ def _cmd_hodge(args) -> int:
         print("error: more psi exponents than points", file=sys.stderr)
         return 2
     exponents = list(args.psi) + [0] * (args.n - len(args.psi))
-    query = HodgeQuery(args.g, exponents, args.lam)
     try:
-        print(hodge_integral(query))
+        print(hodge_integral(args.g, exponents, args.lam))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -244,10 +239,7 @@ def _cmd_verify(args) -> int:
             failed = failed or not report.passed
     if args.suite in ("conjectures", "all"):
         for name in series_ids.CONJECTURE_NAMES:
-            report = series_ids.check_conjecture(name, args.order)
-            print(report)
-            if args.strict_conjectures:
-                failed = failed or not report.passed
+            print(series_ids.check_conjecture(name, args.order))
     return 1 if failed else 0
 
 

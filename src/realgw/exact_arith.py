@@ -403,11 +403,6 @@ class Series:
             raise IndexError(f"coefficient t^{k} beyond truncation order")
         return self.coeffs[k]
 
-    def truncate(self, order: int) -> "Series":
-        if order >= self.truncation_order:
-            return self
-        return Series(self.coeffs[: order + 1], order, parity=self.parity)
-
     def is_zero(self) -> bool:
         return all(_coeff_is_zero(c) for c in self.coeffs)
 
@@ -416,9 +411,6 @@ class Series:
             return NotImplemented
         n = min(self.truncation_order, other.truncation_order)
         return all(_coeff_eq(self.coeffs[k], other.coeffs[k]) for k in range(n + 1))
-
-    def __hash__(self):  # pragma: no cover - series are not used as keys
-        return NotImplemented
 
     @staticmethod
     def _join_parity(a: str | None, b: str | None, mode: str) -> str | None:

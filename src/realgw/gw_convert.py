@@ -47,9 +47,6 @@ class InvariantTable:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
 
-    def degrees(self) -> list[int]:
-        return sorted({d for _, d in self.entries})
-
     def genera(self) -> list[int]:
         return sorted({g for g, _ in self.entries})
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -66,25 +65,16 @@ from .exact_arith import (
     RationalFunction,
     linear_combination,
 )
-from .psi_kappa import _kappa_value, _subsets_of_multiset
+from .psi_kappa import (
+    _kappa_memo,
+    _kappa_value,
+    _pad_to_stable,
+    _psi_memo,
+    _subsets_of_multiset,
+)
 
 _hodge_memo: dict[tuple, Fraction] = {}
 _ch_memo: dict[tuple, Fraction] = {}
-
-
-@dataclass(frozen=True)
-class HodgeQuery:
-    """Integral of prod psi_i^(a_i) * prod lambda_(r_j) on the genus-g space
-    with one marked point per psi exponent."""
-
-    genus: int
-    psi_exponents: tuple[int, ...]
-    lambda_indices: tuple[int, ...]
-
-    def __init__(self, genus: int, psi_exponents, lambda_indices) -> None:
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "psi_exponents", tuple(sorted(psi_exponents)))
-        object.__setattr__(self, "lambda_indices", tuple(sorted(lambda_indices)))
 
 
 @lru_cache(maxsize=None)
@@ -254,8 +244,9 @@ def _splits_by_degree(
     return buckets
 
 
-def hodge_integral(q: HodgeQuery) -> Rational:
-    """Exact integral of a psi-lambda monomial over the moduli space.
+def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
+    """Exact integral of prod psi_i^(a_i) * prod lambda_(r_j) over the genus-g
+    space with one marked point per psi exponent, in any order of either.
 
     Returns 0 on a dimension mismatch, when a lambda index exceeds the
     genus (the Hodge bundle has rank g), or when lambda_g appears twice at
@@ -266,24 +257,24 @@ def hodge_integral(q: HodgeQuery) -> Rational:
     space (same convention as the kappa layer).  A negative genus, psi
     exponent or lambda index raises ``ValueError``.
     """
-    if q.genus < 0:
+    psi = tuple(sorted(psi_exponents))
+    lam = tuple(sorted(lambda_indices))
+    if genus < 0:
         raise ValueError("genus must be nonnegative")
-    if any(a < 0 for a in q.psi_exponents) or any(r < 0 for r in q.lambda_indices):
+    if any(a < 0 for a in psi) or any(r < 0 for r in lam):
         raise ValueError("psi exponents and lambda indices must be nonnegative")
-    psi = q.psi_exponents
-    while 2 * q.genus - 2 + len(psi) <= 0:
-        psi = psi + (0,)
-    if any(r > q.genus for r in q.lambda_indices):
+    psi = _pad_to_stable(genus, psi)
+    if any(r > genus for r in lam):
         return Fraction(0)
-    if q.genus >= 1 and q.lambda_indices.count(q.genus) >= 2:
+    if genus >= 1 and lam.count(genus) >= 2:
         return Fraction(0)
-    key = (q.genus, psi, q.lambda_indices)
+    key = (genus, psi, lam)
     cached = _hodge_memo.get(key)
     if cached is not None:
         return cached
     total = Fraction(0)
-    for ch_key, coeff in lambda_to_ch(q.lambda_indices).items():
-        total += coeff * _ch_integral(q.genus, psi, (), ch_key)
+    for ch_key, coeff in lambda_to_ch(lam).items():
+        total += coeff * _ch_integral(genus, psi, (), ch_key)
     _hodge_memo[key] = total
     return total
 
@@ -357,7 +348,7 @@ def lambda_product_integral(
             exps = [0] * n
             for (i, _), s in zip(flagged, comp):
                 exps[i] = s
-            value = hodge_integral(HodgeQuery(genus, exps, lam))
+            value = hodge_integral(genus, exps, lam)
             if not value:
                 continue
             weight = weights.get(comp)
@@ -465,14 +456,18 @@ def alpha_coeff(gp: int) -> Rational:
     for r in range(gp):
         lam = [gp - 1, gp, r]
         total += (-1) ** r * hodge_integral(
-            HodgeQuery(gp, (gp - 1 - r,), tuple(i for i in lam if i > 0))
+            gp, (gp - 1 - r,), [i for i in lam if i > 0]
         )
     return total
 
 
 def clear_caches() -> None:
-    """Drop all memoized values (used by tests that measure determinism)."""
+    """Drop all memoized values, the psi-kappa layer's included (used by
+    tests that measure determinism).  The memo dicts are cleared in place, so
+    references held elsewhere stay valid."""
     _hodge_memo.clear()
     _ch_memo.clear()
+    _psi_memo.clear()
+    _kappa_memo.clear()
     I1.cache_clear()
     I2.cache_clear()

@@ -111,15 +111,11 @@ class GraphInvolution:
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
 
-    def fixed_edges(self, graph: DecoratedGraph) -> list[int]:
-        return [i for i in range(len(graph.edges)) if self.edges[i] == i]
+    def fixed_edges(self) -> list[int]:
+        return [i for i, j in enumerate(self.edges) if j == i]
 
-    def free_edge_orbits(self, graph: DecoratedGraph) -> list[tuple[int, int]]:
-        return [
-            (i, self.edges[i])
-            for i in range(len(graph.edges))
-            if self.edges[i] > i
-        ]
+    def free_edge_orbits(self) -> list[tuple[int, int]]:
+        return [(i, j) for i, j in enumerate(self.edges) if j > i]
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class AdmissiblePair:
         vplus = tuple(
             v for v in range(self.graph.num_vertices) if self.graph.theta[v] in (1, 3)
         )
-        eplus = tuple(i for i, _ in self.involution.free_edge_orbits(self.graph))
+        eplus = tuple(i for i, _ in self.involution.free_edge_orbits())
         return vplus, eplus
 
 
@@ -465,7 +461,7 @@ def pair_contribution(pair: AdmissiblePair) -> RationalFunction:
     out = RationalFunction.const(Fraction(1, pair.aut_order))
     for v in vplus:
         out = out * vertex_contribution(*vertex_key(pair, v))
-    for i in pair.involution.fixed_edges(pair.graph) + list(eplus):
+    for i in pair.involution.fixed_edges() + list(eplus):
         out = out * edge_contribution(*edge_key(pair, i))
     return out
 

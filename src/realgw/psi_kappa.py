@@ -27,7 +27,6 @@ contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,44 +36,12 @@ _psi_memo: dict[tuple, Fraction] = {}
 _kappa_memo: dict[tuple, Fraction] = {}
 
 
-@dataclass(frozen=True)
-class PsiQuery:
-    """A correlator <tau_{a_1} ... tau_{a_n}>_g with sorted exponents."""
-
-    genus: int
-    exponents: tuple[int, ...]
-
-    def __init__(self, genus: int, exponents) -> None:
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "exponents", tuple(sorted(exponents)))
-
-    def is_stable(self) -> bool:
-        return 2 * self.genus - 2 + len(self.exponents) > 0
-
-
-@dataclass(frozen=True)
-class KappaPsiQuery:
-    """A mixed correlator with psi exponents and kappa indices."""
-
-    genus: int
-    psi_exponents: tuple[int, ...]
-    kappa_indices: tuple[int, ...]
-
-    def __init__(self, genus: int, psi_exponents, kappa_indices) -> None:
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "psi_exponents", tuple(sorted(psi_exponents)))
-        object.__setattr__(self, "kappa_indices", tuple(sorted(kappa_indices)))
-
-    def is_stable(self) -> bool:
-        # Replacing every kappa index by a marked point must give a stable
-        # space; this also admits closed-surface queries such as kappa_1 on
-        # the unpointed genus-1 moduli.
-        n_eff = len(self.psi_exponents) + len(self.kappa_indices)
-        return 2 * self.genus - 2 + n_eff > 0
-
-
-def _dimension(genus: int, n: int) -> int:
-    return 3 * genus - 3 + n
+def _pad_to_stable(genus: int, psi: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted ``psi`` with psi^0 points prepended until the genus-g space is
+    stable: a query with too few points is read on the minimal stable space."""
+    while 2 * genus - 2 + len(psi) <= 0:
+        psi = (0,) + psi
+    return psi
 
 
 def _double_factorial(n: int) -> int:
@@ -93,7 +60,7 @@ def _psi_value(genus: int, exps: tuple[int, ...]) -> Fraction:
         return Fraction(0)
     if any(a < 0 for a in exps):
         return Fraction(0)
-    if sum(exps) != _dimension(genus, n):
+    if sum(exps) != 3 * genus - 3 + n:
         return Fraction(0)
     key = (genus, exps)
     cached = _psi_memo.get(key)
@@ -152,23 +119,25 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> Fraction:
     return total / _double_factorial(2 * a1 + 1)
 
 
-def witten_psi(q: PsiQuery) -> Rational:
-    """Exact value of <tau_{a_1} ... tau_{a_n}>_g.
+def witten_psi(genus: int, exponents) -> Rational:
+    """Exact value of <tau_{a_1} ... tau_{a_n}>_g, in any order of exponents.
 
     Returns 0 whenever the exponents miss the dimension 3g - 3 + n; raises
     ``ValueError`` on a negative genus or exponent or an unstable query.
     """
-    if q.genus < 0:
+    exps = tuple(sorted(exponents))
+    if genus < 0:
         raise ValueError("genus must be nonnegative")
-    if not q.is_stable():
-        raise ValueError(f"unstable query: genus {q.genus} with {len(q.exponents)} points")
-    if any(a < 0 for a in q.exponents):
+    if 2 * genus - 2 + len(exps) <= 0:
+        raise ValueError(f"unstable query: genus {genus} with {len(exps)} points")
+    if any(a < 0 for a in exps):
         raise ValueError("psi exponents must be nonnegative")
-    return _psi_value(q.genus, q.exponents)
+    return _psi_value(genus, exps)
 
 
-def kappa_psi(q: KappaPsiQuery) -> Rational:
-    """Exact value of the integral of a psi-kappa monomial.
+def kappa_psi(genus: int, psi_exponents, kappa_indices) -> Rational:
+    """Exact value of the integral of a psi-kappa monomial, in any order of
+    the psi exponents and kappa indices.
 
     Kappa indices are eliminated from the largest down through the forgetful
     map: trading kappa_b for a new marked point with psi-power b+1 requires
@@ -189,21 +158,23 @@ def kappa_psi(q: KappaPsiQuery) -> Rational:
     1-pointed space.  A negative genus or psi exponent, or a kappa index
     below 1, raises ``ValueError``.
     """
-    if q.genus < 0:
+    psi = tuple(sorted(psi_exponents))
+    kappa = tuple(sorted(kappa_indices))
+    if genus < 0:
         raise ValueError("genus must be nonnegative")
-    if not q.is_stable():
+    # Replacing every kappa index by a marked point must give a stable space;
+    # this also admits closed-surface queries such as kappa_1 on the
+    # unpointed genus-1 moduli.
+    if 2 * genus - 2 + len(psi) + len(kappa) <= 0:
         raise ValueError(
-            f"unstable query: genus {q.genus}, {len(q.psi_exponents)} points, "
-            f"{len(q.kappa_indices)} kappa classes"
+            f"unstable query: genus {genus}, {len(psi)} points, "
+            f"{len(kappa)} kappa classes"
         )
-    if any(a < 0 for a in q.psi_exponents):
+    if any(a < 0 for a in psi):
         raise ValueError("psi exponents must be nonnegative")
-    if any(b <= 0 for b in q.kappa_indices):
+    if any(b <= 0 for b in kappa):
         raise ValueError("kappa indices must be positive")
-    psi = q.psi_exponents
-    while 2 * q.genus - 2 + len(psi) <= 0:
-        psi = psi + (0,)
-    return _kappa_value(q.genus, psi, q.kappa_indices)
+    return _kappa_value(genus, _pad_to_stable(genus, psi), kappa)
 
 
 @lru_cache(maxsize=None)
@@ -268,18 +239,18 @@ def self_validate() -> None:
     risk point, so the seeds plus one string and one dilaton instance are
     pinned here.  Raises ArithmeticError on the first mismatch.
     """
-    t4 = witten_psi(PsiQuery(2, (4,)))
-    t14 = witten_psi(PsiQuery(2, (1, 4)))
+    t4 = witten_psi(2, (4,))
+    t14 = witten_psi(2, (1, 4))
     checks = (
-        ("<t0^3>_0", witten_psi(PsiQuery(0, (0, 0, 0))), 1),
-        ("<t1>_1", witten_psi(PsiQuery(1, (1,))), Fraction(1, 24)),
-        ("<t0^3 t1>_0", witten_psi(PsiQuery(0, (1, 0, 0, 0))), 1),
+        ("<t0^3>_0", witten_psi(0, (0, 0, 0)), 1),
+        ("<t1>_1", witten_psi(1, (1,)), Fraction(1, 24)),
+        ("<t0^3 t1>_0", witten_psi(0, (1, 0, 0, 0)), 1),
         ("<t4>_2", t4, Fraction(1, 1152)),
         # string: <t0 t2 t4>_2 = <t1 t4>_2 + <t2 t3>_2
         (
             "string <t0 t2 t4>_2",
-            witten_psi(PsiQuery(2, (0, 2, 4))),
-            t14 + witten_psi(PsiQuery(2, (2, 3))),
+            witten_psi(2, (0, 2, 4)),
+            t14 + witten_psi(2, (2, 3)),
         ),
         # dilaton: <t1 t4>_2 = (2*2 - 2 + 1) <t4>_2
         ("dilaton <t1 t4>_2", t14, 3 * t4),

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from realgw.exact_arith import RationalFunction
 from realgw.gw_convert import bundled_tables, e_from_gw
-from realgw.hodge import HodgeQuery, hodge_integral, i1, i2, lambda_product_integral
+from realgw.hodge import hodge_integral, i1, i2, lambda_product_integral
 from realgw.localization import (
     enumerate_pairs,
     gw_real,
@@ -18,7 +18,7 @@ from realgw.localization import (
     pair_contributions,
     _tree_sum,
 )
-from realgw.psi_kappa import PsiQuery, witten_psi
+from realgw.psi_kappa import witten_psi
 from realgw.series_ids import check_conjecture, verify_identity
 
 from test_localization import (
@@ -94,7 +94,7 @@ def test_criterion_5_identity_suite_order_6():
 
 
 def test_criterion_6_hodge_psi_property_suite():
-    assert witten_psi(PsiQuery(0, (0, 0, 0))) == 1
+    assert witten_psi(0, (0, 0, 0)) == 1
     rng = random.Random(2025)
     checked = 0
     while checked < 200:
@@ -105,23 +105,23 @@ def test_criterion_6_hodge_psi_property_suite():
         exps = [0] * n
         for _ in range(3 * g - 3 + n):
             exps[rng.randrange(n)] += 1
-        q = PsiQuery(g, exps)
-        string_lhs = witten_psi(PsiQuery(g, q.exponents + (0,)))
+        exps = tuple(exps)
+        string_lhs = witten_psi(g, exps + (0,))
         string_rhs = sum(
-            witten_psi(PsiQuery(g, q.exponents[:j] + (a - 1,) + q.exponents[j + 1 :]))
-            for j, a in enumerate(q.exponents)
+            witten_psi(g, exps[:j] + (a - 1,) + exps[j + 1 :])
+            for j, a in enumerate(exps)
             if a > 0
         )
         assert string_lhs == string_rhs
-        dilaton_lhs = witten_psi(PsiQuery(g, q.exponents + (1,)))
-        assert dilaton_lhs == (2 * g - 2 + n) * witten_psi(q)
+        dilaton_lhs = witten_psi(g, exps + (1,))
+        assert dilaton_lhs == (2 * g - 2 + n) * witten_psi(g, exps)
         checked += 1
     # top lambda squared kills every integral
     for g in (1, 2, 3):
         dim = 3 * g - 3 + 1
         rest = dim - 2 * g
         if rest >= 0:
-            assert hodge_integral(HodgeQuery(g, (rest,), (g, g))) == 0
+            assert hodge_integral(g, (rest,), (g, g)) == 0
     # Mumford product relation at integral level, g <= 2
     for g in (1, 2):
         u = Fraction(3, 2)
@@ -135,9 +135,9 @@ def test_criterion_6_hodge_psi_property_suite():
                         (-1) ** (r1 + r2)
                         * u ** (g - r1)
                         * (-u) ** (g - r2)
-                        * hodge_integral(HodgeQuery(g, exps, lam))
+                        * hodge_integral(g, exps, lam)
                     )
-            rhs = (-1) ** g * u ** (2 * g) * hodge_integral(HodgeQuery(g, exps, ()))
+            rhs = (-1) ** g * u ** (2 * g) * hodge_integral(g, exps, ())
             assert lhs == rhs, (g, p)
     # marked-point reduction of the one- and two-partition integrals
     rng = random.Random(77)

@@ -281,6 +281,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["gw", "--genus", "two", "--degree", "1"])
     assert err.value.code == 2
+    # Conjectures are reported, never asserted: no option makes them gate.
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--strict-conjectures"])
+    assert err.value.code == 2
 
 
 def test_cache_dir_is_ignored(tmp_path, capsys, monkeypatch):

@@ -137,12 +137,11 @@ def test_series_truncation_minimum_order():
     assert (a + b).truncation_order == 1
 
 
-def test_series_truncate_method():
-    s = series_sinc("sin", 8)
-    cut = s.truncate(4)
-    assert cut.truncation_order == 4
-    assert cut == series_sinc("sin", 4)
-    assert s.truncate(10) is s
+def test_series_is_unhashable():
+    # Series defines __eq__ (equal up to the smaller truncation order), so it
+    # is no dictionary key.
+    with pytest.raises(TypeError):
+        hash(Series([1]))
 
 
 # -- polynomials and rational functions --------------------------------------

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import pytest
 
+from realgw import psi_kappa
 from realgw.exact_arith import (
     Polynomial,
     RationalFunction,
@@ -23,7 +24,6 @@ from realgw.exact_arith import (
     series_sinc,
 )
 from realgw.hodge import (
-    HodgeQuery,
     _compositions,
     alpha_coeff,
     _ch_integral,
@@ -255,9 +255,9 @@ def test_ch_integral_matches_per_subset_reference():
     want_ch = [_reference_ch_integral(*case, memo) for case in ch_cases]
     want_three = [_reference_hodge_integral(*case, memo) for case in three_cases]
     clear_caches()
-    got_hodge = [hodge_integral(HodgeQuery(*case)) for case in hodge_cases]
+    got_hodge = [hodge_integral(*case) for case in hodge_cases]
     got_ch = [_ch_integral(*case) for case in ch_cases]
-    got_three = [hodge_integral(HodgeQuery(*case)) for case in three_cases]
+    got_three = [hodge_integral(*case) for case in three_cases]
     assert got_hodge == want_hodge
     assert got_ch == want_ch
     assert got_three == want_three
@@ -314,9 +314,9 @@ def test_grr_l2_prefactor_and_node_sum():
 
 
 def test_lambda1_on_one_pointed_torus():
-    assert hodge_integral(HodgeQuery(1, (0,), (1,))) == Fraction(1, 24)
+    assert hodge_integral(1, (0,), (1,)) == Fraction(1, 24)
     # unpointed query lands on the minimal stable (1-pointed) space
-    assert hodge_integral(HodgeQuery(1, (), (1,))) == Fraction(1, 24)
+    assert hodge_integral(1, (), (1,)) == Fraction(1, 24)
 
 
 def test_lambda_top_square_vanishes():
@@ -331,40 +331,60 @@ def test_lambda_top_square_vanishes():
     ]
     memo = {}
     for case in cases:
-        assert hodge_integral(HodgeQuery(*case)) == 0, case
+        assert hodge_integral(*case) == 0, case
         assert _reference_hodge_integral(*case, memo) == 0, case
 
 
 def test_genus0_lambda0_square_is_one():
     # lambda_0 = 1, so lambda_g^2 = 0 must not be applied at genus 0.
-    assert hodge_integral(HodgeQuery(0, (0, 0, 0), (0, 0))) == 1
+    assert hodge_integral(0, (0, 0, 0), (0, 0)) == 1
 
 
 def test_pure_psi_delegates():
-    assert hodge_integral(HodgeQuery(0, (1, 0, 0, 0), ())) == 1
+    assert hodge_integral(0, (1, 0, 0, 0), ()) == 1
 
 
 def test_lambda_index_above_rank_vanishes():
-    assert hodge_integral(HodgeQuery(1, (0,), (2,))) == 0
+    assert hodge_integral(1, (0,), (2,)) == 0
+
+
+def test_hodge_symmetry_under_shuffling():
+    # Both argument lists are read as multisets: the order of the psi
+    # exponents and of the lambda indices must not matter.
+    rng = random.Random(37)
+    cases = [
+        (2, (), (1, 2)),
+        (2, (0, 1, 2), (1, 2)),
+        (3, (2, 0, 1), (3, 1, 2)),
+        (1, (1, 0, 1), (1,)),
+    ]
+    for g, psi, lam in cases:
+        want = hodge_integral(g, sorted(psi), sorted(lam))
+        assert want != 0, (g, psi, lam)
+        for _ in range(4):
+            shuffled_psi, shuffled_lam = list(psi), list(lam)
+            rng.shuffle(shuffled_psi)
+            rng.shuffle(shuffled_lam)
+            assert hodge_integral(g, shuffled_psi, shuffled_lam) == want, (g, psi, lam)
 
 
 @pytest.mark.parametrize(
     "query",
     [
-        HodgeQuery(1, (-1, 3), ()),
-        HodgeQuery(2, (0, -2), (1,)),
-        HodgeQuery(1, (1,), (-1,)),
-        HodgeQuery(3, (), (2, -5)),
+        (1, (-1, 3), ()),
+        (2, (0, -2), (1,)),
+        (1, (1,), (-1,)),
+        (3, (), (2, -5)),
     ],
 )
 def test_negative_exponent_or_index_rejected(query):
     with pytest.raises(ValueError, match="nonnegative"):
-        hodge_integral(query)
+        hodge_integral(*query)
 
 
 def test_classical_genus2_lambda_values():
-    assert hodge_integral(HodgeQuery(2, (), (1, 1, 1))) == Fraction(1, 2880)
-    assert hodge_integral(HodgeQuery(2, (), (1, 2))) == Fraction(1, 5760)
+    assert hodge_integral(2, (), (1, 1, 1)) == Fraction(1, 2880)
+    assert hodge_integral(2, (), (1, 2)) == Fraction(1, 5760)
 
 
 def test_genus0_chern_characters_vanish():
@@ -417,7 +437,7 @@ def _product_integral(g, psi_exps, us):
         weight = Fraction(1)
         for _, w in combo:
             weight *= w
-        value = hodge_integral(HodgeQuery(g, psi_exps, lam))
+        value = hodge_integral(g, psi_exps, lam)
         total += weight * value
     return total
 
@@ -444,7 +464,7 @@ def test_mumford_product_relation():
                 for p in range(dim + 1):
                     exps = (p,) + (0,) * (n - 1)
                     lhs = _product_integral(g, exps, (u, -u))
-                    rhs = scale * hodge_integral(HodgeQuery(g, exps, ()))
+                    rhs = scale * hodge_integral(g, exps, ())
                     assert lhs == rhs, (g, n, p, "R=1")
                     lhs3 = _product_integral(g, exps, (u, -u, w))
                     rhs3 = scale * _product_integral(g, exps, (w,))
@@ -539,7 +559,7 @@ def _term_by_term_lambda_product(genus, lambda_args, points):
             exps = [0] * n
             for (i, _), s in zip(flagged, comp):
                 exps[i] = s
-            weight = weight_u * hodge_integral(HodgeQuery(genus, exps, lam))
+            weight = weight_u * hodge_integral(genus, exps, lam)
             for (_, w), s in zip(flagged, comp):
                 weight = weight * w ** (-(s + 1))
             total = total + weight
@@ -621,7 +641,7 @@ def _fraction_lambda_product(genus, lambda_args, point_denominators):
             exps = [0] * n
             for (i, _), s in zip(flagged, comp):
                 exps[i] = s
-            value = hodge_integral(HodgeQuery(genus, exps, lam))
+            value = hodge_integral(genus, exps, lam)
             if value == 0:
                 continue
             term = Polynomial.const(value)
@@ -731,8 +751,9 @@ def test_alpha1_value():
 
 
 def test_values_survive_cache_reset():
-    from realgw.hodge import clear_caches
-
-    before = hodge_integral(HodgeQuery(2, (), (1, 1, 1)))
+    before = hodge_integral(2, (), (1, 1, 1))
     clear_caches()
-    assert hodge_integral(HodgeQuery(2, (), (1, 1, 1))) == before
+    # Every layer's memo is dropped, so the value below is recomputed from
+    # the seeds of the psi recursion up.
+    assert not (psi_kappa._psi_memo or psi_kappa._kappa_memo)
+    assert hodge_integral(2, (), (1, 1, 1)) == before

@@ -70,7 +70,7 @@ def test_degree1_single_class():
         (p,) = pairs
         assert p.aut_order == 1
         assert p.graph.genus == (g // 2, g // 2)
-        assert len(p.involution.fixed_edges(p.graph)) == 1
+        assert len(p.involution.fixed_edges()) == 1
 
 
 def _betti(graph):
@@ -824,7 +824,7 @@ def all_halves(pair: AdmissiblePair):
     free sigma-orbit."""
     sigma_v = pair.involution.vertices
     vorbits = [(v, sigma_v[v]) for v in range(len(sigma_v)) if sigma_v[v] > v]
-    eorbits = pair.involution.free_edge_orbits(pair.graph)
+    eorbits = pair.involution.free_edge_orbits()
     for vpick in itertools.product(*vorbits):
         for epick in itertools.product(*eorbits):
             yield tuple(sorted(vpick)), tuple(sorted(epick))
@@ -836,7 +836,7 @@ def contribution_with_halves(pair: AdmissiblePair, halves) -> RationalFunction:
     out = RationalFunction.const(Fraction(1, pair.aut_order))
     for v in vplus:
         out = out * vertex_contribution(*vertex_key(pair, v))
-    for i in pair.involution.fixed_edges(pair.graph) + list(eplus):
+    for i in pair.involution.fixed_edges() + list(eplus):
         out = out * edge_contribution(*edge_key(pair, i))
     return out
 

@@ -18,8 +18,6 @@ import pytest
 
 from realgw import psi_kappa
 from realgw.psi_kappa import (
-    KappaPsiQuery,
-    PsiQuery,
     genus0_closed_form,
     kappa_psi,
     self_validate,
@@ -53,6 +51,8 @@ KNOWN_CORRELATORS = {
 
 
 def stable_random_query(rng, max_genus=3, max_points=6):
+    """(genus, exponents) of a random stable correlator of the right
+    dimension; the exponents come in random order."""
     while True:
         g = rng.randint(0, max_genus)
         n = rng.randint(1, max_points)
@@ -62,62 +62,62 @@ def stable_random_query(rng, max_genus=3, max_points=6):
         exps = [0] * n
         for _ in range(dim):
             exps[rng.randrange(n)] += 1
-        return PsiQuery(g, exps)
+        return g, tuple(exps)
 
 
 def test_base_point():
-    assert witten_psi(PsiQuery(0, (0, 0, 0))) == 1
+    assert witten_psi(0, (0, 0, 0)) == 1
 
 
 def test_dilaton_from_base():
-    assert witten_psi(PsiQuery(0, (1, 0, 0, 0))) == 1
+    assert witten_psi(0, (1, 0, 0, 0)) == 1
 
 
 def test_one_pointed_torus():
-    assert witten_psi(PsiQuery(1, (1,))) == Fraction(1, 24)
+    assert witten_psi(1, (1,)) == Fraction(1, 24)
 
 
 def test_known_correlators():
     for (g, exps), expected in KNOWN_CORRELATORS.items():
-        assert witten_psi(PsiQuery(g, exps)) == expected, (g, exps)
+        assert witten_psi(g, exps) == expected, (g, exps)
 
 
 def test_genus0_closed_form_oracle():
     rng = random.Random(3)
     for _ in range(120):
-        q = stable_random_query(rng, max_genus=0, max_points=9)
-        assert witten_psi(q) == genus0_closed_form(q.exponents)
+        g, exps = stable_random_query(rng, max_genus=0, max_points=9)
+        assert witten_psi(g, exps) == genus0_closed_form(exps)
 
 
 def test_dimension_vanishing():
     rng = random.Random(5)
     count = 0
     while count < 60:
-        q = stable_random_query(rng)
-        bumped = q.exponents[:-1] + (q.exponents[-1] + 1,)
-        assert witten_psi(PsiQuery(q.genus, bumped)) == 0
+        g, exps = stable_random_query(rng)
+        bumped = exps[:-1] + (exps[-1] + 1,)
+        assert witten_psi(g, bumped) == 0
         count += 1
 
 
 def test_unstable_query_raises():
     with pytest.raises(ValueError):
-        witten_psi(PsiQuery(0, (0, 0)))
+        witten_psi(0, (0, 0))
     with pytest.raises(ValueError):
-        kappa_psi(KappaPsiQuery(0, (0,), ()))
+        kappa_psi(0, (0,), ())
 
 
 def test_string_equation_randomized():
     rng = random.Random(17)
     checked = 0
     while checked < 100:
-        q = stable_random_query(rng)
-        extended = witten_psi(PsiQuery(q.genus, q.exponents + (0,)))
+        g, exps = stable_random_query(rng)
+        extended = witten_psi(g, exps + (0,))
         total = Fraction(0)
-        for j, a in enumerate(q.exponents):
+        for j, a in enumerate(exps):
             if a == 0:
                 continue
-            reduced = q.exponents[:j] + (a - 1,) + q.exponents[j + 1 :]
-            total += witten_psi(PsiQuery(q.genus, reduced))
+            reduced = exps[:j] + (a - 1,) + exps[j + 1 :]
+            total += witten_psi(g, reduced)
         assert extended == total
         checked += 1
 
@@ -126,20 +126,41 @@ def test_dilaton_equation_randomized():
     rng = random.Random(19)
     checked = 0
     while checked < 100:
-        q = stable_random_query(rng)
-        n = len(q.exponents)
-        extended = witten_psi(PsiQuery(q.genus, q.exponents + (1,)))
-        assert extended == (2 * q.genus - 2 + n) * witten_psi(q)
+        g, exps = stable_random_query(rng)
+        n = len(exps)
+        extended = witten_psi(g, exps + (1,))
+        assert extended == (2 * g - 2 + n) * witten_psi(g, exps)
         checked += 1
 
 
 def test_symmetry_under_shuffling():
     rng = random.Random(23)
     for _ in range(30):
-        q = stable_random_query(rng)
-        shuffled = list(q.exponents)
+        g, exps = stable_random_query(rng)
+        shuffled = list(exps)
         rng.shuffle(shuffled)
-        assert PsiQuery(q.genus, shuffled) == q
+        assert witten_psi(g, shuffled) == witten_psi(g, sorted(exps))
+
+
+def test_kappa_symmetry_under_shuffling():
+    # Both argument lists are read as multisets: the order of the psi
+    # exponents and of the kappa indices must not matter.
+    rng = random.Random(29)
+    cases = [
+        (2, (0,), (2, 1, 1)),
+        (0, (0, 0, 0, 0, 0, 0, 0), (2, 1, 1)),
+        (1, (1, 0, 0), (1, 1)),
+        (2, (2, 0, 1), (2, 1)),
+        (1, (1, 0), (1,)),
+    ]
+    for g, psi, kappa in cases:
+        want = kappa_psi(g, sorted(psi), sorted(kappa))
+        assert want != 0, (g, psi, kappa)
+        for _ in range(4):
+            shuffled_psi, shuffled_kappa = list(psi), list(kappa)
+            rng.shuffle(shuffled_psi)
+            rng.shuffle(shuffled_kappa)
+            assert kappa_psi(g, shuffled_psi, shuffled_kappa) == want, (g, psi, kappa)
 
 
 def _dfact(k):
@@ -208,16 +229,15 @@ def test_psi_reduce_matches_labeled_subset_reference():
             dim = 3 * genus - 3 + n
             for exps in itertools.combinations_with_replacement(range(dim + 1), n):
                 if sum(exps) == dim:
-                    got = witten_psi(PsiQuery(genus, exps))
+                    got = witten_psi(genus, exps)
                     assert got == _labeled_subset_psi(genus, exps, memo), (genus, exps)
                     checked += 1
     assert checked == 140
 
 
 def test_memo_determinism():
-    q = PsiQuery(3, (2, 6))
-    first = witten_psi(q)
-    assert all(witten_psi(q) == first for _ in range(3))
+    first = witten_psi(3, (2, 6))
+    assert all(witten_psi(3, (2, 6)) == first for _ in range(3))
 
 
 def test_self_validation_runs():
@@ -228,57 +248,57 @@ def test_self_validation_runs():
 
 
 def test_kappa_free_delegates():
-    assert kappa_psi(KappaPsiQuery(0, (0, 0, 0), ())) == 1
+    assert kappa_psi(0, (0, 0, 0), ()) == 1
 
 
 def test_kappa1_on_one_pointed_torus():
     # The nominal unpointed genus-1 space is unstable; the query lands on the
     # 1-pointed space, where kappa_1 integrates to 1/24.
-    assert kappa_psi(KappaPsiQuery(1, (), (1,))) == Fraction(1, 24)
+    assert kappa_psi(1, (), (1,)) == Fraction(1, 24)
 
 
 def test_kappa1_on_rational_4_pointed_space():
     # kappa_1 = pushforward of psi^2, so the integral must match the
     # 4-pointed psi integral <tau_1 tau_0^3>_0.
-    lhs = kappa_psi(KappaPsiQuery(0, (0, 0, 0, 0), (1,)))
-    assert lhs == witten_psi(PsiQuery(0, (1, 0, 0, 0))) == 1
+    lhs = kappa_psi(0, (0, 0, 0, 0), (1,))
+    assert lhs == witten_psi(0, (1, 0, 0, 0)) == 1
 
 
 def test_kappa_powers_on_rational_spaces():
     # integral of kappa_1^2 over the 5-pointed rational space:
     # <tau_2 tau_2 tau_0^5>_0 - <tau_3 tau_0^5>_0 = 6 - 1.
-    assert kappa_psi(KappaPsiQuery(0, (0,) * 5, (1, 1))) == 5
-    assert kappa_psi(KappaPsiQuery(0, (0,) * 5, (2,))) == 1
+    assert kappa_psi(0, (0,) * 5, (1, 1)) == 5
+    assert kappa_psi(0, (0,) * 5, (2,)) == 1
 
 
 def test_kappa1_cubed_genus2_weil_petersson_value():
     # Weil-Petersson volume of the genus-2 space: kappa_1^3 = 43/2880; this
     # exercises the simultaneous-merge terms of the kappa elimination.
-    assert kappa_psi(KappaPsiQuery(2, (), (1, 1, 1))) == Fraction(43, 2880)
+    assert kappa_psi(2, (), (1, 1, 1)) == Fraction(43, 2880)
 
 
 def test_kappa_rejects_nonpositive_indices():
     with pytest.raises(ValueError):
-        kappa_psi(KappaPsiQuery(1, (1,), (0,)))
+        kappa_psi(1, (1,), (0,))
 
 
 def test_negative_psi_exponent_rejected():
     # Both queries have exponents summing to the dimension, so the negative
     # entry is the only thing wrong with them.
     with pytest.raises(ValueError, match="nonnegative"):
-        witten_psi(PsiQuery(0, (-1, 2, 0, 0)))
+        witten_psi(0, (-1, 2, 0, 0))
     with pytest.raises(ValueError, match="nonnegative"):
-        kappa_psi(KappaPsiQuery(1, (-1, 2), (1,)))
+        kappa_psi(1, (-1, 2), (1,))
 
 
 def test_negative_genus_rejected():
     # Both queries are stable and miss the dimension, so they used to give 0;
     # the internal recursion still reaches genus -1 and must keep giving 0.
     with pytest.raises(ValueError, match="genus must be nonnegative"):
-        witten_psi(PsiQuery(-1, (0,) * 5))
+        witten_psi(-1, (0,) * 5)
     with pytest.raises(ValueError, match="genus must be nonnegative"):
-        kappa_psi(KappaPsiQuery(-1, (0,) * 4, (1,)))
-    assert witten_psi(PsiQuery(1, (0, 2))) == Fraction(1, 24)
+        kappa_psi(-1, (0,) * 4, (1,))
+    assert witten_psi(1, (0, 2)) == Fraction(1, 24)
 
 
 def test_self_validation_survives_optimize_flag():
