@@ -17,8 +17,10 @@ functions) is computed over this tower, so all values are exact:
 Degrees stay small in the target computations (below ~40), hence the dense
 representation.  Polynomial arithmetic runs on Python integers: sums and
 products work on the numerators and reduce by one integer gcd, and division
-and the polynomial gcd share one integer pseudo-division.  Only this module
-reads a polynomial's stored numerators and denominator.
+and the polynomial gcd share one integer pseudo-division.  ``lcm_sum`` and
+``linear_combination`` sum scalar and polynomial terms as integer numerators
+over a running lcm denominator.  Only this module reads a polynomial's stored
+numerators and denominator.
 """
 
 from __future__ import annotations
@@ -209,6 +211,20 @@ def linear_combination(terms: Iterable[tuple[Scalar, Polynomial]]) -> Polynomial
         for i, x in enumerate(p._ints):
             acc[i] += f * x
     return _poly(acc, den)
+
+
+def lcm_sum(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int]:
+    """sum_i c_i * p_i / q_i over the (c_i, p_i, q_i) integer triples, q_i > 0,
+    as a numerator over the running lcm of the q_i, unreduced: the caller
+    folds in any common factor and builds one Fraction."""
+    acc, den = 0, 1
+    for c, p, q in terms:
+        if den % q:
+            lcm = den // math.gcd(den, q) * q
+            acc *= lcm // den
+            den = lcm
+        acc += c * p * (den // q)
+    return acc, den
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

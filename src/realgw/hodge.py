@@ -5,10 +5,17 @@ A Hodge integral here is an integral of a monomial in psi classes and lambda
 classes (Chern classes of the Hodge bundle E) over the Deligne-Mumford space.
 The evaluation pipeline:
 
-1. ``lambda_to_ch`` rewrites a lambda monomial as a polynomial in the odd
+1. ``hodge_integral`` returns 0 on a dimension mismatch before any
+   expansion, then removes psi^0 points by the string equation
+   <tau_0 prod tau_(a_j) lambda> = sum_j <tau_(a_j - 1) prod_(i != j) tau_(a_i) lambda>
+   while the space with one point fewer is stable.  This is the first step
+   of Faber's algorithm (Algorithms for computing intersection numbers on
+   moduli spaces of curves, 1999); it holds because lambda classes pull
+   back under the map forgetting a point.
+2. ``lambda_to_ch`` rewrites a lambda monomial as a polynomial in the odd
    Chern characters ch_1, ch_3, ch_5, ... by Newton's identities; the even
    Chern characters of E vanish identically (Mumford), so they are dropped.
-2. ``_ch_integral`` eliminates ch factors one at a time, expanding the
+3. ``_ch_integral`` eliminates ch factors one at a time, expanding the
    largest ch_(2l-1) by GRR into kappa, psi, and boundary terms with the
    Bernoulli-number prefactor B_(2l)/(2l)!.  Kappa and psi terms stay on the
    same space; boundary terms push the remaining integrand to the
@@ -17,22 +24,25 @@ The evaluation pipeline:
    and remaining ch factors restrict to boundary pieces in the standard way:
    psi_i lands on the piece carrying the point i, while kappa and ch restrict
    to the sum over pieces.
-3. The terms are generated already grouped by the integral they lead to:
+4. The terms are generated already grouped by the integral they lead to:
    one psi term per distinct exponent times its multiplicity, and one
    separating term per split of the psi-exponent multiset times the number
    of labeled point subsets realizing it.  The kappa and ch splits of a
    separating term are bucketed by the degree they send to the genus-h
    side, and only the bucket that side's dimension asks for is visited.
-   Within a bucket the products of the two sides are summed as integers
-   over one running denominator.
-4. Classes that vanish by theorem are not expanded.  Mumford's relation
+   All terms of one expansion, same-space, irreducible and separating, are
+   summed as integer numerators over one running lcm denominator
+   (``exact_arith.lcm_sum``), and the prefactor B_(2l)/(2 (2l)!) is folded
+   into the one Fraction built per memo entry.  ``hodge_integral`` sums its
+   string and ch terms the same way.
+5. Classes that vanish by theorem are not expanded.  Mumford's relation
    c(E)c(E^dual) = 1 (Towards an enumerative geometry of the moduli space
    of curves, 1983) gives lambda_g^2 = 0 for g >= 1, so ``hodge_integral``
    returns 0 when lambda_g appears twice.  ``_ch_integral`` returns 0 for a
    ch factor at genus 0, where E = 0, and for ch_m with m >= 3 at genus 1,
    where E is pulled back from the 1-pointed space, so lambda_1^2 = 0 and
    ch_m = lambda_1^m / m! = 0 for m >= 2.
-5. With no ch factors left, the integral is a psi-kappa correlator.
+6. With no ch factors left, the integral is a psi-kappa correlator.
 
 On top of this the module exposes the products Lambda(u_1)Lambda(u_2)
 Lambda(u_3) integrated against geometric-series denominators 1/(u - psi),
@@ -63,11 +73,13 @@ from .exact_arith import (
     RatLike,
     Rational,
     RationalFunction,
+    lcm_sum,
     linear_combination,
 )
 from .psi_kappa import (
     _kappa_memo,
     _kappa_value,
+    _lowered,
     _pad_to_stable,
     _psi_memo,
     _subsets_of_multiset,
@@ -148,12 +160,19 @@ def _ch_integral(
     exponent times its multiplicity, and one separating term per
     (genus-h side, point multiset) split times the number of labeled point
     subsets realizing it.  Separating types are ordered, so each divisor
-    appears twice, which the global 1/2 compensates.
+    appears twice, which the global 1/2 compensates.  All terms are summed
+    as integers over one running denominator, the same-space ones doubled
+    against the 1/2, and the prefactor B_(m+1)/(2 (m+1)!) is folded into
+    the one Fraction built for the memo entry.
 
     A ch factor at genus 0 (where E = 0), or ch_m with m >= 3 at genus 1
     (where lambda_1^2 = 0 by Mumford's relation, so ch_m = lambda_1^m / m!
     vanishes for m >= 2), gives 0 without expansion.
     """
+    key = (genus, psi, kappa, ch)
+    cached = _ch_memo.get(key)
+    if cached is not None:
+        return cached
     n = len(psi)
     if 2 * genus - 2 + n <= 0:
         return Fraction(0)
@@ -163,26 +182,23 @@ def _ch_integral(
         return _kappa_value(genus, psi, kappa)
     if genus == 0 or (genus == 1 and ch[-1] >= 3):
         return Fraction(0)
-    key = (genus, psi, kappa, ch)
-    cached = _ch_memo.get(key)
-    if cached is not None:
-        return cached
     m = ch[-1]
     rest_ch = ch[:-1]
     # kappa_m and psi_i^m stay on the same space.
-    same = _ch_integral(genus, psi, tuple(sorted(kappa + (m,))), rest_ch)
-    for i, v in enumerate(psi):
-        if i and psi[i - 1] == v:
+    v = _ch_integral(genus, psi, tuple(sorted(kappa + (m,))), rest_ch)
+    terms = [(2, v.numerator, v.denominator)]
+    for i, p in enumerate(psi):
+        if i and psi[i - 1] == p:
             continue
-        bumped = tuple(sorted(psi[:i] + (v + m,) + psi[i + 1 :]))
-        same -= psi.count(v) * _ch_integral(genus, bumped, kappa, rest_ch)
+        bumped = tuple(sorted(psi[:i] + (p + m,) + psi[i + 1 :]))
+        v = _ch_integral(genus, bumped, kappa, rest_ch)
+        terms.append((-2 * psi.count(p), v.numerator, v.denominator))
     # Boundary terms, summed with the sign (-1)^a of the node exponent a.
-    node = Fraction(0)
     if genus >= 1:
         for a in range(m):
             psi_irr = tuple(sorted(psi + (a, m - 1 - a)))
             v = _ch_integral(genus - 1, psi_irr, kappa, rest_ch)
-            node += -v if a % 2 else v
+            terms.append((-1 if a % 2 else 1, v.numerator, v.denominator))
     buckets = _splits_by_degree(kappa, rest_ch)
     for left, right, count in _subsets_of_multiset(psi):
         n_left = len(left)
@@ -199,10 +215,9 @@ def _ch_integral(
                     continue
                 psi1 = tuple(sorted(left + (a,)))
                 psi2 = tuple(sorted(right + (m - 1 - a,)))
+                sign = -count if a % 2 else count
                 # Both sides are stable and of the right dimension, so a side
-                # without ch factors is a psi-kappa correlator.  The products
-                # are summed as integers over a running lcm denominator.
-                acc, den = 0, 1
+                # without ch factors is a psi-kappa correlator.
                 for k1, c1, k2, c2, w in bucket:
                     if c1:
                         v1 = _ch_integral(h, psi1, k1, c1)
@@ -216,16 +231,18 @@ def _ch_integral(
                         v2 = _kappa_value(genus - h, psi2, k2)
                     if not v2:
                         continue
-                    d = v1.denominator * v2.denominator
-                    if den % d:
-                        lcm = math.lcm(den, d)
-                        acc *= lcm // den
-                        den = lcm
-                    acc += w * v1.numerator * v2.numerator * (den // d)
-                if acc:
-                    node += Fraction(-count * acc if a % 2 else count * acc, den)
-    pref = bernoulli(m + 1) / math.factorial(m + 1)
-    total = pref * same + pref / 2 * node
+                    terms.append(
+                        (
+                            sign * w,
+                            v1.numerator * v2.numerator,
+                            v1.denominator * v2.denominator,
+                        )
+                    )
+    num, den = lcm_sum(terms)
+    pref = bernoulli(m + 1)
+    total = Fraction(
+        pref.numerator * num, pref.denominator * 2 * math.factorial(m + 1) * den
+    )
     _ch_memo[key] = total
     return total
 
@@ -251,11 +268,22 @@ def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
     Returns 0 on a dimension mismatch, when a lambda index exceeds the
     genus (the Hodge bundle has rank g), or when lambda_g appears twice at
     genus g >= 1 (Mumford's relation c(E)c(E^dual) = 1 gives lambda_g^2 = 0;
-    at genus 0, lambda_0 = 1).  A query with too few points for a
-    stable space is interpreted on the minimal stable space with extra psi^0
-    points, so a genus-1 query with no points integrates over the 1-pointed
-    space (same convention as the kappa layer).  A negative genus, psi
-    exponent or lambda index raises ``ValueError``.
+    at genus 0, lambda_0 = 1), in each case before any expansion.  A query
+    with too few points for a stable space is interpreted on the minimal
+    stable space with extra psi^0 points, so a genus-1 query with no points
+    integrates over the 1-pointed space (same convention as the kappa
+    layer).  A negative genus, psi exponent or lambda index raises
+    ``ValueError``.
+
+    A psi^0 point is removed by the string equation
+
+        <tau_0 prod_j tau_(a_j) lambda>
+            = sum_j <tau_(a_j - 1) prod_(i != j) tau_(a_i) lambda>
+
+    while the space with one point fewer is stable; it holds because lambda
+    classes pull back under the map forgetting a point.  Only queries with
+    no psi^0 point left, or on a space that cannot lose one, are expanded
+    by ``lambda_to_ch`` and ``_ch_integral``.
     """
     psi = tuple(sorted(psi_exponents))
     lam = tuple(sorted(lambda_indices))
@@ -264,6 +292,8 @@ def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
     if any(a < 0 for a in psi) or any(r < 0 for r in lam):
         raise ValueError("psi exponents and lambda indices must be nonnegative")
     psi = _pad_to_stable(genus, psi)
+    if sum(psi) + sum(lam) != 3 * genus - 3 + len(psi):
+        return Fraction(0)
     if any(r > genus for r in lam):
         return Fraction(0)
     if genus >= 1 and lam.count(genus) >= 2:
@@ -272,9 +302,20 @@ def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
     cached = _hodge_memo.get(key)
     if cached is not None:
         return cached
-    total = Fraction(0)
-    for ch_key, coeff in lambda_to_ch(lam).items():
-        total += coeff * _ch_integral(genus, psi, (), ch_key)
+    terms = []
+    if psi and psi[0] == 0 and 2 * genus - 3 + len(psi) > 0:
+        # Through the module binding, so a wrapper installed on it sees
+        # every reduced query.
+        for count, reduced in _lowered(psi[1:]):
+            v = hodge_integral(genus, reduced, lam)
+            terms.append((count, v.numerator, v.denominator))
+    else:
+        for ch_key, coeff in lambda_to_ch(lam).items():
+            v = _ch_integral(genus, psi, (), ch_key)
+            terms.append(
+                (1, coeff.numerator * v.numerator, coeff.denominator * v.denominator)
+            )
+    total = Fraction(*lcm_sum(terms))
     _hodge_memo[key] = total
     return total
 

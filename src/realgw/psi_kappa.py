@@ -19,9 +19,13 @@ the Hodge layer.
 time through the forgetful-map relation kappa_b = pi_*(psi^(b+1)), trading the
 last kappa index for a new marked point minus merge corrections.
 
-All queries are memoized on canonical sorted keys; the module is pure but the
-shared memo dictionaries are not synchronized, so it is single-threaded by
-contract.
+The string, DVV and kappa sums are accumulated as integer numerators over
+one running lcm denominator (``exact_arith.lcm_sum``), with the DVV weights
+doubled to integers, so each memo entry builds one Fraction.
+
+All queries are memoized on canonical sorted keys, and a memo hit returns
+before any stability or dimension check; the module is pure but the shared
+memo dictionaries are not synchronized, so it is single-threaded by contract.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_arith import Rational
+from .exact_arith import Rational, lcm_sum
 
 _psi_memo: dict[tuple, Fraction] = {}
 _kappa_memo: dict[tuple, Fraction] = {}
@@ -54,21 +58,36 @@ def _double_factorial(n: int) -> int:
 
 
 def _psi_value(genus: int, exps: tuple[int, ...]) -> Fraction:
-    """Internal evaluation with the convention that unstable input is 0."""
-    n = len(exps)
-    if 2 * genus - 2 + n <= 0:
-        return Fraction(0)
-    if any(a < 0 for a in exps):
-        return Fraction(0)
-    if sum(exps) != 3 * genus - 3 + n:
-        return Fraction(0)
+    """Internal evaluation with the convention that unstable input is 0.
+
+    ``exps`` is sorted (every caller passes a sorted tuple), so exps[0] is
+    the least exponent.
+    """
     key = (genus, exps)
     cached = _psi_memo.get(key)
     if cached is not None:
         return cached
+    n = len(exps)
+    if 2 * genus - 2 + n <= 0:
+        return Fraction(0)
+    # n >= 1 past the dimension check: a stable space with no points has
+    # genus >= 2 and dimension 3g - 3 > 0.
+    if sum(exps) != 3 * genus - 3 + n or exps[0] < 0:
+        return Fraction(0)
     value = _psi_reduce(genus, exps)
     _psi_memo[key] = value
     return value
+
+
+def _lowered(psi: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(multiplicity, psi with one copy of a lowered by 1) for each distinct
+    positive exponent a of the sorted tuple psi; the tuples stay sorted.
+    These are the right-hand side terms of the string equation."""
+    out = []
+    for i, v in enumerate(psi):
+        if v and (i == 0 or psi[i - 1] != v):
+            out.append((psi.count(v), psi[:i] + (v - 1,) + psi[i + 1 :]))
+    return out
 
 
 def _psi_reduce(genus: int, exps: tuple[int, ...]) -> Fraction:
@@ -78,45 +97,54 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> Fraction:
     if genus == 1 and exps == (1,):
         return Fraction(1, 24)
     # String equation: drop a tau_0 and lower one remaining exponent.
-    if exps and exps[0] == 0:
-        rest = exps[1:]
-        total = Fraction(0)
-        for j in range(len(rest)):
-            if rest[j] == 0:
-                continue
-            reduced = rest[:j] + (rest[j] - 1,) + rest[j + 1 :]
-            total += _psi_value(genus, tuple(sorted(reduced)))
-        return total
+    if exps[0] == 0:
+        terms = []
+        for count, reduced in _lowered(exps[1:]):
+            v = _psi_value(genus, reduced)
+            terms.append((count, v.numerator, v.denominator))
+        return Fraction(*lcm_sum(terms))
     # Dilaton equation: drop a tau_1 and scale by 2g - 2 + (n - 1).
     if 1 in exps:
         j = exps.index(1)
         rest = exps[:j] + exps[j + 1 :]
         return (2 * genus - 2 + n - 1) * _psi_value(genus, rest)
-    # DVV recursion on the largest exponent (all exponents are >= 2 here).
+    # DVV recursion on the largest exponent (all exponents are >= 2 here),
+    # summed in integers with every term doubled, so the degeneration weight
+    # (2b+1)!! (2c+1)!! / 2 becomes an integer; the 2 and (2 a1 + 1)!! go
+    # into the final denominator.
     a1 = exps[-1]
     rest = exps[:-1]
-    total = Fraction(0)
+    terms = []
     for j in range(len(rest)):
         aj = rest[j]
         reduced = rest[:j] + rest[j + 1 :] + (a1 + aj - 1,)
-        total += Fraction(
-            _double_factorial(2 * (a1 + aj) - 1), _double_factorial(2 * aj - 1)
-        ) * _psi_value(genus, tuple(sorted(reduced)))
+        v = _psi_value(genus, tuple(sorted(reduced)))
+        # (2(a1 + aj) - 1)!! / (2 aj - 1)!! is a product of odd integers.
+        c = _double_factorial(2 * (a1 + aj) - 1) // _double_factorial(2 * aj - 1)
+        terms.append((2 * c, v.numerator, v.denominator))
     for b in range(a1 - 1):
         c = a1 - 2 - b
-        w = Fraction(_double_factorial(2 * b + 1) * _double_factorial(2 * c + 1), 2)
+        w = _double_factorial(2 * b + 1) * _double_factorial(2 * c + 1)
         # Non-separating degeneration.
-        total += w * _psi_value(genus - 1, tuple(sorted(rest + (b, c))))
+        v = _psi_value(genus - 1, tuple(sorted(rest + (b, c))))
+        terms.append((w, v.numerator, v.denominator))
         # Separating degenerations over all genus and marked-point splits,
         # one term per split of the exponent multiset times its subset count.
         for g1 in range(genus + 1):
             for left, right, count in _subsets_of_multiset(rest):
                 lv = _psi_value(g1, tuple(sorted(left + (b,))))
-                if lv == 0:
+                if not lv:
                     continue
                 rv = _psi_value(genus - g1, tuple(sorted(right + (c,))))
-                total += count * w * lv * rv
-    return total / _double_factorial(2 * a1 + 1)
+                terms.append(
+                    (
+                        count * w,
+                        lv.numerator * rv.numerator,
+                        lv.denominator * rv.denominator,
+                    )
+                )
+    num, den = lcm_sum(terms)
+    return Fraction(num, 2 * den * _double_factorial(2 * a1 + 1))
 
 
 def witten_psi(genus: int, exponents) -> Rational:
@@ -207,14 +235,12 @@ def _kappa_value(
         return cached
     b = kappa[-1]
     rest = kappa[:-1]
-    value = Fraction(0)
+    terms = []
     for merged, remaining, count in _subsets_of_multiset(rest):
         exponent = 1 + b + sum(merged)
-        value += (
-            (-1) ** len(merged)
-            * count
-            * _kappa_value(genus, tuple(sorted(psi + (exponent,))), remaining)
-        )
+        v = _kappa_value(genus, tuple(sorted(psi + (exponent,))), remaining)
+        terms.append((-count if len(merged) % 2 else count, v.numerator, v.denominator))
+    value = Fraction(*lcm_sum(terms))
     _kappa_memo[key] = value
     return value
 

@@ -9,6 +9,7 @@ from realgw.exact_arith import (
     Polynomial,
     RationalFunction,
     Series,
+    lcm_sum,
     poly_gcd,
     series_exp,
     series_log,
@@ -19,6 +20,20 @@ from realgw.exact_arith import (
 
 def rand_fraction(rng):
     return Fraction(rng.randint(-8, 8), rng.randint(1, 9))
+
+
+def test_lcm_sum_matches_fraction_sum():
+    # The denominator is the lcm of the term denominators, unreduced.
+    assert lcm_sum([]) == (0, 1)
+    assert lcm_sum([(2, 1, 3), (-1, 1, 6), (3, 5, 4)]) == (51, 12)
+    rng = random.Random(7)
+    for _ in range(200):
+        terms = [
+            (rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(1, 12))
+            for _ in range(rng.randint(0, 6))
+        ]
+        num, den = lcm_sum(terms)
+        assert Fraction(num, den) == sum(Fraction(c * p, q) for c, p, q in terms)
 
 
 def rand_poly(rng, max_deg=4):

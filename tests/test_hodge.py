@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import pytest
 
-from realgw import psi_kappa
+from realgw import hodge, psi_kappa
 from realgw.exact_arith import (
     Polynomial,
     RationalFunction,
@@ -265,6 +265,58 @@ def test_ch_integral_matches_per_subset_reference():
     assert sum(v != 0 for v in want_hodge + want_ch) == 446
     assert (len(three_cases), sum(v != 0 for v in want_three)) == (71, 52)
     assert sum(lam.count(g) >= 2 for g, _, lam in three_cases) == 11
+
+
+def test_string_reduction_matches_per_subset_reference():
+    # hodge_integral removes psi^0 points by the string equation; the
+    # reference expands every query by GRR instead.
+    cases = []
+    # Several psi^0 points next to positive exponents.
+    for g in (1, 2, 3):
+        for zeros in (2, 3, 4):
+            dim = 3 * g - 3 + zeros + 1
+            for lam in ((), (1,), (g,), (1, g)):
+                if sum(lam) <= dim:
+                    cases.append((g, (0,) * zeros + (dim - sum(lam),), lam))
+    cases += [(2, (0, 0, 1, 3), (1,)), (3, (0, 0, 2, 4), (1, 2))]
+    # Stability edges: (1, (0,)) and (0, (0, 0, 0)) cannot lose a point,
+    # while (1, (0, 0)), (1, (0, 2)) and (0, (0, 0, 0, 1)) reduce to them.
+    cases += [
+        (1, (0,), (1,)),
+        (1, (0, 0), (1,)),
+        (1, (0, 2), ()),
+        (1, (0, 1), (1,)),
+        (0, (0, 0, 0), ()),
+        (0, (0, 0, 0), (0,)),
+        (0, (0, 0, 0, 1), ()),
+        (0, (0, 0, 1, 1, 0), ()),
+    ]
+    # The degree-1 vertex shape: psi exponents (0, s) with the nonzero
+    # entries of three lambda indices, through genus 3.
+    for g in (1, 2, 3):
+        for rs in itertools.product(range(g + 1), repeat=3):
+            lam = tuple(sorted(r for r in rs if r > 0))
+            s = 3 * g - 1 - sum(lam)
+            if s >= 0 and (g, (0, s), lam) not in cases:
+                cases.append((g, (0, s), lam))
+    memo = {}
+    want = [_reference_hodge_integral(*case, memo) for case in cases]
+    clear_caches()
+    got = [hodge_integral(*case) for case in cases]
+    assert got == want
+    assert (len(cases), sum(v != 0 for v in want)) == (75, 61)
+
+
+def test_dimension_mismatch_returns_zero_before_expansion(monkeypatch):
+    # The dimension check comes before lambda_to_ch: at genus 300 the
+    # expansion would not finish.
+    def refuse(_):
+        raise AssertionError("lambda_to_ch called on a dimension mismatch")
+
+    monkeypatch.setattr(hodge, "lambda_to_ch", refuse)
+    assert hodge_integral(300, (), (300,)) == 0
+    assert hodge_integral(60, (), (60,)) == 0
+    assert hodge_integral(2, (0, 1), (1,)) == 0
 
 
 # -- GRR expansion structure ---------------------------------------------------

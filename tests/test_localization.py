@@ -636,6 +636,23 @@ def test_cold_enumeration_canonical_form_calls():
     assert calls[0] <= 296 and calls[1] <= 902
 
 
+def test_cold_degree1_column_memo_sizes():
+    # Memo entries left by a cold `realgw enum --degree 1 --max-genus 8`,
+    # counted in a fresh interpreter.  Removing psi^0 points by the string
+    # equation in hodge_integral took them from 1,791, 2,003 and 903.
+    probe = (
+        "import contextlib, io\n"
+        "from realgw import cli, hodge, psi_kappa\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['enum', '--degree', '1', '--max-genus', '8'])\n"
+        "print(len(hodge._ch_memo), len(psi_kappa._kappa_memo), "
+        "len(psi_kappa._psi_memo))\n"
+    )
+    done = _run_fresh(probe)
+    ch, kappa, psi = map(int, done.stdout.split())
+    assert ch <= 879 and kappa <= 997 and psi <= 495
+
+
 def test_balanced_sum_equals_left_to_right_sum():
     values = [v for _, v in pair_contributions(0, 5)]
     total = RationalFunction.const(0)
@@ -773,7 +790,7 @@ def test_table_column_degree4():
 
 
 @pytest.mark.parametrize(
-    "g", [0, 2, 4, 6, 8, 10, pytest.param(12, marks=pytest.mark.slow)]
+    "g", [0, 2, 4, 6, 8, 10, 12, pytest.param(14, marks=pytest.mark.slow)]
 )
 def test_degree1_closed_form(g):
     # A line has E(g, 1) = 0 for g >= 1, so the real GW-invariant is
