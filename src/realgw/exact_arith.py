@@ -10,17 +10,18 @@ functions) is computed over this tower, so all values are exact:
   one common denominator in a unique reduced form.
 * :class:`RationalFunction` is a quotient of two polynomials kept in normal
   form (coprime, monic denominator), so equality of values is equality of
-  normal forms.
+  normal forms.  Only its constructor builds that form.
 * :class:`Series` is a truncated formal power series in ``t`` whose
   coefficients live either in the rationals or in rational functions of ``z``.
 
-Degrees stay small in the target computations (below ~40), hence the dense
+Scalars are ``int`` or ``Fraction``; a float anywhere is a TypeError.  Degrees
+stay small in the target computations (below ~40), hence the dense
 representation.  Polynomial arithmetic runs on Python integers: sums and
-products work on the numerators and reduce by one integer gcd, and division
-and the polynomial gcd share one integer pseudo-division.  ``lcm_sum`` and
-``linear_combination`` sum scalar and polynomial terms as integer numerators
-over a running lcm denominator.  Only this module reads a polynomial's stored
-numerators and denominator.
+products work on the numerators and reduce by one integer gcd, and the gcd
+and the exact division by it share one integer pseudo-division.  ``lcm_sum``
+and ``linear_combination`` sum scalar and polynomial terms as integer
+numerators over a running lcm denominator.  Only this module reads a
+polynomial's stored numerators and denominator.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ from typing import Iterable, Sequence, Union
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
+
+
+def _scalar(c: Scalar) -> Fraction:
+    """c as a Fraction, or a TypeError if c is no int or Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"exact scalar must be int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
 
 
 def _poly(ints: Iterable[int], den: int = 1) -> "Polynomial":
@@ -94,7 +102,7 @@ class Polynomial:
     _den: int
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        fracs = [Fraction(c) for c in coeffs]
+        fracs = [_scalar(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in fracs))
         p = _poly((c.numerator * (den // c.denominator) for c in fracs), den)
         object.__setattr__(self, "_ints", p._ints)
@@ -122,11 +130,6 @@ class Polynomial:
         """Degree, with the convention that the zero polynomial has degree -1."""
         return len(self._ints) - 1
 
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self._ints[-1], self._den)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         den = math.lcm(self._den, other._den)
         a = [c * (den // self._den) for c in self._ints]
@@ -152,30 +155,12 @@ class Polynomial:
                     out[i + j] += x * y
         return _poly(out, self._den * other._den)
 
-    def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
-        return _poly((x * c.numerator for x in self._ints), self._den * c.denominator)
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Euclidean division: self = q * other + r with deg r < deg other."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        # s * A = Q * B + R on the numerators gives A/a = (Q b/(a s)) (B/b) + R/(a s).
-        quot, rem, s = _pseudo_divmod(self._ints, other._ints)
-        den = self._den * s
-        return _poly((c * other._den for c in quot), den), _poly(rem, den)
-
     def eval_at(self, q: Scalar) -> Fraction:
-        q = Fraction(q)
+        q = _scalar(q)
         acc = Fraction(0)
         for c in reversed(self._ints):
             acc = acc * q + c
         return acc / self._den
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return _poly(self._ints, self._ints[-1])
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -193,13 +178,16 @@ class Polynomial:
         return " + ".join(parts)
 
 
+_ONE = _poly((1,))
+
+
 def linear_combination(terms: Iterable[tuple[Scalar, Polynomial]]) -> Polynomial:
     """sum_i c_i * p_i over the (c_i, p_i) pairs, accumulated as integer
     numerators over a running lcm denominator and reduced once at the end."""
     acc: list[int] = []
     den = 1
     for c, p in terms:
-        c = Fraction(c)
+        c = _scalar(c)
         d = c.denominator * p._den
         if den % d:
             lcm = math.lcm(den, d)
@@ -247,8 +235,13 @@ class RationalFunction:
     """Quotient of polynomials in ``z`` kept in a unique normal form.
 
     The normal form has coprime numerator/denominator and a monic denominator,
-    so dataclass equality coincides with equality of rational functions.  A
-    constant rational function reports its value via :meth:`constant_value`.
+    so dataclass equality coincides with equality of rational functions.  The
+    constructor takes polynomials or ``int``/``Fraction`` scalars and builds
+    the form in one pass: num/den = (N d)/(D n) on the integer numerators N, D
+    over n, d; the primitive gcd G from :func:`poly_gcd` divides N and D
+    exactly over the integers (Gauss's lemma); the leading integer of D/G is
+    folded into both sides.  ``const``, ``z`` and negation are normal by
+    construction and skip the gcd.
     """
 
     num: Polynomial
@@ -262,26 +255,28 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = Polynomial(), Polynomial.const(1)
+            den = _ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            lead = den.leading_coefficient()
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+            top, bottom = num._ints, den._ints
+            # Looked up as a module global, so a tracer can count the calls.
+            gcd = poly_gcd(num, den)._ints
+            if len(gcd) > 1:
+                q, _, s = _pseudo_divmod(top, gcd)
+                r, _, t = _pseudo_divmod(bottom, gcd)
+                top, bottom = [c // s for c in q], [c // t for c in r]
+            lead = bottom[-1]
+            num = _poly([c * den._den for c in top], num._den * lead)
+            den = _poly(bottom, lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     @staticmethod
     def const(value: Scalar) -> "RationalFunction":
-        return RationalFunction(Polynomial.const(value))
+        return _normal(Polynomial.const(value), _ONE)
 
     @staticmethod
     def z() -> "RationalFunction":
-        return RationalFunction(Polynomial.variable())
+        return _normal(Polynomial.variable(), _ONE)
 
     @staticmethod
     def coerce(value: "RatLike") -> "RationalFunction":
@@ -309,7 +304,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return _normal(-self.num, self.den)
 
     def __sub__(self, other: "RatLike") -> "RationalFunction":
         return self + (-RationalFunction.coerce(other))
@@ -357,6 +352,14 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
 
+def _normal(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num / den stored as given: coprime, with den monic."""
+    r = object.__new__(RationalFunction)
+    object.__setattr__(r, "num", num)
+    object.__setattr__(r, "den", den)
+    return r
+
+
 RatLike = Union[RationalFunction, Fraction, int]
 
 #: Coefficients of a Series: exact rationals or rational functions of z.
@@ -396,8 +399,9 @@ class Series:
             raise ValueError("truncation order must be nonnegative")
         padded = list(coeffs[: truncation_order + 1])
         padded += [Fraction(0)] * (truncation_order + 1 - len(padded))
-        norm: list[Coefficient] = [
-            Fraction(c) if isinstance(c, int) else c for c in padded
+        norm = [
+            c if isinstance(c, (Fraction, RationalFunction)) else _scalar(c)
+            for c in padded
         ]
         if parity not in (None, "even", "odd"):
             raise ValueError(f"unknown parity flag {parity!r}")
@@ -467,7 +471,6 @@ class Series:
         )
 
     def scale(self, c: Coefficient | int) -> "Series":
-        c = Fraction(c) if isinstance(c, int) else c
         return Series(
             [a * c for a in self.coeffs], self.truncation_order, self.parity
         )
@@ -477,11 +480,7 @@ class Series:
         c0 = self.coeffs[0]
         if _coeff_is_zero(c0):
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        inv0 = (
-            RationalFunction.const(1) / c0
-            if isinstance(c0, RationalFunction)
-            else 1 / c0
-        )
+        inv0 = 1 / c0
         n = self.truncation_order
         out: list[Coefficient] = [inv0] + [Fraction(0)] * n
         for k in range(1, n + 1):

@@ -245,19 +245,6 @@ def _kappa_value(
     return value
 
 
-def genus0_closed_form(exponents) -> Rational:
-    """Independent oracle for genus 0: <tau_a...>_0 = (n-3)! / prod(a_i!).
-
-    Valid for stable n >= 3 with sum(a_i) = n - 3; used by the test suite to
-    cross-check the recursion.
-    """
-    exps = tuple(exponents)
-    n = len(exps)
-    if n < 3 or sum(exps) != n - 3:
-        return Fraction(0)
-    return Fraction(math.factorial(n - 3), math.prod(math.factorial(a) for a in exps))
-
-
 def self_validate() -> None:
     """Quick consistency check of the recursion constants.
 

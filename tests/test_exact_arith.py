@@ -16,6 +16,7 @@ from realgw.exact_arith import (
     series_pow,
     series_sinc,
 )
+from realgw.hodge import i1
 
 
 def rand_fraction(rng):
@@ -166,7 +167,11 @@ def test_poly_gcd_example():
     z = Polynomial.variable()
     one = Polynomial.const(1)
     g = poly_gcd(z * z - one, z - one)
-    assert g == (z - one).monic()
+    assert g == z - one and g.coeffs == (-1, 1)
+    # Neither argument is monic; the gcd is.
+    two, three = Polynomial.const(2), Polynomial.const(3)
+    g = poly_gcd(two * (z * z - one), three * (z - one))
+    assert g == z - one and g.coeffs == (-1, 1)
 
 
 def test_ratfunc_cancellation_to_normal_form():
@@ -229,3 +234,39 @@ def test_eval_commutes_with_arithmetic():
             continue
         assert pv == fv * gv
         assert sv == fv + gv
+
+
+# -- only exact scalars enter the tower --------------------------------------
+
+
+def test_polynomial_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        Polynomial([0.1])
+    with pytest.raises(TypeError):
+        Polynomial.const(1.0)
+    with pytest.raises(TypeError):
+        Polynomial.variable().eval_at(0.5)
+
+
+def test_rational_function_rejects_float_scalars():
+    with pytest.raises(TypeError):
+        RationalFunction(1, 0.5)
+    with pytest.raises(TypeError):
+        RationalFunction.const(0.1)
+    with pytest.raises(TypeError):
+        RationalFunction.z() + 0.1
+    with pytest.raises(TypeError):
+        i1(1, 0.1, 1, 2)
+
+
+def test_series_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        series_pow(Series([1, 0, 0.5]), 2)
+    with pytest.raises(TypeError):
+        Series([1, "2"])
+    with pytest.raises(TypeError):
+        Series([1, 2]).scale(0.5)
+    z = RationalFunction.z()
+    s = Series([1, Fraction(1, 2), z])
+    assert s.coeffs == (Fraction(1), Fraction(1, 2), z)
+    assert isinstance(s.coeffs[0], Fraction)

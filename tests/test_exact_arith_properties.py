@@ -5,10 +5,13 @@ is unique: equal values have equal ``num`` and ``den``.  Sums in any order
 therefore agree field by field, which the balanced class sum in
 ``localization.gw_real`` relies on.  The integer-backed Polynomial is checked
 coefficient by coefficient against a reference kept here: a tuple of
-Fractions with schoolbook division and the plain Euclidean gcd.  Degrees and
-example counts are kept small so the whole module runs in a few seconds.
+Fractions with schoolbook division and the plain Euclidean gcd.  Division
+itself is checked on the integer pseudo-division that the gcd and the
+RationalFunction constructor share.  Degrees and example counts are kept
+small so the whole module runs in a few seconds.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from realgw.exact_arith import (
     Polynomial,
     RationalFunction,
+    _pseudo_divmod,
     linear_combination,
     poly_gcd,
 )
@@ -104,6 +108,18 @@ def fraction_normal_form(num, den):
     return num.scale(1 / lead).coeffs, den.scale(1 / lead).coeffs
 
 
+def numerators(p):
+    """p's coefficients times the lcm of their denominators: an integer list
+    with no trailing zero."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * den) for c in p.coeffs]
+
+
+def scaled(ints, s):
+    """The FractionPolynomial ints / s."""
+    return FractionPolynomial(Fraction(c, s) for c in ints)
+
+
 coeff_lists = st.lists(fractions, max_size=5)
 nonzero_lists = coeff_lists.filter(any)
 
@@ -117,8 +133,9 @@ def test_ring_operations_match_fraction_reference(a, b, c):
     assert (pa + pb).coeffs == (ra + rb).coeffs
     assert (pa - pb).coeffs == (ra + rb.scale(-1)).coeffs
     assert (pa * pb).coeffs == (ra * rb).coeffs
-    assert pa.scale(c).coeffs == ra.scale(c).coeffs
-    assert pa.monic().coeffs == ra.monic().coeffs
+    assert (Polynomial.const(c) * pa).coeffs == ra.scale(c).coeffs
+    lead = pa.coeffs[-1] if pa.coeffs else Fraction(1)
+    assert (Polynomial.const(1 / lead) * pa).coeffs == ra.monic().coeffs
 
 
 @exact
@@ -129,9 +146,12 @@ def test_division_and_gcd_match_fraction_reference(a, b, common):
     pb = Polynomial(b) * Polynomial(common)
     ra = FractionPolynomial(a) * FractionPolynomial(common)
     rb = FractionPolynomial(b) * FractionPolynomial(common)
-    q, r = pa.divmod(pb)
-    rq, rr = ra.divmod(rb)
-    assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
+    # Pseudo-division of the integer numerators: (q/s, r/s) is the quotient
+    # and remainder of plain division.
+    top, bottom = numerators(pa), numerators(pb)
+    q, r, s = _pseudo_divmod(top, bottom)
+    rq, rr = FractionPolynomial(top).divmod(FractionPolynomial(bottom))
+    assert (scaled(q, s).coeffs, scaled(r, s).coeffs) == (rq.coeffs, rr.coeffs)
     assert poly_gcd(pa, pb).coeffs == fraction_gcd(ra, rb).coeffs
     assert poly_gcd(pb, pa).coeffs == fraction_gcd(rb, ra).coeffs
 
@@ -152,17 +172,19 @@ def test_rational_function_matches_fraction_reference(num, den, common):
 def test_equal_polynomials_built_differently_are_identical(a, b, c):
     p = Polynomial(a)
     ways = [
-        p.scale(c).scale(1 / c),
+        Polynomial.const(1 / c) * (Polynomial.const(c) * p),
         Polynomial(a + [0, 0]),
         p + Polynomial(b) - Polynomial(b),
     ]
     # Exact division by a divisor whose leading coefficient is negative.
     divisor = Polynomial(b)
-    if divisor.leading_coefficient() > 0:
+    if divisor.coeffs[-1] > 0:
         divisor = -divisor
-    q, r = (p * divisor).divmod(divisor)
-    assert r == Polynomial() and hash(r) == hash(Polynomial())
-    ways.append(q)
+    zero = p * divisor - divisor * p
+    assert zero == Polynomial() and hash(zero) == hash(Polynomial())
+    q = RationalFunction(p * divisor, divisor)
+    assert q.den == ONE_P
+    ways.append(q.num)
     for other in ways:
         assert other == p and hash(other) == hash(p)
 
@@ -176,10 +198,10 @@ def test_linear_combination_matches_fraction_reference(terms):
         want = want + FractionPolynomial(a).scale(c)
     assert got.coeffs == want.coeffs
     # The stored form is unique, so the sum equals the one built with + and
-    # scale, hash included.
+    # constant multiples, hash included.
     same = Polynomial()
     for c, a in terms:
-        same = same + Polynomial(a).scale(c)
+        same = same + Polynomial.const(c) * Polynomial(a)
     assert got == same and hash(got) == hash(same)
 
 
@@ -202,9 +224,13 @@ def test_polynomial_ring_axioms(a, b, c):
 @exact
 @given(polys, nonzero_polys)
 def test_polynomial_division_with_remainder(a, b):
-    q, r = a.divmod(b)
-    assert q * b + r == a
-    assert r.degree < b.degree
+    top, bottom = numerators(a), numerators(b)
+    q, r, s = _pseudo_divmod(top, bottom)
+    assert s > 0
+    lhs = FractionPolynomial(top).scale(s)
+    rhs = FractionPolynomial(q) * FractionPolynomial(bottom) + FractionPolynomial(r)
+    assert lhs.coeffs == rhs.coeffs
+    assert len(r) < len(bottom) and (not r or r[-1])
 
 
 @exact
@@ -230,7 +256,7 @@ def test_rational_function_division_inverts_multiplication(a, b):
 @given(polys, nonzero_polys)
 def test_normal_form_is_reduced_and_monic(num, den):
     r = RationalFunction(num, den)
-    assert r.den.leading_coefficient() == 1
+    assert r.den.coeffs[-1] == 1
     if r.is_zero():
         assert r.den == ONE_P
     else:
@@ -242,9 +268,25 @@ def test_normal_form_is_reduced_and_monic(num, den):
 def test_equal_values_have_equal_normal_forms(num, den, common, scale):
     # num/den and (scale num common)/(scale den common) are the same value.
     r = RationalFunction(num, den)
-    s = RationalFunction(num.scale(scale) * common, den.scale(scale) * common)
+    k = Polynomial.const(scale)
+    s = RationalFunction(k * num * common, k * den * common)
     assert (r.num, r.den) == (s.num, s.den)
     assert r == s and hash(r) == hash(s)
+
+
+@exact
+@given(fractions, ratfuncs)
+def test_values_normal_by_construction_match_the_constructor(c, r):
+    # const, z and negation store their result without a gcd; the full
+    # constructor must build the same fields from the same quotient.
+    pairs = [
+        (RationalFunction.const(c), RationalFunction(Polynomial.const(c), ONE_P)),
+        (RationalFunction.z(), RationalFunction(Polynomial.variable(), ONE_P)),
+        (-r, RationalFunction(-r.num, r.den)),
+    ]
+    for stored, built in pairs:
+        assert (stored.num, stored.den) == (built.num, built.den)
+        assert hash(stored) == hash(built)
 
 
 @settings(max_examples=30, deadline=None, database=None)

@@ -653,6 +653,36 @@ def test_cold_degree1_column_memo_sizes():
     assert ch <= 879 and kappa <= 997 and psi <= 495
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["gw", "--genus", "4", "--degree", "3"], 457),
+        (["verify", "--suite", "all", "--order", "6"], 695),
+    ],
+    ids=["gw-4-3", "verify-order6"],
+)
+def test_cold_run_normalization_count(argv, bound):
+    # poly_gcd calls (one per RationalFunction normalization) of a cold CLI
+    # run, counted in a fresh interpreter.  Storing const, z and negation
+    # without a gcd took them from 785 and 957.
+    probe = (
+        "import contextlib, io\n"
+        "from realgw import cli, exact_arith\n"
+        "calls = 0\n"
+        "poly_gcd = exact_arith.poly_gcd\n"
+        "def counted(a, b):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return poly_gcd(a, b)\n"
+        "exact_arith.poly_gcd = counted\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main({argv!r})\n"
+        "print(calls)\n"
+    )
+    done = _run_fresh(probe)
+    assert 0 < int(done.stdout) <= bound
+
+
 def test_balanced_sum_equals_left_to_right_sum():
     values = [v for _, v in pair_contributions(0, 5)]
     total = RationalFunction.const(0)

@@ -18,7 +18,6 @@ import pytest
 
 from realgw import psi_kappa
 from realgw.psi_kappa import (
-    genus0_closed_form,
     kappa_psi,
     self_validate,
     witten_psi,
@@ -48,6 +47,16 @@ KNOWN_CORRELATORS = {
     (3, (3, 5)): Fraction(503, 1451520),
     (3, (4, 4)): Fraction(607, 1451520),
 }
+
+
+def genus0_closed_form(exponents):
+    """Independent oracle for genus 0: <tau_a...>_0 = (n-3)! / prod(a_i!),
+    valid for stable n >= 3 with sum(a_i) = n - 3 and 0 otherwise."""
+    exps = tuple(exponents)
+    n = len(exps)
+    if n < 3 or sum(exps) != n - 3:
+        return Fraction(0)
+    return Fraction(math.factorial(n - 3), math.prod(math.factorial(a) for a in exps))
 
 
 def stable_random_query(rng, max_genus=3, max_points=6):

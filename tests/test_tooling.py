@@ -1,9 +1,12 @@
 """Checks on the package source itself rather than on its values."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "realgw"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "realgw"
 
 
 def test_no_assert_statements_in_package():
@@ -19,3 +22,29 @@ def test_no_assert_statements_in_package():
         ]
     assert len(list(SRC.glob("*.py"))) >= 8
     assert found == []
+
+
+def test_tracer_boundaries_resolve():
+    # bench/tracer.py wraps these functions and reads these memos by name,
+    # so deleting or renaming one breaks `bench/run.py --trace 1`.  The file
+    # is loaded as a plain module; no tracer is installed.
+    spec = importlib.util.spec_from_file_location(
+        "_bench_tracer", ROOT / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.BOUNDARIES
+    for _, module_name, attr, _ in tracer.BOUNDARIES:
+        assert callable(getattr(importlib.import_module(module_name), attr))
+    hodge = importlib.import_module("realgw.hodge")
+    psi_kappa = importlib.import_module("realgw.psi_kappa")
+    localization = importlib.import_module("realgw.localization")
+    for memo in (
+        hodge._ch_memo,
+        hodge._hodge_memo,
+        psi_kappa._psi_memo,
+        psi_kappa._kappa_memo,
+    ):
+        assert isinstance(memo, dict)
+    for cached in (localization.vertex_contribution, hodge.I1, hodge.I2):
+        assert cached.cache_info().misses >= 0
