@@ -218,6 +218,13 @@ def _cmd_hodge(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # The string, dilaton and DVV reductions recurse about once per point.
+        print(
+            f"error: {args.n} points is too many for the recursive evaluation",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 

@@ -50,7 +50,12 @@ the one- and two-partition Hodge integrals I1, I2, and the coefficients
 alpha_g' of the expansion of -log(sin(t/2)/(t/2)).  The product integral is
 summed as polynomials over one common denominator built from the power
 tables of its arguments, so the only rational-function normalization is the
-final one.
+final one.  Its coefficients <lambda_r1 ... lambda_rk psi^s> depend only on
+the shape (genus, number of Lambda factors, points, flagged points), never
+on the arguments: ``_lambda_rows`` looks them up once per shape, cached like
+I1 and I2, and groups them by the sorted multiset of lambda indices, so each
+multiset is summed once and multiplied by the sum of its permutations'
+argument powers.
 
 The boundary conventions (the global 1/2, ordered separating types, the sign
 (-psi')^a) are calibrated by the test suite against integral(lambda_1) = 1/24
@@ -341,12 +346,19 @@ def lambda_product_integral(
         u_i^(g-r)    = a_i^(g-r) b_i^r        / b_i^g,
         w_j^-(s+1)   = d_j^(s+1) c_j^(top-s)  / c_j^(top+1).
 
-    The power tables and D are polynomials built once per call.  The weight
-    product W(comp) = prod_j w_tables[j][s_j] is built once per composition
-    and shared by every lambda tuple.  Each lambda tuple sums value * W(comp)
-    over its compositions as one linear combination, reduced once, and
-    multiplies by its u-part once; only the final quotient by D is
-    normalized, so the whole sum costs one polynomial gcd.
+    The Hodge values <prod lambda_(r_i) prod psi_j^(s_j)> do not depend on
+    the arguments, so ``_lambda_rows`` looks them up once per shape and
+    groups them by the sorted multiset of lambda indices: every permutation
+    of a multiset has the same values and the same sign.  Per call, the power
+    tables and D are built once, the weight product W(comp) = prod_j
+    w_tables[j][s_j] once per composition, and each multiset contributes
+
+        (-1)^(sum r) * sum_comp value * W(comp)
+                     * sum_perm prod_i u_tables[i][r_i],
+
+    two linear combinations and one product.  All contributions go into one
+    final linear combination, and only its quotient by D is normalized, so
+    the whole sum costs one polynomial gcd.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -354,58 +366,92 @@ def lambda_product_integral(
     if 2 * genus - 2 + n <= 0:
         raise ValueError(f"unstable: genus {genus} with {n} points")
     us = [RationalFunction.coerce(u) for u in lambda_args]
-    flagged: list[tuple[int, RationalFunction]] = []
-    for i, w in enumerate(point_denominators):
+    ws: list[RationalFunction] = []
+    for w in point_denominators:
         if w is None:
             continue
         w = RationalFunction.coerce(w)
         if w.is_zero():
             raise ZeroDivisionError("zero weight in a geometric denominator")
-        flagged.append((i, w))
+        ws.append(w)
     top = 3 * genus - 3 + n
     # u_tables[i][r] = a_i^(g-r) * b_i^r
     u_tables = []
-    den = Polynomial.const(1)
+    dens = []
     for u in us:
         a_pows, b_pows = _powers(u.num, genus), _powers(u.den, genus)
         u_tables.append([a_pows[genus - r] * b_pows[r] for r in range(genus + 1)])
-        den = den * b_pows[genus]
+        dens.append(b_pows[genus])
     # w_tables[j][s] = d_j^(s+1) * c_j^(top-s)
     w_tables = []
-    for _, w in flagged:
+    for w in ws:
         c_pows, d_pows = _powers(w.num, top + 1), _powers(w.den, top + 1)
         w_tables.append([d_pows[s + 1] * c_pows[top - s] for s in range(top + 1)])
-        den = den * c_pows[top + 1]
-    # weights[comp] = prod_j w_tables[j][s_j], shared by every lambda tuple.
+        dens.append(c_pows[top + 1])
+    # weights[comp] = prod_j w_tables[j][s_j], shared by every multiset.
     weights: dict[tuple[int, ...], Polynomial] = {}
-    acc = Polynomial()
-    for rs in itertools.product(range(genus + 1), repeat=len(us)):
-        remaining = top - sum(rs)
-        if remaining < 0:
-            continue
-        lam = tuple(r for r in rs if r > 0)
+    parts = []
+    for sign, perms, rows in _lambda_rows(genus, len(us), n, len(ws)):
         terms = []
-        for comp in _compositions(remaining, len(flagged)):
-            exps = [0] * n
-            for (i, _), s in zip(flagged, comp):
-                exps[i] = s
-            value = hodge_integral(genus, exps, lam)
-            if not value:
-                continue
+        for comp, value in rows:
             weight = weights.get(comp)
             if weight is None:
-                weight = Polynomial.const(1)
-                for table, s in zip(w_tables, comp):
-                    weight = weight * table[s]
+                weight = _product(table[s] for table, s in zip(w_tables, comp))
                 weights[comp] = weight
             terms.append((value, weight))
         inner = linear_combination(terms)
         if inner.is_zero():
             continue
-        for table, r in zip(u_tables, rs):
-            inner = inner * table[r]
-        acc = acc - inner if sum(rs) % 2 else acc + inner
-    return RationalFunction(acc, den)
+        u_part = linear_combination(
+            (1, _product(table[r] for table, r in zip(u_tables, rs))) for rs in perms
+        )
+        parts.append((sign, inner * u_part))
+    return RationalFunction(linear_combination(parts), _product(dens))
+
+
+@lru_cache(maxsize=None)
+def _lambda_rows(genus: int, factors: int, points: int, flagged: int) -> tuple:
+    """The nonzero Hodge values of a Lambda-product integral of one shape:
+    ``factors`` Lambda classes on the genus-g space with ``points`` marked
+    points, ``flagged`` of them carrying a geometric denominator.
+
+    One entry (sign, perms, rows) per sorted multiset of lambda indices with
+    a nonzero row: sign is (-1)^(sum r), perms the distinct orderings of the
+    multiset as lambda tuples (r_i), and rows the (composition, value) pairs
+    with value = <prod lambda_(r_i) prod psi_j^(s_j)> != 0.  Hodge integrals
+    are symmetric in the points, so which points are flagged does not
+    matter, and ``hodge_integral`` sorts its lambda indices, so one lookup
+    serves every permutation.  ``hodge_integral`` is called through the
+    module binding, so a wrapper installed on it sees every lookup.
+    """
+    top = 3 * genus - 3 + points
+    plain = (0,) * (points - flagged)
+    out = []
+    for lam in itertools.combinations_with_replacement(range(genus + 1), factors):
+        remaining = top - sum(lam)
+        if remaining < 0:
+            continue
+        nonzero = tuple(r for r in lam if r > 0)
+        rows = []
+        for comp in _compositions(remaining, flagged):
+            value = hodge_integral(genus, plain + comp, nonzero)
+            if value:
+                rows.append((comp, value))
+        if rows:
+            perms = tuple(sorted(set(itertools.permutations(lam))))
+            out.append((-1 if sum(lam) % 2 else 1, perms, tuple(rows)))
+    return tuple(out)
+
+
+def _product(polys) -> Polynomial:
+    """Product of an iterable of polynomials, 1 when it is empty."""
+    polys = iter(polys)
+    out = next(polys, None)
+    if out is None:
+        return Polynomial.const(1)
+    for p in polys:
+        out = out * p
+    return out
 
 
 def _powers(p: Polynomial, k: int) -> list[Polynomial]:
@@ -510,5 +556,7 @@ def clear_caches() -> None:
     _ch_memo.clear()
     _psi_memo.clear()
     _kappa_memo.clear()
+    _lambda_rows.cache_clear()
+    alpha_coeff.cache_clear()
     I1.cache_clear()
     I2.cache_clear()

@@ -67,6 +67,23 @@ def test_hodge_command_rejects_negative_input(capsys, argv, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The string reduction removes one psi^0 point per level.
+        ("--g", "0", "--n", "2000", "--psi", "1997"),
+        # The dilaton reduction removes one psi^1 point per level.
+        ("--g", "0", "--n", "1200", "--psi", ",".join(["1"] * 1197)),
+    ],
+    ids=["string", "dilaton"],
+)
+def test_hodge_command_too_deep_exits_2(capsys, argv):
+    code, out, err = run(capsys, "hodge", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "too many" in err
+    assert err.count("\n") == 1
+
+
 def test_enum_command(capsys):
     code, out, _ = run(capsys, "enum", "--degree", "4", "--max-genus", "3")
     assert code == 0

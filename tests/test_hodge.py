@@ -744,6 +744,39 @@ def test_lambda_product_integral_matches_fraction_assembly():
     assert zeros == 1
 
 
+def test_lambda_product_integral_rows_shared_across_calls():
+    # lambda_product_integral looks the Hodge values up once per shape
+    # (genus, Lambda factors, points, flagged points) and sums each lambda
+    # multiset once.  Every shape below is met again with other arguments,
+    # another order of the Lambda arguments or the flag on another point,
+    # so most calls run on rows an earlier call built.
+    z = RationalFunction.z()
+    poly = (1 + z, 2 - z, z)
+    odd = ((3 * z + 2) / (4 * (5 * z - 7)), Fraction(-5, 6), (z - 3) / 7)
+    cases = []
+    for g in (1, 2, 3):
+        cases.append((g, poly, [poly[0], poly[1]]))
+        cases.append((g, odd, [odd[0], odd[1]]))
+        cases += [(g, perm, [odd[0], odd[1]]) for perm in itertools.permutations(odd)]
+        cases.append((g, poly, [None, odd[2]]))
+        cases.append((g, poly, [odd[2], None]))
+        cases.append((g, poly[:2], [odd[0]]))
+        cases.append((g, odd[1:], [poly[2]]))
+        cases.append((g, poly + (odd[0],), [poly[1], None]))
+        cases.append((g, (odd[2],) + odd, [None, odd[1]]))
+    clear_caches()
+    for g, us, points in cases:
+        got = lambda_product_integral(g, us, points)
+        want = _fraction_lambda_product(g, us, points)
+        assert got == want, (g, us, points)
+        assert (got.num, got.den) == (want.num, want.den)
+        if g == 1:
+            assert got == _term_by_term_lambda_product(g, us, points)
+    shapes = {(g, len(us), len(p), sum(w is not None for w in p)) for g, us, p in cases}
+    assert hodge._lambda_rows.cache_info().misses == len(shapes) == 12
+    assert len(cases) == 42
+
+
 # -- symmetries and homogeneity ------------------------------------------------
 
 
@@ -809,3 +842,12 @@ def test_values_survive_cache_reset():
     # the seeds of the psi recursion up.
     assert not (psi_kappa._psi_memo or psi_kappa._kappa_memo)
     assert hodge_integral(2, (), (1, 1, 1)) == before
+    alpha = alpha_coeff(2)
+    lambda_product_integral(1, (1, 2, 3), [4])
+    clear_caches()
+    # The Lambda-product rows and the alpha coefficients are built from
+    # hodge_integral values, so they are dropped too.
+    assert hodge._lambda_rows.cache_info().currsize == 0
+    assert alpha_coeff.cache_info().currsize == 0
+    assert alpha_coeff(2) == alpha
+    assert alpha_coeff.cache_info().misses == 1

@@ -683,6 +683,36 @@ def test_cold_run_normalization_count(argv, bound):
     assert 0 < int(done.stdout) <= bound
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["gw", "--genus", "4", "--degree", "3"], 227),
+        (["verify", "--suite", "all", "--order", "6"], 185),
+    ],
+    ids=["gw-4-3", "verify-order6"],
+)
+def test_cold_run_hodge_integral_calls(argv, bound):
+    # hodge_integral calls of a cold CLI run, recursive ones included,
+    # counted in a fresh interpreter.  Looking the Lambda-product values up
+    # once per shape and lambda multiset took them from 809 and 5,146.
+    probe = (
+        "import contextlib, io\n"
+        "from realgw import cli, hodge\n"
+        "calls = 0\n"
+        "hodge_integral = hodge.hodge_integral\n"
+        "def counted(*args):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return hodge_integral(*args)\n"
+        "hodge.hodge_integral = counted\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main({argv!r})\n"
+        "print(calls)\n"
+    )
+    done = _run_fresh(probe)
+    assert 0 < int(done.stdout) <= bound
+
+
 def test_balanced_sum_equals_left_to_right_sum():
     values = [v for _, v in pair_contributions(0, 5)]
     total = RationalFunction.const(0)
