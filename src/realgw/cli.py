@@ -12,10 +12,14 @@ Subcommands:
 
 All rationals print in lowest terms as ``p/q`` (or a bare integer), matching
 the bundled table encoding; identical invocations produce identical bytes.
-Exit status: 2 for usage errors, for an unreadable, non-UTF-8 or malformed
-input table, a missing lower-genus entry, a real entry that breaks the parity
-rule or an unwritable output in ``convert``, and for a non-integer count in
-``enum``; 1 for a failed non-conjecture identity in ``verify``; 0
+
+The commands and the library raise on bad input and bad state; ``main`` is
+the one place that reports it.  A ``ValueError`` (a malformed or non-UTF-8
+table, a real entry that breaks the parity rule, a non-integer count in
+``enum``), a ``KeyError`` (a missing lower-genus entry, a query outside the
+bundled data), an ``OSError``, an ``ArithmeticError`` or a ``RecursionError``
+becomes one line on stderr and exit status 2; argparse usage errors also
+exit 2.  Exit status 1 is a failed non-conjecture identity in ``verify``; 0
 otherwise.
 """
 
@@ -63,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument(
         "--direction", choices=("e-from-gw", "gw-from-e"), required=True
     )
-    p_conv.add_argument("--kind", choices=gw_convert.KINDS, default=None,
-                        help="section to transform in a multi-section file")
     p_conv.add_argument("--format", choices=("csv", "markdown"), default="csv")
     p_conv.add_argument("--output", default=None, help="write here instead of stdout")
 
@@ -95,26 +97,17 @@ def _gw_value(genus: int, degree: int) -> tuple[Fraction, str]:
     """Value and provenance; raises KeyError outside the bundled range."""
     if degree <= MAX_LOCALIZATION_DEGREE:
         return localization.gw_real(genus, degree), "localization"
-    return gw_convert.bundled_table(2, "GW").value(genus, degree), "bundled"
-
-
-def _out_of_range(genus: int, degree: int) -> int:
-    print(
-        f"error: degree {degree} exceeds the localization range and "
-        f"g={genus} is outside the bundled data",
-        file=sys.stderr,
-    )
-    return 2
+    try:
+        return gw_convert.bundled_table(2, "GW").value(genus, degree), "bundled"
+    except KeyError:
+        raise KeyError(
+            f"degree {degree} exceeds the localization range and "
+            f"g={genus} is outside the bundled data"
+        ) from None
 
 
 def _cmd_gw(args) -> int:
-    if args.degree < 1 or args.genus < 0:
-        print("error: need degree >= 1 and genus >= 0", file=sys.stderr)
-        return 2
-    try:
-        value, _ = _gw_value(args.genus, args.degree)
-    except KeyError:
-        return _out_of_range(args.genus, args.degree)
+    value, _ = _gw_value(args.genus, args.degree)
     print(value)
     return 0
 
@@ -122,8 +115,7 @@ def _cmd_gw(args) -> int:
 def _cmd_enum(args) -> int:
     d, max_g = args.degree, args.max_genus
     if d < 1 or max_g < 0:
-        print("error: need degree >= 1 and max-genus >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("need degree >= 1 and max-genus >= 0")
     gw_table = gw_convert.InvariantTable("real", "GW")
     sources: dict[int, str] = {}
     for g in range(max_g + 1):
@@ -131,21 +123,12 @@ def _cmd_enum(args) -> int:
             gw_table.entries[(g, d)] = Fraction(0)
             sources[g] = "parity"
         else:
-            try:
-                value, src = _gw_value(g, d)
-            except KeyError:
-                return _out_of_range(g, d)
-            gw_table.entries[(g, d)] = value
-            sources[g] = src
+            gw_table.entries[(g, d)], sources[g] = _gw_value(g, d)
     e_table = gw_convert.e_from_gw(gw_table)
     bad = gw_convert.integrality_check(e_table)
     if bad:
         entries = ", ".join(f"g={g}: {v}" for g, _, v in bad)
-        print(
-            f"error: non-integer enumerative counts in degree {d}: {entries}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"non-integer enumerative counts in degree {d}: {entries}")
     print(f"real enumerative counts, degree {d}, genus 0..{max_g}")
     for g in range(max_g + 1):
         note = sources[g] if sources[g] == "parity" else f"via {sources[g]}"
@@ -154,49 +137,17 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    try:
-        tables = gw_convert.load_tables(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: {args.input}: not UTF-8 text (byte {exc.start})", file=sys.stderr)
-        return 2
-    except gw_convert.TableParseError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 2
-    if args.kind is not None:
-        tables = [t for t in tables if t.kind == args.kind]
     wanted = "GW" if args.direction == "e-from-gw" else "E"
     transform = (
         gw_convert.e_from_gw if args.direction == "e-from-gw" else gw_convert.gw_from_e
     )
-    selected = [t for t in tables if t.kind == wanted]
+    selected = [t for t in gw_convert.load_tables(args.input) if t.kind == wanted]
     if not selected:
-        print(f"error: no {wanted} section in {args.input}", file=sys.stderr)
-        return 2
-    for t in selected:
-        bad = gw_convert.parity_check(t) if t.flavor == "real" else []
-        if bad:
-            entries = "; ".join(f"g={g} d={d}: {v}" for g, d, v in bad)
-            print(
-                f"error: {args.input}: real {t.kind} entries with d - g even "
-                f"must be 0: {entries}",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        out = gw_convert.emit_tables([transform(t) for t in selected], args.format)
-    except KeyError as exc:
-        print(f"error: {args.input}: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no {wanted} section in {args.input}")
+    out = gw_convert.emit_tables([transform(t) for t in selected], args.format)
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(out)
     else:
         sys.stdout.write(out)
     return 0
@@ -204,34 +155,16 @@ def _cmd_convert(args) -> int:
 
 def _cmd_hodge(args) -> int:
     if args.g < 0 or args.n < 0:
-        print("error: need --g >= 0 and --n >= 0", file=sys.stderr)
-        return 2
-    if any(a < 0 for a in args.psi) or any(r < 0 for r in args.lam):
-        print("error: --psi and --lambda entries must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("need --g >= 0 and --n >= 0")
     if len(args.psi) > args.n:
-        print("error: more psi exponents than points", file=sys.stderr)
-        return 2
+        raise ValueError("more psi exponents than points")
     exponents = list(args.psi) + [0] * (args.n - len(args.psi))
-    try:
-        print(hodge_integral(args.g, exponents, args.lam))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # The string, dilaton and DVV reductions recurse about once per point.
-        print(
-            f"error: {args.n} points is too many for the recursive evaluation",
-            file=sys.stderr,
-        )
-        return 2
+    print(hodge_integral(args.g, exponents, args.lam))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.order % 2 or args.order < 2:
-        print("error: --order must be even and >= 2", file=sys.stderr)
-        return 2
+    series_ids.check_order(args.order)
     if args.order >= 10:
         print(
             f"note: order {args.order} needs Hodge integrals through genus "
@@ -272,7 +205,19 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except UnicodeDecodeError as exc:
+        message = f"not UTF-8 text (byte {exc.start})"
+    except KeyError as exc:
+        message = exc.args[0]
+    except RecursionError:
+        # The string, dilaton and DVV reductions recurse about once per point.
+        message = "too many points or too high a genus for the recursive evaluation"
+    except (ValueError, OSError, ArithmeticError) as exc:
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

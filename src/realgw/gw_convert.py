@@ -9,7 +9,9 @@ Both transforms are lower triangular with unit diagonal in the genus:
 
 so each is inverted by back substitution.  Real tables obey the parity rule:
 entries vanish whenever d - g is even, and such missing entries may be
-treated as implied zeros.  All other missing lower-genus entries are errors.
+treated as implied zeros.  Both transforms reject a real table with a
+nonzero entry of that parity (``ValueError``).  All other missing
+lower-genus entries are errors (``KeyError``).
 
 The bundled data files (one per table, the complex and the real invariants of
 projective 3-space with point constraints, degrees 1..8) each hold a GW
@@ -20,14 +22,11 @@ data, not recomputed here.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
 from .series_ids import coeff_cx, coeff_real
-
-logger = logging.getLogger(__name__)
 
 FLAVORS = ("real", "complex")
 KINDS = ("GW", "E")
@@ -52,15 +51,12 @@ class InvariantTable:
 
     def value(self, genus: int, degree: int) -> Fraction:
         """Entry lookup; real-flavor entries forced to zero by parity are
-        implied rather than required."""
+        implied rather than required.  A key with genus < 0 or degree < 1
+        is never an entry and raises ``KeyError`` like a missing one."""
         key = (genus, degree)
         if key in self.entries:
             return self.entries[key]
-        if self.flavor == "real" and (degree - genus) % 2 == 0:
-            logger.debug(
-                "implied zero: real %s entry at g=%d, d=%d (parity rule)",
-                self.kind, genus, degree,
-            )
+        if self.flavor == "real" and genus >= 0 and degree >= 1 and (degree - genus) % 2 == 0:
             return Fraction(0)
         raise KeyError(f"missing {self.flavor} {self.kind} entry at g={genus}, d={degree}")
 
@@ -81,6 +77,7 @@ def gw_from_e(table: InvariantTable) -> InvariantTable:
     """Forward transform: GW from enumerative counts, genus by genus."""
     if table.kind != "E":
         raise ValueError("gw_from_e expects an E table")
+    _check_parity(table)
     out = InvariantTable(table.flavor, "GW")
     for g, d in sorted(table.entries):
         total = table.value(g, d)
@@ -96,10 +93,12 @@ def e_from_gw(table: InvariantTable) -> InvariantTable:
     Solves the unit-diagonal triangular system downward in the genus; all
     lower-genus GW entries of the correct parity must be present (or implied
     zero by the real parity rule), and a missing one raises ``KeyError``
-    naming that GW entry.
+    naming that GW entry.  A real table that breaks the parity rule raises
+    ``ValueError`` naming the offending entries.
     """
     if table.kind != "GW":
         raise ValueError("e_from_gw expects a GW table")
+    _check_parity(table)
     out = InvariantTable(table.flavor, "E")
     for g, d in sorted(table.entries):
         value = table.value(g, d)
@@ -121,6 +120,15 @@ def parity_check(table: InvariantTable) -> list[tuple[int, int, Fraction]]:
         for (g, d), v in sorted(table.entries.items())
         if (d - g) % 2 == 0 and v != 0
     ]
+
+
+def _check_parity(table: InvariantTable) -> None:
+    bad = parity_check(table) if table.flavor == "real" else []
+    if bad:
+        entries = "; ".join(f"g={g} d={d}: {v}" for g, d, v in bad)
+        raise ValueError(
+            f"real {table.kind} entries with d - g even must be 0: {entries}"
+        )
 
 
 def integrality_check(table: InvariantTable) -> list[tuple[int, int, Fraction]]:

@@ -135,17 +135,26 @@ def _report(name: str, order: int, diff: Series, note: str = "", conjecture: boo
     )
 
 
-def _sample_rationals(count: int, seed: int = 20) -> list[Fraction]:
-    """Deterministic small nonzero rationals for spot checks."""
-    out = []
-    num, den = seed, 7
-    while len(out) < count:
-        num = (num * 31 + 17) % 97
-        den = (den * 13 + 5) % 89
-        q = Fraction(num - 48, den + 1)
-        if q != 0:
-            out.append(q)
-    return out
+# Spot-check weights: (u, a, b) for F1sq, with u different from a and b, and
+# (u2, u3) for F1_dep, all with u2 + u3 = 1 and distinct products.
+_F1SQ_TRIPLES = (
+    (Fraction(7, 8), Fraction(25, 8), Fraction(1, 8)),
+    (Fraction(33, 8), Fraction(-21, 4), Fraction(-39, 8)),
+    (Fraction(-43, 8), Fraction(27, 8), Fraction(-17, 4)),
+)
+_F1_DEP_PAIRS = (
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(37, 56), Fraction(19, 56)),
+    (Fraction(67, 104), Fraction(37, 104)),
+)
+
+
+def check_order(order: int) -> None:
+    """Both suites run to an even order in t of at least 2; any other order
+    raises ``ValueError``."""
+    if order % 2 or order < 2:
+        raise ValueError("verification order must be even and at least 2")
 
 
 def verify_identity(name: str, order: int = 6) -> IdentityReport:
@@ -154,8 +163,7 @@ def verify_identity(name: str, order: int = 6) -> IdentityReport:
 
     Supported names: F1, F12, F2, F1sq, hat_eq_tilde, alpha_exp.
     """
-    if order % 2 or order < 2:
-        raise ValueError("verification order must be even and at least 2")
+    check_order(order)
     x = RationalFunction.const(1)
     y = RationalFunction.z()
     if name == "F1":
@@ -182,20 +190,14 @@ def verify_identity(name: str, order: int = 6) -> IdentityReport:
         return _report(name, order, lhs - series_pow(series_sinc("sin", order), 8))
     if name == "F1sq":
         rhs = series_pow(series_sinc("sin", order), 2)
-        samples = _sample_rationals(9)
         worst: Series | None = None
-        tested = 0
-        for u, a, b in zip(samples[0::3], samples[1::3], samples[2::3]):
-            if u == a or u == b:
-                continue
+        for u, a, b in _F1SQ_TRIPLES:
             lhs = F1_series(u, a, b, order) * F1_series(u, u - a, u - b, order)
             diff = lhs - rhs
-            tested += 1
             if worst is None or not diff.is_zero():
                 worst = diff
-        if worst is None or tested < 3:
-            raise ArithmeticError(f"F1sq tested only {tested} weight triples, need 3")
-        return _report(name, order, worst, note=f"{tested} rational weight triples")
+        note = f"{len(_F1SQ_TRIPLES)} rational weight triples"
+        return _report(name, order, worst, note=note)
     if name == "hat_eq_tilde":
         diffs = []
         ok = True
@@ -223,30 +225,19 @@ def check_conjecture(name: str, order: int = 6) -> IdentityReport:
     distinct product.  ``F2_prod``: the conjectured closed form for
     F2(x,y,x+y) F2(x,-y,x-y), checked as a rational-function identity.
     """
-    if order < 0 or order % 2:
-        raise ValueError("verification order must be even and nonnegative")
+    check_order(order)
     if name == "F1_dep":
-        if order == 0:
-            return IdentityReport(name, 0, True, note="constant term is 1", conjecture=True)
         diffs: list[str] = []
         ok = True
-        pairs = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))]
-        extra = _sample_rationals(4, seed=5)
-        for k in range(2):
-            s = pairs[0][0] + pairs[0][1]
-            shift = extra[2 * k] / (4 * (1 + abs(extra[2 * k + 1])))
-            pairs.append((s / 2 + shift, s / 2 - shift))
-        base = F1_series(1, pairs[0][0], pairs[0][1], order)
-        for a, b in pairs[1:]:
-            if a == 0 or b == 0:
-                continue
+        base = F1_series(1, *_F1_DEP_PAIRS[0], order)
+        for a, b in _F1_DEP_PAIRS[1:]:
             diff = F1_series(1, a, b, order) - base
             if not diff.is_zero():
                 ok = False
                 diffs.append(f"(u2,u3)=({a},{b}): " + "; ".join(str(c) for c in diff.coeffs))
         return IdentityReport(
             name, order, ok, diffs,
-            note=f"{len(pairs)} pairs with equal u2+u3", conjecture=True,
+            note=f"{len(_F1_DEP_PAIRS)} pairs with equal u2+u3", conjecture=True,
         )
     if name == "F2_prod":
         x = RationalFunction.const(1)

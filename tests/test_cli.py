@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from realgw import cli, series_ids
+from realgw import cli, localization, series_ids
 from realgw.cli import main
 from realgw.gw_convert import bundled_text
 
@@ -33,6 +33,36 @@ def test_gw_command_out_of_range(capsys):
 def test_gw_command_bad_arguments(capsys):
     code, _, err = run(capsys, "gw", "--genus", "-1", "--degree", "1")
     assert code == 2 and err
+
+
+def _not_constant(g, d):
+    raise ArithmeticError(f"localization sum for (g={g}, d={d}) is not constant: z")
+
+
+@pytest.mark.parametrize(
+    "argv, gw_real, message",
+    [
+        (("gw", "--genus", "-1", "--degree", "1"), None, "genus must be nonnegative"),
+        (("gw", "--genus", "7", "--degree", "8"), None, "g=7 is outside the bundled data"),
+        (("gw", "--genus", "-1", "--degree", "5"), None, "g=-1 is outside the bundled data"),
+        (("convert", "--input", "{tmp}/missing.csv", "--direction", "e-from-gw"), None,
+         "No such file"),
+        (("convert", "--input", "{tmp}/latin1.csv", "--direction", "e-from-gw"), None,
+         "not UTF-8 text (byte 17)"),
+        (("gw", "--genus", "2", "--degree", "3"), _not_constant, "is not constant: z"),
+        (("hodge", "--g", "0", "--n", "2000", "--psi", "1997"), None, "too many"),
+    ],
+    ids=["value", "key", "key-negative-genus", "os", "unicode", "arithmetic", "recursion"],
+)
+def test_main_reports_each_exception_family(tmp_path, capsys, monkeypatch, argv, gw_real, message):
+    # main is the one error boundary: each family becomes one stderr line.
+    (tmp_path / "latin1.csv").write_bytes("real,GW\n0,1,1 # g\xe9nus\n".encode("latin-1"))
+    if gw_real is not None:
+        monkeypatch.setattr(localization, "gw_real", gw_real)
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and not err.startswith("error: '")
 
 
 def test_hodge_command(capsys):
@@ -301,6 +331,10 @@ def test_usage_error_exit_code():
     # Conjectures are reported, never asserted: no option makes them gate.
     with pytest.raises(SystemExit) as err:
         main(["verify", "--strict-conjectures"])
+    assert err.value.code == 2
+    # convert has no --kind: the direction picks the section.
+    with pytest.raises(SystemExit) as err:
+        main(["convert", "--input", "t.csv", "--direction", "e-from-gw", "--kind", "GW"])
     assert err.value.code == 2
 
 

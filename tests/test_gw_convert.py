@@ -152,6 +152,22 @@ def test_parity_rule_implies_zeros():
     assert e_from_gw(gw2).entries[(3, 4)] == 0
 
 
+@pytest.mark.parametrize("key", [(-1, 5), (0, 0), (3, -1)])
+def test_value_rejects_keys_outside_the_range(key):
+    # d - g is even for each key, but genus < 0 or degree < 1 is never an
+    # entry, so the parity rule implies no zero there.
+    with pytest.raises(KeyError, match="missing real GW entry"):
+        bundled_table(2, "GW").value(*key)
+
+
+@pytest.mark.parametrize("kind, transform", [("GW", e_from_gw), ("E", gw_from_e)])
+def test_transforms_reject_real_parity_violation(kind, transform):
+    t = table_from("real", kind, {(0, 1): 1, (1, 1): Fraction(1, 2), (3, 1): 5})
+    with pytest.raises(ValueError, match=f"real {kind} entries with d - g even"
+                       r" must be 0: g=1 d=1: 1/2; g=3 d=1: 5$"):
+        transform(t)
+
+
 def test_parity_check_flags_bad_entries():
     ok = bundled_table(2, "GW")
     assert parity_check(ok) == []

@@ -139,13 +139,9 @@ def test_conjecture_reports_order_4():
         assert report.passed, report.residual
 
 
-def test_conjecture_trivial_order():
-    assert check_conjecture("F1_dep", 0).passed
-
-
 @pytest.mark.parametrize("name", CONJECTURE_NAMES)
 def test_conjecture_rejects_negative_order(name):
-    with pytest.raises(ValueError, match="even and nonnegative"):
+    with pytest.raises(ValueError, match="even and at least 2"):
         check_conjecture(name, -2)
 
 

@@ -24,6 +24,29 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_cli_reports_errors_only_in_main():
+    # cli.main is the one error boundary: the commands raise, and only main
+    # prints an "error:" line and returns 2.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    main = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    inside = {id(node) for node in ast.walk(main)}
+
+    def sites(root):
+        return [
+            node for node in ast.walk(root)
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "error:" in node.value)
+            or (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                and node.value.value == 2)
+        ]
+
+    assert len(sites(main)) == 2
+    assert sorted(node.lineno for node in sites(tree) if id(node) not in inside) == []
+
+
 def test_tracer_boundaries_resolve():
     # bench/tracer.py wraps these functions and reads these memos by name,
     # so deleting or renaming one breaks `bench/run.py --trace 1`.  The file
