@@ -94,15 +94,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _gw_value(genus: int, degree: int) -> tuple[Fraction, str]:
-    """Value and provenance; raises KeyError outside the bundled range."""
+    """Value and provenance; raises KeyError outside the bundled range,
+    naming the degree when the bundled data has no such column and the
+    genus otherwise."""
     if degree <= MAX_LOCALIZATION_DEGREE:
         return localization.gw_real(genus, degree), "localization"
+    table = gw_convert.bundled_table(2, "GW")
     try:
-        return gw_convert.bundled_table(2, "GW").value(genus, degree), "bundled"
+        return table.value(genus, degree), "bundled"
     except KeyError:
+        degrees = {d for _, d in table.entries}
+        if degree in degrees:
+            missing = f"g={genus} is outside the bundled data"
+        else:
+            missing = f"the bundled data covers degrees {min(degrees)}..{max(degrees)}"
         raise KeyError(
-            f"degree {degree} exceeds the localization range and "
-            f"g={genus} is outside the bundled data"
+            f"degree {degree} exceeds the localization range and {missing}"
         ) from None
 
 

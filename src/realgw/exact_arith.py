@@ -10,7 +10,13 @@ functions) is computed over this tower, so all values are exact:
   one common denominator in a unique reduced form.
 * :class:`RationalFunction` is a quotient of two polynomials kept in normal
   form (coprime, monic denominator), so equality of values is equality of
-  normal forms.  Only its constructor builds that form.
+  normal forms.  Its constructor builds that form with one polynomial gcd;
+  :func:`factored_sum` builds it for a factored denominator without one.
+* :class:`Factored` is a value whose denominator is a product of primitive
+  integer linear forms a*z + b: a Fraction times an optional Polynomial times
+  those forms with signed exponents.  Its products add exponents, and
+  :func:`factored_sum` adds many of them and builds one RationalFunction
+  normal form by integer synthetic division, with no polynomial gcd.
 * :class:`Series` is a truncated formal power series in ``t`` whose
   coefficients live either in the rationals or in rational functions of ``z``.
 
@@ -38,6 +44,8 @@ Scalar = Union[int, Fraction]
 
 def _scalar(c: Scalar) -> Fraction:
     """c as a Fraction, or a TypeError if c is no int or Fraction."""
+    if type(c) is Fraction:
+        return c
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"exact scalar must be int or Fraction, not {type(c).__name__}")
     return Fraction(c)
@@ -361,6 +369,192 @@ def _normal(num: Polynomial, den: Polynomial) -> RationalFunction:
 
 
 RatLike = Union[RationalFunction, Fraction, int]
+
+#: A primitive integer linear form a*z + b (a > 0, gcd(a, b) = 1) as (a, b).
+Form = tuple[int, int]
+
+
+def _times_linear(ints: Sequence[int], a: int, b: int) -> list[int]:
+    """The integer polynomial ints times a*z + b."""
+    out = [b * c for c in ints] + [0]
+    for k, c in enumerate(ints):
+        out[k + 1] += a * c
+    return out
+
+
+def _divide_linear(ints: Sequence[int], a: int, b: int) -> list[int] | None:
+    """ints / (a*z + b) by integer synthetic division, or None when the form
+    does not divide.  The form is primitive, so by Gauss's lemma a quotient
+    over the rationals has integer coefficients and every step is exact."""
+    n = len(ints) - 1
+    if n < 1:
+        return None
+    quot = [0] * n
+    carry = ints[n]
+    for k in range(n - 1, -1, -1):
+        quot[k], r = divmod(carry, a)
+        if r:
+            return None
+        carry = ints[k] - b * quot[k]
+    return None if carry else quot
+
+
+class Factored:
+    """An exact value c * rest * prod_f f^e_f with a factored denominator.
+
+    ``scalar`` c is a Fraction, ``rest`` an optional Polynomial (None stands
+    for 1), and each f a primitive integer linear form a*z + b, a > 0, with a
+    signed exponent e.  ``*``, ``/`` and ``**`` add and scale exponents, so
+    they cancel forms without any polynomial gcd; only values with no rest
+    can be inverted.  Values are built by :meth:`const`, from a weight of
+    degree at most 1 by :meth:`weight`, and from a RationalFunction whose
+    denominator splits over given forms by :meth:`split`.  :func:`factored_sum`
+    adds them and returns the RationalFunction normal form; a single value
+    converts the same way.  Values are immutable and compare by identity:
+    compare their rational functions.
+    """
+
+    __slots__ = ("scalar", "rest", "_forms")
+
+    scalar: Fraction
+    rest: Polynomial | None
+    _forms: dict[Form, int]
+
+    def __init__(self, scalar: Scalar, rest: Polynomial | None, forms: dict[Form, int]):
+        """Private: use const, weight or split.  Folds a constant rest into
+        the scalar, drops zero exponents and stores zero as a bare 0."""
+        scalar = _scalar(scalar)
+        if rest is not None and rest.degree <= 0:
+            scalar *= rest.eval_at(0)
+            rest = None
+        if scalar:
+            forms = {f: e for f, e in forms.items() if e}
+        else:
+            rest, forms = None, {}
+        self.scalar, self.rest, self._forms = scalar, rest, forms
+
+    @staticmethod
+    def const(value: Scalar) -> "Factored":
+        return Factored(value, None, {})
+
+    @staticmethod
+    def weight(value: Polynomial) -> "Factored":
+        """A weight p*z + q: its content times one primitive form, or a
+        constant.  A polynomial of higher degree raises ValueError."""
+        if value.degree > 1:
+            raise ValueError(f"weight {value} is not of degree at most 1")
+        if value.degree <= 0:
+            return Factored.const(value.eval_at(0))
+        b, a = value._ints
+        content = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+        return Factored(
+            Fraction(content, value._den), None, {(a // content, b // content): 1}
+        )
+
+    @staticmethod
+    def split(value: RationalFunction, forms: Iterable[Form]) -> "Factored":
+        """value with its denominator divided out over the given forms, each
+        as often as it divides; ArithmeticError when something else is left."""
+        den = value.den._ints
+        exponents: dict[Form, int] = {}
+        for a, b in dict.fromkeys(forms):
+            while (quot := _divide_linear(den, a, b)) is not None:
+                den = quot
+                exponents[(a, b)] = exponents.get((a, b), 0) - 1
+        if len(den) != 1:
+            raise ArithmeticError(
+                f"denominator {value.den} does not split over the linear forms"
+            )
+        return Factored(Fraction(value.den._den, den[0]), value.num, exponents)
+
+    @property
+    def forms(self) -> tuple[tuple[Form, int], ...]:
+        """The (form, exponent) pairs, exponents nonzero."""
+        return tuple(self._forms.items())
+
+    def __mul__(self, other: "Factored") -> "Factored":
+        if not isinstance(other, Factored):
+            return NotImplemented
+        forms = dict(self._forms)
+        for f, e in other._forms.items():
+            forms[f] = forms.get(f, 0) + e
+        if self.rest is None or other.rest is None:
+            rest = other.rest if self.rest is None else self.rest
+        else:
+            rest = self.rest * other.rest
+        return Factored(self.scalar * other.scalar, rest, forms)
+
+    def __neg__(self) -> "Factored":
+        return Factored(-self.scalar, self.rest, self._forms)
+
+    def __truediv__(self, other: "Factored") -> "Factored":
+        return self * other ** -1
+
+    def __pow__(self, n: int) -> "Factored":
+        if n < 0 and self.rest is not None:
+            raise ArithmeticError("only a product of linear forms can be inverted")
+        rest = None
+        if self.rest is not None:
+            rest, base, k = _ONE, self.rest, n
+            while k:
+                if k & 1:
+                    rest = rest * base
+                base = base * base
+                k >>= 1
+        # Fraction(0) ** -k raises ZeroDivisionError.
+        scalar = self.scalar**n
+        return Factored(scalar, rest, {f: e * n for f, e in self._forms.items()})
+
+    def rational_function(self) -> RationalFunction:
+        return factored_sum((self,))
+
+    def __repr__(self) -> str:
+        return f"Factored({self.scalar}, {self.rest}, {self._forms})"
+
+
+def factored_sum(values: Iterable[Factored]) -> RationalFunction:
+    """sum of the values as a RationalFunction in normal form, with no
+    polynomial gcd.
+
+    Each form is taken out at its least exponent over the values (0 where a
+    value lacks it).  The values that are left with the same exponents sum
+    their scalar-times-rest parts in one linear combination and are then
+    multiplied by their forms; one more linear combination adds those.  The
+    forms of negative least exponent make the denominator: each is divided
+    out of the numerator by synthetic division as often as it goes, so what
+    is left is coprime, and the leading integer of the denominator is folded
+    into both sides, as the RationalFunction constructor does.
+    """
+    terms = [v for v in values if v.scalar]
+    if not terms:
+        return RationalFunction.const(0)
+    forms = sorted({f for v in terms for f in v._forms})
+    low = [min(v._forms.get(f, 0) for v in terms) for f in forms]
+    groups: dict[tuple[int, ...], list[tuple[Fraction, Polynomial]]] = {}
+    for v in terms:
+        key = tuple(v._forms.get(f, 0) - m for f, m in zip(forms, low))
+        groups.setdefault(key, []).append((v.scalar, _ONE if v.rest is None else v.rest))
+    parts = []
+    for key, group in groups.items():
+        part = linear_combination(group)
+        ints = part._ints
+        for (a, b), k in zip(forms, key):
+            for _ in range(k):
+                ints = _times_linear(ints, a, b)
+        parts.append((1, _poly(ints, part._den)))
+    total = linear_combination(parts)
+    if total.is_zero():
+        return RationalFunction.const(0)
+    num, den = total._ints, [1]
+    for (a, b), m in zip(forms, low):
+        for _ in range(m):
+            num = _times_linear(num, a, b)
+        while m < 0 and (quot := _divide_linear(num, a, b)) is not None:
+            num, m = quot, m + 1
+        for _ in range(-m):
+            den = _times_linear(den, a, b)
+    lead = den[-1]
+    return _normal(_poly(num, total._den * lead), _poly(den, lead))
 
 #: Coefficients of a Series: exact rationals or rational functions of z.
 Coefficient = Union[Fraction, RationalFunction]

@@ -26,7 +26,7 @@ closed weight products for unstable vertices and triple-Lambda Hodge
 integrals otherwise; edge factors are the standard weight products of the
 degree-d(e) covers.  Everything is evaluated in exact rational functions of
 the dehomogenized weight z (weights 1, -1, z, -z at the four fixed points);
-the assembled sum must be constant in z, which is asserted.
+the assembled sum must be constant in z, which ``gw_real`` checks.
 
 Enumeration builds each candidate from its sigma-orbits (generation from
 orbits, as in McKay, "Isomorph-free exhaustive generation", J. Algorithms
@@ -46,9 +46,19 @@ class, give its automorphism order.
 Vertex and edge factors depend only on local data, and many classes share it,
 so they are cached on it: a vertex on (label, genus, sorted (other-end label,
 edge degree) pairs, mark count), an edge on (sorted labels, degree, fixed by
-sigma?).  The class contributions are added as a balanced tree, so most
-additions see small denominators; the normal form is unique, so the total is
-the same as in any other order.
+sigma?).
+
+Every denominator in the sum is a product of linear forms in z: the weight
+differences alpha_i - alpha_j, the psi weights and the interpolation points
+of the edge covers.  So the factors are kept as ``exact_arith.Factored``
+values, a scalar times a product of forms with signed exponents (times the
+numerator of a Lambda integral, whose denominator is split over its vertex's
+psi forms).  A class's product adds exponents, so vertex and edge forms
+cancel without a polynomial gcd, and the class values are summed once by
+``factored_sum``: each form comes out at its least exponent, the rest is one
+integer linear combination, and the normal form of the total is built by
+synthetic division.  The normal form is unique, so the total is the one any
+order of rational-function additions gives.
 """
 
 from __future__ import annotations
@@ -60,7 +70,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_arith import Rational, RationalFunction
+from .exact_arith import (
+    Factored,
+    Rational,
+    RationalFunction,
+    Scalar,
+    factored_sum,
+    linear_combination,
+)
 from .hodge import _compositions, lambda_product_integral
 
 TAU4 = {1: 2, 2: 1, 3: 4, 4: 3}
@@ -355,19 +372,30 @@ def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
     return tuple(found)
 
 
+def _weight(*terms: tuple[Scalar, int]) -> Factored:
+    """The weight sum_i c_i alpha_(j_i) over the (c_i, j_i) pairs, formed on
+    the polynomials of ALPHA with no rational-function arithmetic."""
+    return Factored.weight(linear_combination((c, ALPHA[j].num) for c, j in terms))
+
+
 @lru_cache(maxsize=None)
-def euler_tangent(label: int) -> RationalFunction:
+def euler_tangent(label: int) -> Factored:
     """Equivariant Euler class of the tangent space of P^3 at a fixed point."""
-    out = RationalFunction.const(1)
+    out = Factored.const(1)
     for j in (1, 2, 3, 4):
         if j != label:
-            out = out * (ALPHA[label] - ALPHA[j])
+            out = out * _weight((1, label), (-1, j))
     return out
 
 
-def psi_edge_weight(label: int, other: int, deg: int) -> RationalFunction:
-    """Cotangent weight at the ``label`` end of an edge to ``other``."""
-    return (ALPHA[other] - ALPHA[label]) / deg
+def _psi_terms(label: int, other: int, deg: int):
+    return (Fraction(1, deg), other), (Fraction(-1, deg), label)
+
+
+def psi_edge_weight(label: int, other: int, deg: int) -> Factored:
+    """Cotangent weight (alpha_other - alpha_label) / deg at the ``label`` end
+    of an edge to ``other``."""
+    return _weight(*_psi_terms(label, other, deg))
 
 
 def vertex_key(pair: AdmissiblePair, v: int):
@@ -381,32 +409,36 @@ def vertex_key(pair: AdmissiblePair, v: int):
 @lru_cache(maxsize=None)
 def vertex_contribution(
     label: int, genus: int, neighbours: tuple[tuple[int, int], ...], n_marks: int
-) -> RationalFunction:
+) -> Factored:
     """Signed fixed-locus factor of one vertex, from its local data.
 
     Unstable vertices (genus 0 with at most two special points) contribute a
     closed product of weights; stable vertices contribute a triple-Lambda
     Hodge integral over the moduli of the vertex curve, with one geometric
-    denominator per incident edge.
+    denominator per incident edge.  The integral's denominator is a product
+    of the psi weights' forms and is split over them.
     """
     n_special = len(neighbours) + n_marks
-    e_t = euler_tangent(label)
-    psis = [psi_edge_weight(label, other, deg) for other, deg in neighbours]
+    e_t = euler_tangent(label) ** (n_special - 1)
+    weights = [psi_edge_weight(label, other, deg) for other, deg in neighbours]
     if genus == 0 and n_special <= 2:
-        out = RationalFunction.const((-1) ** n_marks) * e_t ** (n_special - 1)
-        total = RationalFunction.const(0)
-        for w in psis:
+        out = Factored.const((-1) ** n_marks) * e_t
+        for w in weights:
             out = out / w
-            total = total + w
         exponent = 3 - n_special - len(neighbours)
+        total = _weight(*(t for end in neighbours for t in _psi_terms(label, *end)))
         return out * total**exponent
-    lambda_args = tuple(ALPHA[label] - ALPHA[j] for j in (1, 2, 3, 4) if j != label)
-    denominators: list[RationalFunction | None] = [-w for w in psis]
+    others = [j for j in (1, 2, 3, 4) if j != label]
+    lambda_args = tuple(_weight((1, label), (-1, j)).rational_function() for j in others)
+    denominators: list[RationalFunction | None] = [
+        (-w).rational_function() for w in weights
+    ]
     denominators += [None] * n_marks
     integral = lambda_product_integral(genus, lambda_args, denominators)
-    out = RationalFunction.const(-((-1) ** (genus + len(neighbours))))
-    out = out * e_t ** (n_special - 1) * integral
-    for w in psis:
+    forms = [f for w in weights for f, _ in w.forms]
+    out = Factored.const(-((-1) ** (genus + len(neighbours)))) * e_t
+    out = out * Factored.split(integral, forms)
+    for w in weights:
         out = out / (-w)
     return out
 
@@ -419,7 +451,7 @@ def edge_key(pair: AdmissiblePair, i: int):
 
 
 @lru_cache(maxsize=None)
-def edge_contribution(t1: int, t2: int, deg: int, fixed: bool) -> RationalFunction:
+def edge_contribution(t1: int, t2: int, deg: int, fixed: bool) -> Factored:
     """Fixed-locus factor of one edge (degree-d(e) cover of a fixed line)."""
     if fixed:
         if deg % 2 == 0:
@@ -428,37 +460,38 @@ def edge_contribution(t1: int, t2: int, deg: int, fixed: bool) -> RationalFuncti
     return _free_edge_contribution(t1, t2, deg)
 
 
-def _free_edge_contribution(t1: int, t2: int, deg: int) -> RationalFunction:
-    base = (ALPHA[t1] - ALPHA[t2]) / deg
-    denom = base ** (2 * deg - 2)
+def _free_edge_contribution(t1: int, t2: int, deg: int) -> Factored:
+    denom = _weight((Fraction(1, deg), t1), (Fraction(-1, deg), t2)) ** (2 * deg - 2)
     for j in (1, 2, 3, 4):
         if j in (t1, t2):
             continue
         for r in range(deg + 1):
-            denom = denom * ((ALPHA[t1] * (deg - r) + ALPHA[t2] * r) / deg - ALPHA[j])
-    return RationalFunction.const(Fraction((-1) ** deg, deg * math.factorial(deg) ** 2)) / denom
+            denom = denom * _weight(
+                (Fraction(deg - r, deg), t1), (Fraction(r, deg), t2), (-1, j)
+            )
+    return Factored.const(Fraction((-1) ** deg, deg * math.factorial(deg) ** 2)) / denom
 
 
-def _fixed_edge_contribution(t1: int, t2: int, deg: int) -> RationalFunction:
+def _fixed_edge_contribution(t1: int, t2: int, deg: int) -> Factored:
     """Fixed-edge factor, anchored at the endpoint with label in {1, 3}; for
     odd degrees the other anchor gives the same factor (checked by a test)."""
     if t1 in (2, 4):
         t1, t2 = t2, t1
-    denom = (2 * ALPHA[t1] / deg) ** (deg - 1)
+    denom = _weight((Fraction(2, deg), t1)) ** (deg - 1)
     for j in (1, 2, 3, 4):
         if j in (t1, t2):
             continue
         for r in range((deg - 1) // 2 + 1):
-            denom = denom * (ALPHA[t1] * (deg - 2 * r) / deg - ALPHA[j])
-    return RationalFunction.const(
+            denom = denom * _weight((Fraction(deg - 2 * r, deg), t1), (-1, j))
+    return Factored.const(
         Fraction((-1) ** ((deg - 1) // 2), deg * math.factorial(deg))
     ) / denom
 
 
-def pair_contribution(pair: AdmissiblePair) -> RationalFunction:
-    """Total contribution of one isomorphism class to the invariant."""
+def _class_value(pair: AdmissiblePair) -> Factored:
+    """Contribution of one isomorphism class, in factored form."""
     vplus, eplus = pair.default_halves()
-    out = RationalFunction.const(Fraction(1, pair.aut_order))
+    out = Factored.const(Fraction(1, pair.aut_order))
     for v in vplus:
         out = out * vertex_contribution(*vertex_key(pair, v))
     for i in pair.involution.fixed_edges() + list(eplus):
@@ -466,17 +499,20 @@ def pair_contribution(pair: AdmissiblePair) -> RationalFunction:
     return out
 
 
+def pair_contribution(pair: AdmissiblePair) -> RationalFunction:
+    """Total contribution of one isomorphism class to the invariant."""
+    return _class_value(pair).rational_function()
+
+
 def pair_contributions(g: int, d: int) -> list[tuple[AdmissiblePair, RationalFunction]]:
     """Per-class contributions, for inspection and the symbolic tests."""
     return [(p, pair_contribution(p)) for p in enumerate_pairs(g, d)]
 
 
-def _tree_sum(values: list[RationalFunction]) -> RationalFunction:
-    """Sum as a balanced tree (see the module docstring)."""
-    if len(values) <= 1:
-        return values[0] if values else RationalFunction.const(0)
-    mid = len(values) // 2
-    return _tree_sum(values[:mid]) + _tree_sum(values[mid:])
+def class_total(g: int, d: int) -> RationalFunction:
+    """Sum of the class contributions as a rational function in z, summed
+    once in factored form (see the module docstring)."""
+    return factored_sum(_class_value(p) for p in enumerate_pairs(g, d))
 
 
 @lru_cache(maxsize=None)
@@ -494,7 +530,7 @@ def gw_real(g: int, d: int) -> Rational:
         raise ValueError("genus must be nonnegative")
     if (d - g) % 2 == 0:
         return Fraction(0)
-    total = _tree_sum([value for _, value in pair_contributions(g, d)])
+    total = class_total(g, d)
     if not total.is_constant():
         raise ArithmeticError(
             f"localization sum for (g={g}, d={d}) is not constant: {total}"

@@ -45,6 +45,10 @@ def _not_constant(g, d):
         (("gw", "--genus", "-1", "--degree", "1"), None, "genus must be nonnegative"),
         (("gw", "--genus", "7", "--degree", "8"), None, "g=7 is outside the bundled data"),
         (("gw", "--genus", "-1", "--degree", "5"), None, "g=-1 is outside the bundled data"),
+        (("enum", "--degree", "9", "--max-genus", "3"), None,
+         "degree 9 exceeds the localization range and the bundled data covers degrees 1..8"),
+        (("gw", "--genus", "0", "--degree", "9"), None,
+         "and the bundled data covers degrees 1..8"),
         (("convert", "--input", "{tmp}/missing.csv", "--direction", "e-from-gw"), None,
          "No such file"),
         (("convert", "--input", "{tmp}/latin1.csv", "--direction", "e-from-gw"), None,
@@ -52,7 +56,10 @@ def _not_constant(g, d):
         (("gw", "--genus", "2", "--degree", "3"), _not_constant, "is not constant: z"),
         (("hodge", "--g", "0", "--n", "2000", "--psi", "1997"), None, "too many"),
     ],
-    ids=["value", "key", "key-negative-genus", "os", "unicode", "arithmetic", "recursion"],
+    ids=[
+        "value", "key", "key-negative-genus", "key-missing-degree-enum",
+        "key-missing-degree-gw", "os", "unicode", "arithmetic", "recursion",
+    ],
 )
 def test_main_reports_each_exception_family(tmp_path, capsys, monkeypatch, argv, gw_real, message):
     # main is the one error boundary: each family becomes one stderr line.
@@ -63,6 +70,19 @@ def test_main_reports_each_exception_family(tmp_path, capsys, monkeypatch, argv,
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and not err.startswith("error: '")
+
+
+def test_gw_reports_unsplittable_vertex_integral(capsys, monkeypatch):
+    # A vertex integral whose denominator does not split over its psi forms
+    # is bad state: one error line and exit 2, with every cache bypassed.
+    localization.vertex_contribution.cache_clear()
+    z = localization.ALPHA[3]
+    monkeypatch.setattr(localization, "lambda_product_integral", lambda *args: 1 / (z * z + 1))
+    monkeypatch.setattr(localization, "gw_real", localization.gw_real.__wrapped__)
+    code, out, err = run(capsys, "gw", "--genus", "2", "--degree", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "does not split over the linear forms" in err
 
 
 def test_hodge_command(capsys):

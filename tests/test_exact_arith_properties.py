@@ -1,9 +1,11 @@
-"""Property tests for Polynomial and RationalFunction.
+"""Property tests for Polynomial, RationalFunction and Factored.
 
 The ring and field axioms hold exactly, and the RationalFunction normal form
 is unique: equal values have equal ``num`` and ``den``.  Sums in any order
-therefore agree field by field, which the balanced class sum in
-``localization.gw_real`` relies on.  The integer-backed Polynomial is checked
+therefore agree field by field, so the factored class sum of
+``localization.gw_real`` can be compared with any rational-function sum.
+Products, powers, splits and sums of Factored values agree with the same
+RationalFunction arithmetic, and so does their gcd-free normal form.  The integer-backed Polynomial is checked
 coefficient by coefficient against a reference kept here: a tuple of
 Fractions with schoolbook division and the plain Euclidean gcd.  Division
 itself is checked on the integer pseudo-division that the gcd and the
@@ -14,16 +16,18 @@ small so the whole module runs in a few seconds.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from realgw.exact_arith import (
+    Factored,
     Polynomial,
     RationalFunction,
     _pseudo_divmod,
+    factored_sum,
     linear_combination,
     poly_gcd,
 )
-from realgw.localization import _tree_sum
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 polys = st.lists(fractions, max_size=4).map(Polynomial)
@@ -289,13 +293,100 @@ def test_values_normal_by_construction_match_the_constructor(c, r):
         assert hash(stored) == hash(built)
 
 
+def left_to_right(values):
+    total = ZERO_R
+    for v in values:
+        total = total + v
+    return total
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(st.lists(ratfuncs, max_size=6), st.randoms(use_true_random=False))
 def test_sum_is_independent_of_order(values, rng):
-    left_to_right = ZERO_R
-    for v in values:
-        left_to_right = left_to_right + v
     shuffled = list(values)
     rng.shuffle(shuffled)
-    assert _tree_sum(values) == left_to_right
-    assert _tree_sum(shuffled) == left_to_right
+    assert left_to_right(shuffled) == left_to_right(values)
+
+
+# -- Factored: a scalar, an optional polynomial rest and linear forms ---------
+
+linear_weights = st.builds(
+    lambda q, p: Polynomial((q, p)), fractions, fractions.filter(bool)
+)
+
+
+@st.composite
+def factored_values(draw, with_rest=True):
+    """A Factored value and the same value built by RationalFunction
+    arithmetic: a scalar, maybe a polynomial rest, and up to three linear
+    weights (content and sign included) with exponents in -3..3."""
+    c = draw(fractions)
+    value, reference = Factored.const(c), RationalFunction.const(c)
+    if with_rest and draw(st.booleans()):
+        rest = draw(nonzero_polys)
+        value = value * Factored.split(RationalFunction(rest), ())
+        reference = reference * RationalFunction(rest)
+    for w in draw(st.lists(linear_weights, max_size=3)):
+        e = draw(st.integers(-3, 3))
+        value = value * Factored.weight(w) ** e
+        reference = reference * RationalFunction(w) ** e
+    return value, reference
+
+
+def fields(r):
+    return r.num, r.den
+
+
+@exact
+@given(factored_values(), factored_values())
+def test_factored_products_match_rational_functions(x, y):
+    (fx, rx), (fy, ry) = x, y
+    assert fields(fx.rational_function()) == fields(rx)
+    assert fields((fx * fy).rational_function()) == fields(rx * ry)
+    assert fields((-fx).rational_function()) == fields(-rx)
+    if not ry.is_zero() and fy.rest is None:
+        assert fields((fx / fy).rational_function()) == fields(rx / ry)
+
+
+@exact
+@given(factored_values(), factored_values(with_rest=False), st.integers(0, 3))
+def test_factored_powers_match_rational_functions(x, y, n):
+    (fx, rx), (fy, ry) = x, y
+    assert fields((fx**n).rational_function()) == fields(rx**n)
+    if not ry.is_zero():
+        assert fields((fy**-n).rational_function()) == fields(ry**-n)
+    if fx.rest is not None:
+        with pytest.raises(ArithmeticError):
+            fx**-1
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.lists(factored_values(), max_size=6))
+def test_factored_sum_matches_left_to_right_sum(values):
+    got = factored_sum(f for f, _ in values)
+    assert fields(got) == fields(left_to_right(r for _, r in values))
+
+
+@exact
+@given(factored_values(), nonzero_polys)
+def test_split_recovers_the_value_or_raises(x, other):
+    # A normal-form denominator splits over the forms the value was built
+    # from; one with the irreducible factor z^2 + 1 splits over none.
+    fx, rx = x
+    forms = [f for f, _ in fx.forms]
+    assert fields(Factored.split(rx, forms).rational_function()) == fields(rx)
+    if not rx.is_zero():
+        bad = rx / RationalFunction(other * Polynomial((1, 0, 1)))
+        with pytest.raises(ArithmeticError):
+            Factored.split(bad, forms)
+
+
+@exact
+@given(coeff_lists)
+def test_weight_takes_polynomials_of_degree_at_most_one(coeffs):
+    p = Polynomial(coeffs)
+    if p.degree > 1:
+        with pytest.raises(ValueError):
+            Factored.weight(p)
+    else:
+        assert fields(Factored.weight(p).rational_function()) == fields(RationalFunction(p))

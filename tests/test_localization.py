@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from realgw import localization
-from realgw.exact_arith import RationalFunction
+from realgw.exact_arith import Factored, RationalFunction
 from realgw.gw_convert import bundled_table
 from realgw.hodge import _compositions, i1, i2, lambda_product_integral
 from realgw.localization import (
@@ -29,10 +29,10 @@ from realgw.localization import (
     GraphInvolution,
     automorphism_order,
     bracket,
+    class_total,
     edge_contribution,
     edge_key,
     enumerate_pairs,
-    euler_tangent,
     gw_real,
     isomorphic,
     pair_contribution,
@@ -45,7 +45,6 @@ from realgw.localization import (
     _free_edge_contribution,
     _is_connected,
     _theta_tuples,
-    _tree_sum,
 )
 
 A1, A2, A3, A4 = ALPHA[1], ALPHA[2], ALPHA[3], ALPHA[4]
@@ -443,17 +442,20 @@ def test_local_keys_stable_under_relabeling():
 
 
 def test_psi_edge_weights():
-    assert psi_edge_weight(1, 2, 1) == A2 - A1  # equals -2
-    assert (psi_edge_weight(1, 2, 1) - RationalFunction.const(-2)).is_zero()
-    assert (psi_edge_weight(1, 3, 1) - (A3 - A1)).is_zero()
-    assert (psi_edge_weight(1, 2, 3) - RationalFunction.const(Fraction(-2, 3))).is_zero()
+    def weight(*args):
+        return psi_edge_weight(*args).rational_function()
+
+    assert weight(1, 2, 1) == A2 - A1  # equals -2
+    assert (weight(1, 2, 1) - RationalFunction.const(-2)).is_zero()
+    assert (weight(1, 3, 1) - (A3 - A1)).is_zero()
+    assert (weight(1, 2, 3) - RationalFunction.const(Fraction(-2, 3))).is_zero()
 
 
 def test_degree1_vertex_contributions():
     p0 = degree1_pair(0)
     assert vertex_key(p0, 0) == (1, 0, ((2, 1),), 1)
     expect0 = A1 * A1 - A3 * A3
-    assert (vertex_contribution(*vertex_key(p0, 0)) - expect0).is_zero()
+    assert vertex_contribution(*vertex_key(p0, 0)).rational_function() == expect0
     for gp in (1, 2):
         p = degree1_pair(gp)
         expect = (
@@ -461,13 +463,13 @@ def test_degree1_vertex_contributions():
             * (A1**2 - A3**2)
             * i1(gp, 2 * A1, A1 - A3, A1 + A3)
         )
-        assert (vertex_contribution(*vertex_key(p, 0)) - expect).is_zero()
+        assert vertex_contribution(*vertex_key(p, 0)).rational_function() == expect
 
 
 def test_fixed_edge_contribution_value():
     p = degree1_pair(0)
     assert edge_key(p, 0) == (1, 2, 1, True)
-    assert (edge_contribution(*edge_key(p, 0)) - 1 / (A1**2 - A3**2)).is_zero()
+    assert edge_contribution(*edge_key(p, 0)).rational_function() == 1 / (A1**2 - A3**2)
 
 
 def _fixed_edge_anchored(anchor: int, other: int, deg: int) -> RationalFunction:
@@ -486,21 +488,24 @@ def test_fixed_edge_anchor_convention_is_symmetric():
     # Both endpoint anchors give the same factor for odd degrees.
     for deg in (1, 3, 5):
         for theta in ((1, 2), (2, 1), (3, 4), (4, 3)):
-            value = _fixed_edge_contribution(*theta, deg)
+            value = _fixed_edge_contribution(*theta, deg).rational_function()
             for anchor, other in (theta, theta[::-1]):
                 expect = _fixed_edge_anchored(anchor, other, deg)
-                assert (value - expect).is_zero(), (deg, theta, anchor)
+                assert value == expect, (deg, theta, anchor)
 
 
 def test_free_edge_contributions():
+    def free(*args):
+        return _free_edge_contribution(*args).rational_function()
+
     # endpoints with labels 1,3: -1 / (4 a1 a3 (a1+a3)^2)
     expect13 = RationalFunction.const(-1) / (4 * A1 * A3 * (A1 + A3) ** 2)
-    assert (_free_edge_contribution(1, 3, 1) - expect13).is_zero()
+    assert free(1, 3, 1) == expect13
     # endpoints with labels 1,4: +1 / (4 a1 a3 (a1-a3)^2)
     expect14 = RationalFunction.const(1) / (4 * A1 * A3 * (A1 - A3) ** 2)
-    assert (_free_edge_contribution(1, 4, 1) - expect14).is_zero()
+    assert free(1, 4, 1) == expect14
     # endpoint order does not matter
-    assert (_free_edge_contribution(3, 1, 1) - _free_edge_contribution(1, 3, 1)).is_zero()
+    assert free(3, 1, 1) == free(1, 3, 1)
 
 
 def test_fixed_edge_even_degree_rejected():
@@ -534,7 +539,10 @@ def _reference_vertex_contribution(pair: AdmissiblePair, v: int) -> RationalFunc
         pair.involution.vertices[m] == v for m in graph.marks_plus
     )
     n_special = len(edge_ids) + n_marks
-    e_t = euler_tangent(label)
+    e_t = RationalFunction.const(1)
+    for j in (1, 2, 3, 4):
+        if j != label:
+            e_t = e_t * (ALPHA[label] - ALPHA[j])
     psis = [_reference_psi_edge_weight(graph, i, v) for i in edge_ids]
     if graph.genus[v] == 0 and n_special <= 2:
         out = RationalFunction.const((-1) ** n_marks) * e_t ** (n_special - 1)
@@ -583,10 +591,10 @@ def test_local_factors_match_per_pair_reference(g, d):
     for pair in enumerate_pairs(g, d):
         vplus, _ = pair.default_halves()
         for v in vplus:
-            got = vertex_contribution(*vertex_key(pair, v))
+            got = vertex_contribution(*vertex_key(pair, v)).rational_function()
             assert got == _reference_vertex_contribution(pair, v), (pair, v)
         for i in range(len(pair.graph.edges)):
-            got = edge_contribution(*edge_key(pair, i))
+            got = edge_contribution(*edge_key(pair, i)).rational_function()
             assert got == _reference_edge_contribution(pair, i), (pair, i)
 
 
@@ -654,20 +662,23 @@ def test_cold_degree1_column_memo_sizes():
 
 
 @pytest.mark.parametrize(
-    "argv, bound",
+    "call, bound",
     [
-        (["gw", "--genus", "4", "--degree", "3"], 457),
-        (["verify", "--suite", "all", "--order", "6"], 695),
+        ("cli.main(['gw', '--genus', '4', '--degree', '3'])", 22),
+        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 695),
+        ("localization.gw_real(0, 5)", 62),
     ],
-    ids=["gw-4-3", "verify-order6"],
+    ids=["gw-4-3", "verify-order6", "gw-real-0-5"],
 )
-def test_cold_run_normalization_count(argv, bound):
-    # poly_gcd calls (one per RationalFunction normalization) of a cold CLI
-    # run, counted in a fresh interpreter.  Storing const, z and negation
-    # without a gcd took them from 785 and 957.
+def test_cold_run_normalization_count(call, bound):
+    # poly_gcd calls (one per RationalFunction normalization) of a cold run,
+    # counted in a fresh interpreter.  Storing const, z and negation without
+    # a gcd took the first two from 785 and 957; summing the localization
+    # classes over factored denominators took gw-4-3 from 457 and gw_real(0,5)
+    # from 2,479: what is left is one per Lambda-product integral.
     probe = (
         "import contextlib, io\n"
-        "from realgw import cli, exact_arith\n"
+        "from realgw import cli, exact_arith, localization\n"
         "calls = 0\n"
         "poly_gcd = exact_arith.poly_gcd\n"
         "def counted(a, b):\n"
@@ -676,7 +687,7 @@ def test_cold_run_normalization_count(argv, bound):
         "    return poly_gcd(a, b)\n"
         "exact_arith.poly_gcd = counted\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    cli.main({argv!r})\n"
+        f"    {call}\n"
         "print(calls)\n"
     )
     done = _run_fresh(probe)
@@ -713,14 +724,21 @@ def test_cold_run_hodge_integral_calls(argv, bound):
     assert 0 < int(done.stdout) <= bound
 
 
-def test_balanced_sum_equals_left_to_right_sum():
-    values = [v for _, v in pair_contributions(0, 5)]
+@pytest.mark.parametrize(
+    "g, d",
+    [(g, d) for d in range(1, 5) for g in range(6)]
+    + [(0, 5)]
+    + [pytest.param(g, 5, marks=pytest.mark.slow) for g in (2, 4)]
+    + [pytest.param(1, 6, marks=pytest.mark.slow)],
+)
+def test_factored_class_sum_equals_left_to_right_sum(g, d):
+    # The factored total gw_real checks, against the rational-function sum
+    # of the per-class values in enumeration order, before any constant test.
     total = RationalFunction.const(0)
-    for v in values:
+    for _, v in pair_contributions(g, d):
         total = total + v
-    assert _tree_sum(values) == total == RationalFunction.const(5)
-    assert _tree_sum([]) == RationalFunction.const(0)
-    assert _tree_sum(values[:1]) == values[0]
+    assert class_total(g, d) == total
+    assert total.is_constant()
 
 
 def test_weight_dependent_sum_raises(monkeypatch):
@@ -730,11 +748,25 @@ def test_weight_dependent_sum_raises(monkeypatch):
 
     def skewed(*key):
         out = original(*key)
-        return out * A3 if key == (1, 0, ((2, 1),), 1) else out
+        return out * Factored.weight(A3.num) if key == (1, 0, ((2, 1),), 1) else out
 
     monkeypatch.setattr(localization, "vertex_contribution", skewed)
     with pytest.raises(ArithmeticError, match="not constant"):
         gw_real.__wrapped__(0, 1)
+
+
+def test_unsplittable_vertex_integral_raises(monkeypatch):
+    # A Lambda integral whose denominator z^2 + 1 is no product of the
+    # vertex's psi forms must raise, not be summed.  The factor caches are
+    # cleared first, so the stable genus-1 vertices of (2,1) are recomputed
+    # through the patched module binding; a failing factor is never cached.
+    vertex_contribution.cache_clear()
+    edge_contribution.cache_clear()
+    monkeypatch.setattr(
+        localization, "lambda_product_integral", lambda *args: 1 / (A3 * A3 + 1)
+    )
+    with pytest.raises(ArithmeticError, match="does not split"):
+        gw_real.__wrapped__(2, 1)
 
 
 # -- per-class symbolic values ---------------------------------------------------
@@ -873,6 +905,7 @@ def test_degree5_best_effort_matches_bundled_data():
         (1, 6),
         pytest.param(3, 6, marks=pytest.mark.slow),
         pytest.param(5, 6, marks=pytest.mark.slow),
+        pytest.param(0, 7, marks=pytest.mark.slow),
     ],
 )
 def test_localization_regenerates_bundled_real_table(g, d):
@@ -884,7 +917,7 @@ def test_localization_regenerates_bundled_real_table(g, d):
 def test_parity_vanishing_with_verification():
     for g, d in ((1, 1), (0, 2), (1, 3), (0, 4), (2, 4)):
         assert gw_real(g, d) == 0
-        assert _tree_sum([v for _, v in pair_contributions(g, d)]).is_zero()
+        assert class_total(g, d).is_zero()
 
 
 def test_weight_independence_two_point_evaluation():
@@ -910,12 +943,12 @@ def all_halves(pair: AdmissiblePair):
 def contribution_with_halves(pair: AdmissiblePair, halves) -> RationalFunction:
     """pair_contribution's product, over the given (V+, E+)."""
     vplus, eplus = halves
-    out = RationalFunction.const(Fraction(1, pair.aut_order))
+    out = Factored.const(Fraction(1, pair.aut_order))
     for v in vplus:
         out = out * vertex_contribution(*vertex_key(pair, v))
     for i in pair.involution.fixed_edges() + list(eplus):
         out = out * edge_contribution(*edge_key(pair, i))
-    return out
+    return out.rational_function()
 
 
 def test_half_choice_independence_everywhere():
