@@ -35,30 +35,42 @@ involution is fixed once; edges are chosen as a degree multiset per orbit of
 vertex pairs, so every edge multiset is sigma-invariant, and one edge
 involution is emitted per isomorphism type (the number of sigma-fixed edges
 in each class of odd-degree edges on a fixed pair).  Connected ones with the
-right first Betti number then get every genus split and mark placement.  Each
-candidate is reduced to a canonical form: the least encoding of its
-involution, plus points and edges over the vertex relabelings that keep every
-(label, genus) cell in its own block.  This is the only deduplication: a
-candidate is kept when its form is new, and the relabelings reaching the
-least code, times closed-form counts of edge permutations within each edge
-class, give its automorphism order.
+right first Betti number then get every genus split, with no marks yet.  Each
+such candidate is reduced to a canonical form: the least encoding of its
+involution and edges over the vertex relabelings that keep every
+(label, genus) cell in its own block.  A candidate is kept as an unmarked
+class when its form is new; the relabelings reaching the least code give its
+vertex automorphism group G, and |G| times closed-form counts of edge
+permutations within each edge class give its automorphism order.  The marked
+classes are the G-orbits of the plus-point placements on the unmarked ones
+(orbit-stabilizer), so they need no canonical form of their own.
 
 Vertex and edge factors depend only on local data, and many classes share it,
 so they are cached on it: a vertex on (label, genus, sorted (other-end label,
 edge degree) pairs, mark count), an edge on (sorted labels, degree, fixed by
 sigma?).
 
+A class contributes through its marks only by the mark count at each V+
+vertex, and edge factors do not see marks at all.  So the sum runs over the
+unmarked classes and their mark count vectors: the k1 = ceil(d/2) plus
+points of label 1 spread over the label-1 vertices and the k3 = floor(d/2)
+of label 3 over the label-3 ones, and a count vector stands for the
+k1!/prod n_v! * k3!/prod n_w! placements that have it.  Summing over all
+placements with 1/|Aut U| equals summing over the marked classes with
+1/|Aut| (the usual graph-sum bookkeeping, as in Graber-Pandharipande,
+"Localization of virtual classes", 1999).
+
 Every denominator in the sum is a product of linear forms in z: the weight
 differences alpha_i - alpha_j, the psi weights and the interpolation points
 of the edge covers.  So the factors are kept as ``exact_arith.Factored``
 values, a scalar times a product of forms with signed exponents (times the
 numerator of a Lambda integral, whose denominator is split over its vertex's
-psi forms).  A class's product adds exponents, so vertex and edge forms
-cancel without a polynomial gcd, and the class values are summed once by
-``factored_sum``: each form comes out at its least exponent, the rest is one
-integer linear combination, and the normal form of the total is built by
-synthetic division.  The normal form is unique, so the total is the one any
-order of rational-function additions gives.
+psi forms).  A term's product adds exponents, so vertex and edge forms
+cancel without a polynomial gcd, and the terms of all classes are summed
+once by ``factored_sum``: each form comes out at its least exponent, the
+rest is one integer linear combination, and the normal form of the total is
+built by synthetic division.  The normal form is unique, so the total is the
+one any order of rational-function additions gives.
 """
 
 from __future__ import annotations
@@ -104,6 +116,7 @@ class DecoratedGraph:
     Edges are (v, w, degree) with v < w; parallel edges repeat in the tuple
     and are distinguished by position.  ``marks_plus[i-1]`` is the vertex
     carrying the point i+; the conjugate point i- sits at its sigma image.
+    An unmarked class has no plus points.
     """
 
     theta: tuple[int, ...]
@@ -256,17 +269,19 @@ def _invariant_edges(orbits, total_degree: int):
 
 
 def _canonical_form(graph: DecoratedGraph, involution: GraphInvolution):
-    """Canonical form of a pair and its automorphism order.
+    """Canonical form of a pair, its automorphism order and the vertex
+    permutations of its automorphisms.
 
     Vertices fall into cells by (theta, genus), taken in sorted order, and
     only the relabelings that send each cell onto its own block of positions
     are tried.  Each relabeling encodes the conjugated vertex involution, the
     relabeled plus points and the sorted edge list with sigma-fixed flags;
     the least code, after the sorted vertex types, is the canonical form.
-    The relabelings reaching it are the vertex automorphisms.  Each of them
-    extends to the same number of edge automorphisms: per sigma-stable edge
-    class (a, b, degree) with f fixed edges and p swapped pairs there are
-    f! p! 2^p, and per two classes swapped by sigma with n edges each, n!.
+    The relabelings reaching it give the vertex automorphisms: v goes to the
+    vertex the first of them puts at v's position.  Each of them extends to
+    the same number of edge automorphisms: per sigma-stable edge class
+    (a, b, degree) with f fixed edges and p swapped pairs there are f! p! 2^p,
+    and per two classes swapped by sigma with n edges each, n!.
     """
     sigma_v, sigma_e = involution.vertices, involution.edges
     cells: dict[tuple[int, int], list[int]] = {}
@@ -275,7 +290,7 @@ def _canonical_form(graph: DecoratedGraph, involution: GraphInvolution):
     kinds = sorted(cells)
     position = [0] * graph.num_vertices
     best = None
-    vertex_auts = 0
+    ties: list[list[int]] = []
     for blocks in itertools.product(*(itertools.permutations(cells[k]) for k in kinds)):
         order = [v for block in blocks for v in block]
         for i, v in enumerate(order):
@@ -291,9 +306,15 @@ def _canonical_form(graph: DecoratedGraph, involution: GraphInvolution):
             tuple(edges),
         )
         if best is None or code < best:
-            best, vertex_auts = code, 1
+            best, ties = code, [order]
         elif code == best:
-            vertex_auts += 1
+            ties.append(order)
+    group = []
+    for order in ties:
+        perm = [0] * graph.num_vertices
+        for v, w in zip(order, ties[0]):
+            perm[v] = w
+        group.append(tuple(perm))
     classes: dict[tuple[int, int, int], list[int]] = {}
     for i, edge in enumerate(graph.edges):
         classes.setdefault(edge, []).append(i)
@@ -307,7 +328,7 @@ def _canonical_form(graph: DecoratedGraph, involution: GraphInvolution):
         elif (a, b, deg) < image:
             edge_auts *= math.factorial(len(members))
     form = (tuple(k for k in kinds for _ in cells[k]), best)
-    return form, vertex_auts * edge_auts
+    return form, len(group) * edge_auts, tuple(group)
 
 
 def isomorphic(p: AdmissiblePair, q: AdmissiblePair) -> bool:
@@ -322,28 +343,22 @@ def automorphism_order(pair: AdmissiblePair) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
-    """All isomorphism classes of contributing admissible pairs of arithmetic
-    genus g and total degree d, with automorphism orders.
-
-    Complete and duplicate-free; an empty result is valid (and is how the
-    parity vanishing manifests).
+def _unmarked_classes(g: int, d: int):
+    """The isomorphism classes of contributing admissible pairs with their
+    marks forgotten, each as (pair with no plus points, vertex permutations
+    of its automorphisms).  Computed once per (g, d): both the marked
+    classes and the class sum are read off them.
     """
     if d < 1:
         raise ValueError("degree must be positive")
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    found: list[AdmissiblePair] = []
+    found: list[tuple[AdmissiblePair, tuple[tuple[int, ...], ...]]] = []
     seen: set[tuple] = set()
     for nv in range(2, d + 2, 2):
         for theta in _theta_tuples(nv):
-            label_vertices = {
-                t: [v for v in range(nv) if theta[v] == t] for t in (1, 3)
-            }
             # contributing pairs need a vertex for every plus point
-            if not label_vertices[1]:
-                continue
-            if d >= 2 and not label_vertices[3]:
+            if 1 not in theta or (d >= 2 and 3 not in theta):
                 continue
             sigma_v, orbits = _sigma_orbits(theta)
             vertex_orbits = [v for v in range(nv) if sigma_v[v] > v]
@@ -360,15 +375,49 @@ def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
                         genus = [0] * nv
                         for v, gv in zip(vertex_orbits, split):
                             genus[v] = genus[sigma_v[v]] = gv
-                        for marks in itertools.product(
-                            *[label_vertices[bracket(i)] for i in range(1, d + 1)]
-                        ):
-                            graph = DecoratedGraph(theta, tuple(genus), edges, marks)
-                            form, aut = _canonical_form(graph, involution)
-                            if form in seen:
-                                continue
-                            seen.add(form)
-                            found.append(AdmissiblePair(graph, involution, aut))
+                        graph = DecoratedGraph(theta, tuple(genus), edges, ())
+                        form, aut, group = _canonical_form(graph, involution)
+                        if form in seen:
+                            continue
+                        seen.add(form)
+                        found.append((AdmissiblePair(graph, involution, aut), group))
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
+    """All isomorphism classes of contributing admissible pairs of arithmetic
+    genus g and total degree d, with automorphism orders.
+
+    Complete and duplicate-free; an empty result is valid (and is how the
+    parity vanishing manifests).  Each unmarked class U with vertex
+    automorphisms G gives one marked class per G-orbit of plus-point
+    placements, represented by the least placement of the orbit, with
+    |Aut| = |Stab_G(placement)| * |Aut U| / |G|.
+    """
+    found: list[AdmissiblePair] = []
+    for locus, group in _unmarked_classes(g, d):
+        graph = locus.graph
+        label_vertices = {
+            t: [v for v, label in enumerate(graph.theta) if label == t] for t in (1, 3)
+        }
+        for marks in itertools.product(
+            *[label_vertices[bracket(i)] for i in range(1, d + 1)]
+        ):
+            stabilizer = 0
+            for perm in group:
+                image = tuple(perm[m] for m in marks)
+                if image < marks:
+                    break
+                stabilizer += image == marks
+            else:
+                found.append(
+                    AdmissiblePair(
+                        DecoratedGraph(graph.theta, graph.genus, graph.edges, marks),
+                        locus.involution,
+                        stabilizer * locus.aut_order // len(group),
+                    )
+                )
     return tuple(found)
 
 
@@ -488,14 +537,21 @@ def _fixed_edge_contribution(t1: int, t2: int, deg: int) -> Factored:
     ) / denom
 
 
-def _class_value(pair: AdmissiblePair) -> Factored:
-    """Contribution of one isomorphism class, in factored form."""
-    vplus, eplus = pair.default_halves()
+def _edge_part(pair: AdmissiblePair) -> Factored:
+    """1/|Aut| times the factors of the sigma-fixed edges and of E+."""
+    _, eplus = pair.default_halves()
     out = Factored.const(Fraction(1, pair.aut_order))
-    for v in vplus:
-        out = out * vertex_contribution(*vertex_key(pair, v))
     for i in pair.involution.fixed_edges() + list(eplus):
         out = out * edge_contribution(*edge_key(pair, i))
+    return out
+
+
+def _class_value(pair: AdmissiblePair) -> Factored:
+    """Contribution of one isomorphism class, in factored form."""
+    vplus, _ = pair.default_halves()
+    out = _edge_part(pair)
+    for v in vplus:
+        out = out * vertex_contribution(*vertex_key(pair, v))
     return out
 
 
@@ -509,10 +565,33 @@ def pair_contributions(g: int, d: int) -> list[tuple[AdmissiblePair, RationalFun
     return [(p, pair_contribution(p)) for p in enumerate_pairs(g, d)]
 
 
+def _locus_terms(locus: AdmissiblePair, d: int) -> list[Factored]:
+    """The count-vector terms of one unmarked class U: per count vector, the
+    multinomials k1!/prod n_v! and k3!/prod n_w!, the V+ vertex factors with
+    those mark counts, the edge factors and 1/|Aut U|."""
+    vplus, _ = locus.default_halves()
+    terms = [_edge_part(locus)]
+    for label, k in ((1, (d + 1) // 2), (3, d // 2)):
+        local = [vertex_key(locus, v)[:3] for v in vplus if locus.graph.theta[v] == label]
+        side = []
+        for counts in _compositions(k, len(local)):
+            out = Factored.const(
+                math.factorial(k) // math.prod(math.factorial(n) for n in counts)
+            )
+            for key, n in zip(local, counts):
+                out = out * vertex_contribution(*key, n)
+            side.append(out)
+        terms = [term * part for term in terms for part in side]
+    return terms
+
+
 def class_total(g: int, d: int) -> RationalFunction:
-    """Sum of the class contributions as a rational function in z, summed
-    once in factored form (see the module docstring)."""
-    return factored_sum(_class_value(p) for p in enumerate_pairs(g, d))
+    """Sum of the class contributions as a rational function in z: the
+    count-vector terms of every unmarked class, summed once in factored
+    form (see the module docstring)."""
+    return factored_sum(
+        term for locus, _ in _unmarked_classes(g, d) for term in _locus_terms(locus, d)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from realgw import localization
-from realgw.exact_arith import Factored, RationalFunction
+from realgw.exact_arith import Factored, RationalFunction, factored_sum
 from realgw.gw_convert import bundled_table
 from realgw.hodge import _compositions, i1, i2, lambda_product_integral
 from realgw.localization import (
@@ -41,10 +41,12 @@ from realgw.localization import (
     vertex_contribution,
     vertex_key,
     _canonical_form,
+    _class_value,
     _fixed_edge_contribution,
     _free_edge_contribution,
     _is_connected,
     _theta_tuples,
+    _unmarked_classes,
 )
 
 A1, A2, A3, A4 = ALPHA[1], ALPHA[2], ALPHA[3], ALPHA[4]
@@ -102,6 +104,7 @@ def test_parity_enumerations_are_empty():
 def test_enumeration_is_deterministic():
     first = enumerate_pairs(3, 4)
     enumerate_pairs.cache_clear()
+    _unmarked_classes.cache_clear()
     second = enumerate_pairs(3, 4)
     assert first == second
 
@@ -373,12 +376,41 @@ def test_enumeration_matches_reference_canonical_forms(g, d):
     # The reference generator, deduplicated by the same canonical form, gives
     # the same set of (canonical form, |Aut|).
     reference = {
-        _canonical_form(p.graph, p.involution) for p in _reference_candidates(g, d)
+        _canonical_form(p.graph, p.involution)[:2] for p in _reference_candidates(g, d)
     }
     pairs = enumerate_pairs(g, d)
     got = {(_canonical_form(p.graph, p.involution)[0], p.aut_order) for p in pairs}
     assert len(got) == len(pairs)
     assert got == reference
+
+
+@pytest.mark.parametrize(
+    "g, d", [(g, d) for d in range(1, 5) for g in range(6)] + [(0, 5)]
+)
+def test_marked_classes_expand_unmarked_orbits(g, d):
+    # Orbit-stabilizer per unmarked class U: the marked classes expanded from
+    # U have 1/|Aut| summing to (number of placements) / |Aut U|, and no two
+    # of them, over all U, share a canonical form.
+    expanded: dict[tuple, list[AdmissiblePair]] = {}
+    for p in enumerate_pairs(g, d):
+        key = (p.graph.theta, p.graph.genus, p.graph.edges, p.involution)
+        expanded.setdefault(key, []).append(p)
+        assert p.aut_order == automorphism_order(p), p
+    loci = _unmarked_classes(g, d)
+    assert len(expanded) == len(loci)
+    for locus, group in loci:
+        graph = locus.graph
+        assert graph.marks_plus == ()
+        assert locus.aut_order == automorphism_order(locus)
+        assert len(group) == len(set(group))
+        marked = expanded[(graph.theta, graph.genus, graph.edges, locus.involution)]
+        placements = graph.theta.count(1) ** ((d + 1) // 2) * graph.theta.count(3) ** (
+            d // 2
+        )
+        got = sum(Fraction(1, p.aut_order) for p in marked)
+        assert got == Fraction(placements, locus.aut_order), locus
+    forms = [_canonical_form(p.graph, p.involution)[0] for p in enumerate_pairs(g, d)]
+    assert len(set(forms)) == len(forms)
 
 
 def _relabel(p: AdmissiblePair, rng: random.Random):
@@ -624,7 +656,10 @@ def _run_fresh(probe: str) -> subprocess.CompletedProcess:
 
 def test_cold_enumeration_canonical_form_calls():
     # Candidates sent to _canonical_form by a cold enumerate_pairs, counted in
-    # a fresh interpreter; the reference generator sends 584 and 1,778.
+    # a fresh interpreter, with the marked and unmarked class counts.  The
+    # reference generator sends 584 and 1,778 marked candidates; canonicalizing
+    # each mark placement sent 296, 902 and 60,204 at (0,5), (2,5) and (0,7),
+    # where only the unmarked candidates are sent now.
     probe = (
         "from realgw import localization\n"
         "calls = 0\n"
@@ -634,14 +669,18 @@ def test_cold_enumeration_canonical_form_calls():
         "    calls += 1\n"
         "    return canonical_form(*args)\n"
         "localization._canonical_form = counted\n"
-        "for g, d in ((0, 5), (2, 5)):\n"
+        "for g, d in ((0, 5), (2, 5), (0, 7)):\n"
         "    calls = 0\n"
-        "    print(len(localization.enumerate_pairs(g, d)), calls)\n"
+        "    marked = len(localization.enumerate_pairs(g, d))\n"
+        "    print(marked, len(localization._unmarked_classes(g, d)), calls)\n"
     )
     done = _run_fresh(probe)
-    classes, calls = zip(*(map(int, line.split()) for line in done.stdout.splitlines()))
-    assert classes == (152, 470)
-    assert calls[0] <= 296 and calls[1] <= 902
+    marked, unmarked, calls = zip(
+        *(map(int, line.split()) for line in done.stdout.splitlines())
+    )
+    assert marked == (152, 470, 13704)
+    assert unmarked == (34, 112, 242)
+    assert calls[0] <= 56 and calls[1] <= 182 and calls[2] <= 844
 
 
 def test_cold_degree1_column_memo_sizes():
@@ -729,14 +768,21 @@ def test_cold_run_hodge_integral_calls(argv, bound):
     [(g, d) for d in range(1, 5) for g in range(6)]
     + [(0, 5)]
     + [pytest.param(g, 5, marks=pytest.mark.slow) for g in (2, 4)]
-    + [pytest.param(1, 6, marks=pytest.mark.slow)],
+    + [pytest.param(1, 6, marks=pytest.mark.slow)]
+    + [pytest.param(0, 7, marks=pytest.mark.slow)],
 )
 def test_factored_class_sum_equals_left_to_right_sum(g, d):
-    # The factored total gw_real checks, against the rational-function sum
-    # of the per-class values in enumeration order, before any constant test.
-    total = RationalFunction.const(0)
-    for _, v in pair_contributions(g, d):
-        total = total + v
+    # The count-vector total gw_real checks, against the sum of the
+    # per-marked-class values, as rational functions before any constant
+    # test.  The marked side is the left-to-right rational-function sum in
+    # enumeration order; at degree 7 its 13,704 values are summed by
+    # factored_sum instead, which keeps the case affordable.
+    if d < 7:
+        total = RationalFunction.const(0)
+        for _, v in pair_contributions(g, d):
+            total = total + v
+    else:
+        total = factored_sum(_class_value(p) for p in enumerate_pairs(g, d))
     assert class_total(g, d) == total
     assert total.is_constant()
 
@@ -903,9 +949,14 @@ def test_degree5_best_effort_matches_bundled_data():
         (2, 5),
         (4, 5),
         (1, 6),
+        (0, 7),
         pytest.param(3, 6, marks=pytest.mark.slow),
         pytest.param(5, 6, marks=pytest.mark.slow),
-        pytest.param(0, 7, marks=pytest.mark.slow),
+        pytest.param(2, 7, marks=pytest.mark.slow),
+        pytest.param(4, 7, marks=pytest.mark.slow),
+        pytest.param(1, 8, marks=pytest.mark.slow),
+        pytest.param(3, 8, marks=pytest.mark.slow),
+        pytest.param(5, 8, marks=pytest.mark.slow),
     ],
 )
 def test_localization_regenerates_bundled_real_table(g, d):
