@@ -33,13 +33,60 @@ polynomial's stored numerators and denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
+
+
+class Record:
+    """Base of the value classes.
+
+    A subclass lists its fields in ``__slots__``.  Two instances of the same
+    class are equal when their fields are, and the repr names each field.
+    A record is mutable, so it is not hashable; see :class:`Frozen`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """An immutable, hashable record.
+
+    A subclass sets its fields in ``__init__`` through
+    ``object.__setattr__``; assigning or deleting a field afterwards raises
+    AttributeError.  The hash is that of the field tuple.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _scalar(c: Scalar) -> Fraction:
@@ -95,8 +142,7 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list, list, int]
     return quot, rem, s
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Dense univariate polynomial in ``z`` with rational coefficients.
 
     It is stored as integer numerators indexed by degree over one positive
@@ -105,6 +151,8 @@ class Polynomial:
     values.  The zero polynomial stores no numerators over 1.  ``coeffs`` is
     a read-only view of the coefficients as Fractions.
     """
+
+    __slots__ = ("_ints", "_den")
 
     _ints: tuple[int, ...]
     _den: int
@@ -137,6 +185,17 @@ class Polynomial:
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
         return len(self._ints) - 1
+
+    def primitive(self) -> tuple[Fraction, "Polynomial"]:
+        """(c, P) with self = c * P, P an integer polynomial with coprime
+        coefficients and a positive leading one; zero gives (0, 0)."""
+        ints = self._ints
+        if not ints:
+            return Fraction(0), self
+        g = math.gcd(*ints)
+        if ints[-1] < 0:
+            g = -g
+        return Fraction(g, self._den), _poly([c // g for c in ints])
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         den = math.lcm(self._den, other._den)
@@ -195,7 +254,8 @@ def linear_combination(terms: Iterable[tuple[Scalar, Polynomial]]) -> Polynomial
     acc: list[int] = []
     den = 1
     for c, p in terms:
-        c = _scalar(c)
+        if type(c) is not int:
+            c = _scalar(c)
         d = c.denominator * p._den
         if den % d:
             lcm = math.lcm(den, d)
@@ -238,12 +298,11 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return _poly(x, x[-1]) if x else Polynomial()
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Frozen):
     """Quotient of polynomials in ``z`` kept in a unique normal form.
 
     The normal form has coprime numerator/denominator and a monic denominator,
-    so dataclass equality coincides with equality of rational functions.  The
+    so field equality coincides with equality of rational functions.  The
     constructor takes polynomials or ``int``/``Fraction`` scalars and builds
     the form in one pass: num/den = (N d)/(D n) on the integer numerators N, D
     over n, d; the primitive gcd G from :func:`poly_gcd` divides N and D
@@ -251,6 +310,8 @@ class RationalFunction:
     folded into both sides.  ``const``, ``z`` and negation are normal by
     construction and skip the gcd.
     """
+
+    __slots__ = ("num", "den")
 
     num: Polynomial
     den: Polynomial

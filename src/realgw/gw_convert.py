@@ -22,29 +22,34 @@ data, not recomputed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
+from .exact_arith import Record
 from .series_ids import coeff_cx, coeff_real
 
 FLAVORS = ("real", "complex")
 KINDS = ("GW", "E")
 
 
-@dataclass
-class InvariantTable:
+class InvariantTable(Record):
     """A (genus, degree) -> exact value grid of one flavor and kind."""
 
-    flavor: str
-    kind: str
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    __slots__ = ("flavor", "kind", "entries")
 
-    def __post_init__(self) -> None:
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
+    def __init__(
+        self,
+        flavor: str,
+        kind: str,
+        entries: dict[tuple[int, int], Fraction] | None = None,
+    ) -> None:
+        if flavor not in FLAVORS:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        self.flavor = flavor
+        self.kind = kind
+        self.entries = {} if entries is None else entries
 
     def genera(self) -> list[int]:
         return sorted({g for g, _ in self.entries})

@@ -47,15 +47,20 @@ The evaluation pipeline:
 On top of this the module exposes the products Lambda(u_1)Lambda(u_2)
 Lambda(u_3) integrated against geometric-series denominators 1/(u - psi),
 the one- and two-partition Hodge integrals I1, I2, and the coefficients
-alpha_g' of the expansion of -log(sin(t/2)/(t/2)).  The product integral is
-summed as polynomials over one common denominator built from the power
-tables of its arguments, so the only rational-function normalization is the
-final one.  Its coefficients <lambda_r1 ... lambda_rk psi^s> depend only on
-the shape (genus, number of Lambda factors, points, flagged points), never
-on the arguments: ``_lambda_rows`` looks them up once per shape, cached like
-I1 and I2, and groups them by the sorted multiset of lambda indices, so each
-multiset is summed once and multiplied by the sum of its permutations'
-argument powers.
+alpha_g' of the expansion of -log(sin(t/2)/(t/2)).  The product integral's
+coefficients <lambda_r1 ... lambda_rk psi^s> depend only on the shape
+(genus, number of Lambda factors, points, flagged points), never on the
+arguments: ``_lambda_rows`` looks them up once per shape, cached like I1
+and I2, groups them by the sorted multiset of lambda indices and stores
+them, signs included, as integers over one common denominator.  The
+arguments enter through bases: each is a rational scalar times a quotient
+of primitive integer polynomials, and arguments proportional to each other
+share one base, as the Lambda arguments and edge weights of a localization
+vertex do.  A term is an integer times a product of base powers, so the
+terms are summed as integers per exponent vector over the bases, and each
+vector costs at most one product of powers from the process-wide table
+``_power``.  The polynomial sum over the common denominator of those
+powers is normalized once, so the integral costs one polynomial gcd.
 
 The boundary conventions (the global 1/2, ordered separating types, the sign
 (-psi')^a) are calibrated by the test suite against integral(lambda_1) = 1/24
@@ -339,74 +344,174 @@ def lambda_product_integral(
     dimension of the space; a None entry is a plain marked point.
 
     The sum runs over lambda tuples (r_i) and compositions (s_j) of the
-    remaining psi degree over the flagged points.  With u_i = a_i/b_i,
-    w_j = c_j/d_j and ``top`` the dimension 3g - 3 + n, every term is a
-    polynomial over the common denominator D = prod b_i^g * prod c_j^(top+1):
+    remaining psi degree over the flagged points, ``top`` = 3g - 3 + n being
+    the dimension:
 
-        u_i^(g-r)    = a_i^(g-r) b_i^r        / b_i^g,
-        w_j^-(s+1)   = d_j^(s+1) c_j^(top-s)  / c_j^(top+1).
+        sum (-1)^(sum r) <prod lambda_(r_i) prod psi_j^(s_j)>
+            * prod_i u_i^(g - r_i) * prod_j w_j^-(s_j + 1).
 
-    The Hodge values <prod lambda_(r_i) prod psi_j^(s_j)> do not depend on
-    the arguments, so ``_lambda_rows`` looks them up once per shape and
-    groups them by the sorted multiset of lambda indices: every permutation
-    of a multiset has the same values and the same sign.  Per call, the power
-    tables and D are built once, the weight product W(comp) = prod_j
-    w_tables[j][s_j] once per composition, and each multiset contributes
+    Every argument is written as a rational scalar times a base, a quotient
+    P/Q of primitive integer polynomials with positive leading coefficients
+    (``_scaled_base``).  Proportional arguments share their base, as the
+    Lambda argument alpha_label - alpha_other and the edge weight
+    (alpha_label - alpha_other)/degree of a vertex do, and constants have
+    none.  A term is then an integer scalar times prod_b B_b^(e_b), e_b
+    being the exponent the term gives base b: g - r_i per Lambda argument
+    on b, -(s_j + 1) per weight on b.  The scalars are integers because
+    ``_lambda_rows`` stores the Hodge values of a shape, signs included,
+    times one common denominator L, and because the scalar parts
+    u_i = p_i/q_i * B and w_j = p_j/q_j * B are taken over
+    K = prod_i q_i^g * prod_j p_j^(top+1).  The terms are summed as integers
+    per exponent vector: per lambda multiset, the compositions by the
+    exponents their weights give (compositions that only move degree
+    between points of one base meet), then each ordering of the multiset
+    onto those sums.
 
-        (-1)^(sum r) * sum_comp value * W(comp)
-                     * sum_perm prod_i u_tables[i][r_i],
-
-    two linear combinations and one product.  All contributions go into one
-    final linear combination, and only its quotient by D is normalized, so
-    the whole sum costs one polynomial gcd.
+    Cleared of negative exponents by the common denominator
+    prod_b P_b^(-lo_b) Q_b^(hi_b), lo_b and hi_b the least and greatest e_b
+    or 0, every term is a product of base powers, all taken from the
+    process-wide table ``_power``; ``_power_sum`` nests the sum by exponent,
+    so each distinct prefix of an exponent vector costs one product.  Only
+    the quotient by that denominator times K L is normalized, so the whole
+    integral costs one polynomial gcd.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     n = len(point_denominators)
     if 2 * genus - 2 + n <= 0:
         raise ValueError(f"unstable: genus {genus} with {n} points")
-    us = [RationalFunction.coerce(u) for u in lambda_args]
-    ws: list[RationalFunction] = []
+    us = [_scaled_base(RationalFunction.coerce(u)) for u in lambda_args]
+    ws = []
     for w in point_denominators:
         if w is None:
             continue
         w = RationalFunction.coerce(w)
         if w.is_zero():
             raise ZeroDivisionError("zero weight in a geometric denominator")
-        ws.append(w)
+        ws.append(_scaled_base(w))
     top = 3 * genus - 3 + n
-    # u_tables[i][r] = a_i^(g-r) * b_i^r
+    bases = list(dict.fromkeys(b for _, _, b in us + ws if b is not None))
+    # An exponent vector (e_b) is one integer: digit b, at place radix^b,
+    # holds e_b + shift, which lies in [0, radix), so adding keys adds the
+    # vectors without carries.
+    shift = (top + 1) * len(ws)
+    radix = genus * len(us) + shift + 1
+    place = {b: radix**i for i, b in enumerate(bases)}
+    scale = 1
+    # u_tables[i][r] = (key of u_i^(g-r), p_i^(g-r) q_i^r)
     u_tables = []
-    dens = []
-    for u in us:
-        a_pows, b_pows = _powers(u.num, genus), _powers(u.den, genus)
-        u_tables.append([a_pows[genus - r] * b_pows[r] for r in range(genus + 1)])
-        dens.append(b_pows[genus])
-    # w_tables[j][s] = d_j^(s+1) * c_j^(top-s)
+    for p, q, b in us:
+        step = place.get(b, 0)
+        u_tables.append(
+            [((genus - r) * step, p ** (genus - r) * q**r) for r in range(genus + 1)]
+        )
+        scale *= q**genus
+    # w_tables[j][s] = (key of w_j^-(s+1), q_j^(s+1) p_j^(top-s))
     w_tables = []
-    for w in ws:
-        c_pows, d_pows = _powers(w.num, top + 1), _powers(w.den, top + 1)
-        w_tables.append([d_pows[s + 1] * c_pows[top - s] for s in range(top + 1)])
-        dens.append(c_pows[top + 1])
-    # weights[comp] = prod_j w_tables[j][s_j], shared by every multiset.
-    weights: dict[tuple[int, ...], Polynomial] = {}
-    parts = []
-    for sign, perms, rows in _lambda_rows(genus, len(us), n, len(ws)):
-        terms = []
+    for p, q, b in ws:
+        step = place.get(b, 0)
+        w_tables.append(
+            [(-(s + 1) * step, q ** (s + 1) * p ** (top - s)) for s in range(top + 1)]
+        )
+        scale *= p ** (top + 1)
+    offset = shift * sum(place.values())
+    den, multisets = _lambda_rows(genus, len(us), n, len(ws))
+    weights: dict[tuple[int, ...], tuple[int, int]] = {}
+    sums: dict[int, int] = {}
+    for perms, rows in multisets:
+        inner: dict[int, int] = {}
         for comp, value in rows:
             weight = weights.get(comp)
             if weight is None:
-                weight = _product(table[s] for table, s in zip(w_tables, comp))
-                weights[comp] = weight
-            terms.append((value, weight))
-        inner = linear_combination(terms)
-        if inner.is_zero():
-            continue
-        u_part = linear_combination(
-            (1, _product(table[r] for table, r in zip(u_tables, rs))) for rs in perms
+                key, c = offset, 1
+                for table, s in zip(w_tables, comp):
+                    k, m = table[s]
+                    key += k
+                    c *= m
+                weight = weights[comp] = (key, c)
+            key, c = weight
+            inner[key] = inner.get(key, 0) + value * c
+        for rs in perms:
+            key, c = 0, 1
+            for table, r in zip(u_tables, rs):
+                k, m = table[r]
+                key += k
+                c *= m
+            for k, v in inner.items():
+                sums[key + k] = sums.get(key + k, 0) + c * v
+    totals = [(key, total) for key, total in sums.items() if total]
+    if not totals:
+        return RationalFunction.const(0)
+    exponents = []
+    for key, _ in totals:
+        digits = []
+        for _ in bases:
+            key, digit = divmod(key, radix)
+            digits.append(digit - shift)
+        exponents.append(digits)
+    # Cleared of negative exponents, a term carries P_b^(e_b - lo_b) and
+    # Q_b^(hi_b - e_b) per base b; the common denominator carries
+    # P_b^(-lo_b) Q_b^(hi_b).  A Q_b of 1 is left out.
+    factors, columns, cleared = [], [], []
+    for (p, q), column in zip(bases, zip(*exponents)):
+        lo, hi = min(0, *column), max(0, *column)
+        factors.append(p)
+        columns.append([e - lo for e in column])
+        cleared.append(-lo)
+        if q.degree > 0:
+            factors.append(q)
+            columns.append([hi - e for e in column])
+            cleared.append(hi)
+    terms = [
+        (tuple(column[t] for column in columns), total)
+        for t, (_, total) in enumerate(totals)
+    ]
+    denominator = _power_sum(factors, [(tuple(cleared), scale * den)])
+    return RationalFunction(_power_sum(factors, terms), denominator)
+
+
+def _power_sum(factors: list[Polynomial], terms: list) -> Polynomial:
+    """sum_t c_t * prod_k factors[k]^(a_(t,k)) over the terms (a_t, c_t),
+    integer c_t, nested by the exponent of the first factor: each distinct
+    prefix of exponents costs one product, and the powers of the last
+    factor enter a linear combination."""
+    if not factors:
+        return Polynomial.const(sum(c for _, c in terms))
+    base, rest = factors[0], factors[1:]
+    groups: dict[int, list] = {}
+    for vector, c in terms:
+        groups.setdefault(vector[0], []).append((vector[1:], c))
+    if not rest:
+        return linear_combination(
+            (c, _power(base, a)) for a, group in groups.items() for _, c in group
         )
-        parts.append((sign, inner * u_part))
-    return RationalFunction(linear_combination(parts), _product(dens))
+    parts = []
+    for a, group in groups.items():
+        inner = _power_sum(rest, group)
+        parts.append((1, inner * _power(base, a) if a else inner))
+    return linear_combination(parts)
+
+
+@lru_cache(maxsize=None)
+def _scaled_base(value: RationalFunction) -> tuple[int, int, tuple | None]:
+    """(p, q, base) with value = p/q * P/Q, q > 0 and base = (P, Q), P and Q
+    primitive integer polynomials with positive leading coefficients, or
+    None when value is a constant."""
+    c_num, p = value.num.primitive()
+    c_den, q = value.den.primitive()
+    c = c_num / c_den
+    base = (p, q) if p.degree > 0 or q.degree > 0 else None
+    return c.numerator, c.denominator, base
+
+
+@lru_cache(maxsize=None)
+def _power(base: Polynomial, k: int) -> Polynomial:
+    """base^k, every power of every base built once per process."""
+    if k == 0:
+        return Polynomial.const(1)
+    if k == 1:
+        return base
+    return _power(base, k - 1) * base
 
 
 @lru_cache(maxsize=None)
@@ -415,10 +520,11 @@ def _lambda_rows(genus: int, factors: int, points: int, flagged: int) -> tuple:
     ``factors`` Lambda classes on the genus-g space with ``points`` marked
     points, ``flagged`` of them carrying a geometric denominator.
 
-    One entry (sign, perms, rows) per sorted multiset of lambda indices with
-    a nonzero row: sign is (-1)^(sum r), perms the distinct orderings of the
-    multiset as lambda tuples (r_i), and rows the (composition, value) pairs
-    with value = <prod lambda_(r_i) prod psi_j^(s_j)> != 0.  Hodge integrals
+    Returns (den, multisets): one entry (perms, rows) per sorted multiset of
+    lambda indices with a nonzero row, perms the distinct orderings of the
+    multiset as lambda tuples (r_i), and rows the (composition, n) pairs
+    with n = den * (-1)^(sum r) * <prod lambda_(r_i) prod psi_j^(s_j)> != 0,
+    an integer: den is the lcm of the values' denominators.  Hodge integrals
     are symmetric in the points, so which points are flagged does not
     matter, and ``hodge_integral`` sorts its lambda indices, so one lookup
     serves every permutation.  ``hodge_integral`` is called through the
@@ -426,40 +532,26 @@ def _lambda_rows(genus: int, factors: int, points: int, flagged: int) -> tuple:
     """
     top = 3 * genus - 3 + points
     plain = (0,) * (points - flagged)
-    out = []
+    found = []
     for lam in itertools.combinations_with_replacement(range(genus + 1), factors):
         remaining = top - sum(lam)
         if remaining < 0:
             continue
         nonzero = tuple(r for r in lam if r > 0)
+        sign = -1 if sum(lam) % 2 else 1
         rows = []
         for comp in _compositions(remaining, flagged):
             value = hodge_integral(genus, plain + comp, nonzero)
             if value:
-                rows.append((comp, value))
+                rows.append((comp, sign * value))
         if rows:
-            perms = tuple(sorted(set(itertools.permutations(lam))))
-            out.append((-1 if sum(lam) % 2 else 1, perms, tuple(rows)))
-    return tuple(out)
-
-
-def _product(polys) -> Polynomial:
-    """Product of an iterable of polynomials, 1 when it is empty."""
-    polys = iter(polys)
-    out = next(polys, None)
-    if out is None:
-        return Polynomial.const(1)
-    for p in polys:
-        out = out * p
-    return out
-
-
-def _powers(p: Polynomial, k: int) -> list[Polynomial]:
-    """[p^0, p^1, ..., p^k]."""
-    out = [Polynomial.const(1)]
-    for _ in range(k):
-        out.append(out[-1] * p)
-    return out
+            found.append((tuple(sorted(set(itertools.permutations(lam)))), rows))
+    den = math.lcm(*(v.denominator for _, rows in found for _, v in rows))
+    multisets = tuple(
+        (perms, tuple((comp, v.numerator * (den // v.denominator)) for comp, v in rows))
+        for perms, rows in found
+    )
+    return den, multisets
 
 
 def _compositions(total: int, parts: int):
@@ -557,6 +649,8 @@ def clear_caches() -> None:
     _psi_memo.clear()
     _kappa_memo.clear()
     _lambda_rows.cache_clear()
+    _scaled_base.cache_clear()
+    _power.cache_clear()
     alpha_coeff.cache_clear()
     I1.cache_clear()
     I2.cache_clear()

@@ -78,12 +78,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact_arith import (
     Factored,
+    Frozen,
     Rational,
     RationalFunction,
     Scalar,
@@ -109,8 +109,7 @@ def bracket(i: int) -> int:
     return 1 if i % 2 else 3
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
+class DecoratedGraph(Frozen):
     """Labeled decorated graph underlying one fixed locus.
 
     Edges are (v, w, degree) with v < w; parallel edges repeat in the tuple
@@ -119,10 +118,24 @@ class DecoratedGraph:
     An unmarked class has no plus points.
     """
 
+    __slots__ = ("theta", "genus", "edges", "marks_plus")
+
     theta: tuple[int, ...]
     genus: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
     marks_plus: tuple[int, ...]
+
+    def __init__(
+        self,
+        theta: tuple[int, ...],
+        genus: tuple[int, ...],
+        edges: tuple[tuple[int, int, int], ...],
+        marks_plus: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "marks_plus", marks_plus)
 
     @property
     def num_vertices(self) -> int:
@@ -134,12 +147,17 @@ class DecoratedGraph:
         return plus + minus
 
 
-@dataclass(frozen=True)
-class GraphInvolution:
+class GraphInvolution(Frozen):
     """Involution data: a vertex permutation and an edge-index permutation."""
+
+    __slots__ = ("vertices", "edges")
 
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
+
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[int, ...]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     def fixed_edges(self) -> list[int]:
         return [i for i, j in enumerate(self.edges) if j == i]
@@ -148,13 +166,21 @@ class GraphInvolution:
         return [(i, j) for i, j in enumerate(self.edges) if j > i]
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(Frozen):
     """Isomorphism class representative of a contributing admissible pair."""
+
+    __slots__ = ("graph", "involution", "aut_order")
 
     graph: DecoratedGraph
     involution: GraphInvolution
     aut_order: int
+
+    def __init__(
+        self, graph: DecoratedGraph, involution: GraphInvolution, aut_order: int
+    ) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "involution", involution)
+        object.__setattr__(self, "aut_order", aut_order)
 
     def default_halves(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Canonical (V+, E+): labels 1 and 3, least index per free orbit."""
@@ -441,10 +467,30 @@ def _psi_terms(label: int, other: int, deg: int):
     return (Fraction(1, deg), other), (Fraction(-1, deg), label)
 
 
+@lru_cache(maxsize=None)
 def psi_edge_weight(label: int, other: int, deg: int) -> Factored:
     """Cotangent weight (alpha_other - alpha_label) / deg at the ``label`` end
     of an edge to ``other``."""
     return _weight(*_psi_terms(label, other, deg))
+
+
+@lru_cache(maxsize=None)
+def _lambda_args(label: int) -> tuple[RationalFunction, ...]:
+    """The Lambda arguments alpha_label - alpha_j, j != label, of a stable
+    vertex at ``label``."""
+    return tuple(
+        _weight((1, label), (-1, j)).rational_function()
+        for j in (1, 2, 3, 4)
+        if j != label
+    )
+
+
+@lru_cache(maxsize=None)
+def _psi_denominator(label: int, other: int, deg: int) -> RationalFunction:
+    """The geometric-series weight -psi_edge_weight = (alpha_label -
+    alpha_other)/deg of an edge to ``other``: the Lambda argument of
+    ``other`` over the degree."""
+    return (-psi_edge_weight(label, other, deg)).rational_function()
 
 
 def vertex_key(pair: AdmissiblePair, v: int):
@@ -477,13 +523,11 @@ def vertex_contribution(
         exponent = 3 - n_special - len(neighbours)
         total = _weight(*(t for end in neighbours for t in _psi_terms(label, *end)))
         return out * total**exponent
-    others = [j for j in (1, 2, 3, 4) if j != label]
-    lambda_args = tuple(_weight((1, label), (-1, j)).rational_function() for j in others)
     denominators: list[RationalFunction | None] = [
-        (-w).rational_function() for w in weights
+        _psi_denominator(label, *end) for end in neighbours
     ]
     denominators += [None] * n_marks
-    integral = lambda_product_integral(genus, lambda_args, denominators)
+    integral = lambda_product_integral(genus, _lambda_args(label), denominators)
     forms = [f for w in weights for f, _ in w.forms]
     out = Factored.const(-((-1) ** (genus + len(neighbours)))) * e_t
     out = out * Factored.split(integral, forms)

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_arith import (
     RatLike,
     Rational,
     RationalFunction,
+    Record,
     Series,
     series_exp,
     series_pow,
@@ -36,16 +36,26 @@ from .exact_arith import (
 from .hodge import alpha_coeff, i1, i2
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of one order-by-order identity or conjecture check."""
 
-    name: str
-    order: int
-    passed: bool
-    residual: list[str] = field(default_factory=list)
-    note: str = ""
-    conjecture: bool = False
+    __slots__ = ("name", "order", "passed", "residual", "note", "conjecture")
+
+    def __init__(
+        self,
+        name: str,
+        order: int,
+        passed: bool,
+        residual: list[str] | None = None,
+        note: str = "",
+        conjecture: bool = False,
+    ) -> None:
+        self.name = name
+        self.order = order
+        self.passed = passed
+        self.residual = [] if residual is None else residual
+        self.note = note
+        self.conjecture = conjecture
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -17,6 +17,7 @@ from realgw.exact_arith import (
     series_sinc,
 )
 from realgw.hodge import i1
+from realgw.localization import AdmissiblePair, DecoratedGraph, GraphInvolution
 
 
 def rand_fraction(rng):
@@ -270,3 +271,52 @@ def test_series_rejects_float_coefficients():
     s = Series([1, Fraction(1, 2), z])
     assert s.coeffs == (Fraction(1), Fraction(1, 2), z)
     assert isinstance(s.coeffs[0], Fraction)
+
+
+def _value_pairs():
+    """Per immutable value class, two equal instances built apart."""
+    z = RationalFunction.z()
+    graph = ((1, 2), (0, 0), ((0, 1, 1),), (0,))
+    involution = ((1, 0), (0,))
+    return {
+        "Polynomial": (
+            Polynomial((Fraction(1, 2), 3)),
+            Polynomial((1, 6)) * Polynomial.const(Fraction(1, 2)),
+        ),
+        "RationalFunction": (
+            (z + 1) / (2 * z),
+            RationalFunction(Polynomial((1, 1)), Polynomial((0, 2))),
+        ),
+        "DecoratedGraph": (
+            DecoratedGraph(*graph),
+            DecoratedGraph(
+                theta=(1, 2), genus=(0, 0), edges=((0, 1, 1),), marks_plus=(0,)
+            ),
+        ),
+        "GraphInvolution": (
+            GraphInvolution(*involution),
+            GraphInvolution(vertices=(1, 0), edges=(0,)),
+        ),
+        "AdmissiblePair": tuple(
+            AdmissiblePair(DecoratedGraph(*graph), GraphInvolution(*involution), 2)
+            for _ in range(2)
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["Polynomial", "RationalFunction", "DecoratedGraph", "GraphInvolution", "AdmissiblePair"],
+)
+def test_value_classes_are_immutable_with_value_equality(kind):
+    a, b = _value_pairs()[kind]
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert type(a).__name__ == kind and repr(a) == repr(b)
+    assert repr(a).startswith(f"{kind}(")
+    assert not hasattr(a, "__dict__")
+    field = type(a).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b and a != object()

@@ -30,6 +30,23 @@ def table_from(flavor, kind, entries):
     return t
 
 
+def test_invariant_table_value_semantics():
+    # Equal by value, unhashable since mutable, and each table gets its own
+    # entries dict; an unknown flavor or kind raises.
+    a, b = InvariantTable("real", "GW"), InvariantTable("real", "GW")
+    assert a == b and a.entries == {} and a.entries is not b.entries
+    a.entries[(0, 1)] = Fraction(1)
+    assert a != b and a == InvariantTable("real", "GW", {(0, 1): Fraction(1)})
+    assert a != InvariantTable("complex", "GW", {(0, 1): Fraction(1)})
+    assert repr(b) == "InvariantTable(flavor='real', kind='GW', entries={})"
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(ValueError, match="unknown flavor"):
+        InvariantTable("imaginary", "GW")
+    with pytest.raises(ValueError, match="unknown kind"):
+        InvariantTable("real", "F")
+
+
 # -- worked conversions ----------------------------------------------------------
 
 

@@ -714,10 +714,16 @@ def test_lambda_product_integral_matches_fraction_assembly():
     # Grid past the reach of the term-by-term reference: genus 3-4 with
     # three denominators, I2-shaped inputs through genus 4, rational
     # arguments with non-integer, non-monic coefficients, a zero argument,
-    # and Lambda(0)^2 = lambda_g^2 = 0, whose whole sum vanishes.
+    # and Lambda(0)^2 = lambda_g^2 = 0, whose whole sum vanishes.  The
+    # integral writes each argument as a scalar times a base, so the grid
+    # also holds arguments that share a base up to a scalar: weights u/2 and
+    # u/3 at two of three flagged points, the constant 2 = alpha_1 - alpha_2
+    # of label 1 (no base) as a weight, weights equal to u1 and u2 as in I2,
+    # and a non-polynomial base met at two scales.
     z = RationalFunction.z()
     alpha = {1: RationalFunction.const(1), 2: RationalFunction.const(-1), 3: z, 4: -z}
     vertex = tuple(alpha[1] - alpha[j] for j in (2, 3, 4))
+    vertex3 = tuple(alpha[3] - alpha[j] for j in (1, 2, 4))
     odd = ((3 * z + 2) / (4 * (5 * z - 7)), Fraction(-5, 6), (z - 3) / 7)
     cases = []
     for g in (3, 4):
@@ -733,6 +739,13 @@ def test_lambda_product_integral_matches_fraction_assembly():
     cases.append((2, odd, [odd[2], None, (2 * z + 1) / 9]))
     cases.append((3, (0, z + 1, Fraction(3, 2)), [z + 1, Fraction(3, 2)]))
     cases.append((3, (0, 0, z + 1), [z + 1, Fraction(3, 2)]))
+    cases.append((3, vertex, [vertex[1] / 2, vertex[1] / 3, vertex[2]]))
+    cases.append((2, vertex3, [vertex3[0] / 2, -vertex3[0] / 3, vertex3[2] / 5]))
+    cases.append((2, vertex, [vertex[0], vertex[2] / 2, None]))
+    cases.append((3, vertex, [Fraction(2), None]))
+    for g in (1, 2, 3):
+        cases.append((g, (vertex[1], vertex[2], vertex[0]), [vertex[1], vertex[2]]))
+    cases.append((2, odd, [odd[0], odd[0] * Fraction(-3, 2), None]))
     zeros = 0
     for g, us, points in cases:
         got = lambda_product_integral(g, us, points)
@@ -740,7 +753,7 @@ def test_lambda_product_integral_matches_fraction_assembly():
         assert got == want, (g, us, points)
         assert (got.num, got.den) == (want.num, want.den)
         zeros += got.is_zero()
-    assert len(cases) == 13
+    assert len(cases) == 21
     assert zeros == 1
 
 

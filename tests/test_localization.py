@@ -733,6 +733,27 @@ def test_cold_run_normalization_count(call, bound):
     assert 0 < int(done.stdout) <= bound
 
 
+def test_cold_run_polynomial_products():
+    # Polynomial.__mul__ calls of a cold gw_real(4, 5), counted in a fresh
+    # interpreter.  Assembling the Lambda-product integrals over shared bases
+    # with one process-wide power table took them from 25,926.
+    probe = (
+        "from realgw import exact_arith, localization\n"
+        "calls = 0\n"
+        "mul = exact_arith.Polynomial.__mul__\n"
+        "def counted(a, b):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return mul(a, b)\n"
+        "exact_arith.Polynomial.__mul__ = counted\n"
+        "print(localization.gw_real(4, 5), calls)\n"
+    )
+    done = _run_fresh(probe)
+    value, calls = done.stdout.split()
+    assert value == "43/128"
+    assert 0 < int(calls) <= 1486
+
+
 @pytest.mark.parametrize(
     "argv, bound",
     [

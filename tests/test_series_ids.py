@@ -8,6 +8,7 @@ from realgw.exact_arith import RationalFunction, series_sinc
 from realgw.series_ids import (
     CONJECTURE_NAMES,
     F1_series,
+    IdentityReport,
     F2_series,
     check_conjecture,
     coeff_cx,
@@ -15,6 +16,25 @@ from realgw.series_ids import (
     coeff_real,
     verify_identity,
 )
+
+
+def test_identity_report_defaults_and_equality():
+    # Defaults: no residual (a fresh list per report), no note, not a
+    # conjecture.  Equal by value, unhashable since mutable.
+    a, b = IdentityReport("F1", 6, True), IdentityReport("F1", 6, True)
+    assert (a.residual, a.note, a.conjecture) == ([], "", False)
+    assert a == b and a.residual is not b.residual
+    assert a != IdentityReport("F1", 6, True, [], "", True)
+    assert str(a) == "PASS  F1  to t^6"
+    assert str(IdentityReport("F2", 8, False, ["t^2"], "n", True)) == (
+        "FAIL  F2  to t^8 (conjecture)  n"
+    )
+    assert repr(a) == (
+        "IdentityReport(name='F1', order=6, passed=True, residual=[], "
+        "note='', conjecture=False)"
+    )
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_real_coeff_values():

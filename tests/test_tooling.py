@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +74,25 @@ def test_tracer_boundaries_resolve():
         assert isinstance(memo, dict)
     for cached in (localization.vertex_contribution, hodge.I1, hodge.I2):
         assert cached.cache_info().misses >= 0
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    # most of the package's cold import time, so the value classes are plain
+    # __slots__ classes.  Checked in a fresh interpreter without ``site``,
+    # so only the package's own imports count.
+    probe = (
+        "import sys\n"
+        "import realgw, realgw.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
