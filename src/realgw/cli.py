@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         message = exc.args[0]
     except RecursionError:
-        # The string, dilaton and DVV reductions recurse about once per point.
+        # The GRR and DVV recursions go one level deeper about once per point.
         message = "too many points or too high a genus for the recursive evaluation"
     except (ValueError, OSError, ArithmeticError) as exc:
         message = str(exc)

@@ -26,7 +26,8 @@ representation.  Polynomial arithmetic runs on Python integers: sums and
 products work on the numerators and reduce by one integer gcd, and the gcd
 and the exact division by it share one integer pseudo-division.  ``lcm_sum``
 and ``linear_combination`` sum scalar and polynomial terms as integer
-numerators over a running lcm denominator.  Only this module reads a
+numerators over a running lcm denominator, and ``reduced`` brings an integer
+pair num/den to lowest terms.  Only this module reads a
 polynomial's stored numerators and denominator.
 """
 
@@ -281,6 +282,13 @@ def lcm_sum(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int]:
             den = lcm
         acc += c * p * (den // q)
     return acc, den
+
+
+def reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den, den > 0, as the pair of coprime integers with the same value:
+    one gcd, and zero comes out as (0, 1)."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

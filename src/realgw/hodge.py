@@ -6,12 +6,16 @@ classes (Chern classes of the Hodge bundle E) over the Deligne-Mumford space.
 The evaluation pipeline:
 
 1. ``hodge_integral`` returns 0 on a dimension mismatch before any
-   expansion, then removes psi^0 points by the string equation
-   <tau_0 prod tau_(a_j) lambda> = sum_j <tau_(a_j - 1) prod_(i != j) tau_(a_i) lambda>
-   while the space with one point fewer is stable.  This is the first step
-   of Faber's algorithm (Algorithms for computing intersection numbers on
-   moduli spaces of curves, 1999); it holds because lambda classes pull
-   back under the map forgetting a point.
+   expansion.  Lambda classes pull back under the map forgetting a point,
+   so the dilaton and string equations hold; this is the first step of
+   Faber's algorithm (Algorithms for computing intersection numbers on
+   moduli spaces of curves, 1999).  In the same call, the psi^1 points
+   are removed by the dilaton equation <tau_1 X lambda> = (2g - 2 + n)
+   <X lambda>, X on n points, while the space with one point fewer is
+   stable.  Then the removable psi^0 points go all at once by the
+   iterated string equation
+   <tau_0^k prod tau_(a_j) lambda> = sum_b k!/prod b_j! <prod tau_(a_j - b_j) lambda>,
+   b running over the vectors with sum k and b_j <= a_j.
 2. ``lambda_to_ch`` rewrites a lambda monomial as a polynomial in the odd
    Chern characters ch_1, ch_3, ch_5, ... by Newton's identities; the even
    Chern characters of E vanish identically (Mumford), so they are dropped.
@@ -23,7 +27,11 @@ The evaluation pipeline:
    (separating divisors) by the projection formula, and recurse.  Kappa, psi,
    and remaining ch factors restrict to boundary pieces in the standard way:
    psi_i lands on the piece carrying the point i, while kappa and ch restrict
-   to the sum over pieces.
+   to the sum over pieces.  ch(E) pulls back under the forgetful map, so a
+   key without kappa factors first takes the dilaton and string steps of
+   step 1.  Kappa classes do not pull back (kappa_a = pi^* kappa_a +
+   psi_(n+1)^a, Arbarello and Cornalba), so a key with a kappa factor is
+   always expanded.
 4. The terms are generated already grouped by the integral they lead to:
    one psi term per distinct exponent times its multiplicity, and one
    separating term per split of the psi-exponent multiset times the number
@@ -33,15 +41,20 @@ The evaluation pipeline:
    All terms of one expansion, same-space, irreducible and separating, are
    summed as integer numerators over one running lcm denominator
    (``exact_arith.lcm_sum``), and the prefactor B_(2l)/(2 (2l)!) is folded
-   into the one Fraction built per memo entry.  ``hodge_integral`` sums its
-   string and ch terms the same way.
+   into the one reduction per memo entry.  ``hodge_integral`` sums its
+   string and ch terms the same way.  The memos hold reduced integer pairs
+   (num, den), as the psi-kappa layer's do, and only ``hodge_integral``
+   builds a Fraction, one per call.
 5. Classes that vanish by theorem are not expanded.  Mumford's relation
    c(E)c(E^dual) = 1 (Towards an enumerative geometry of the moduli space
    of curves, 1983) gives lambda_g^2 = 0 for g >= 1, so ``hodge_integral``
    returns 0 when lambda_g appears twice.  ``_ch_integral`` returns 0 for a
    ch factor at genus 0, where E = 0, and for ch_m with m >= 3 at genus 1,
    where E is pulled back from the 1-pointed space, so lambda_1^2 = 0 and
-   ch_m = lambda_1^m / m! = 0 for m >= 2.
+   ch_m = lambda_1^m / m! = 0 for m >= 2.  The dilaton and string steps
+   are identities, not vanishing rules: a query reaches 0 through them
+   only when the lowerings run out (the psi exponents sum to less than
+   the number of removable psi^0 points).
 6. With no ch factors left, the integral is a psi-kappa correlator.
 
 On top of this the module exposes the products Lambda(u_1)Lambda(u_2)
@@ -85,18 +98,21 @@ from .exact_arith import (
     RationalFunction,
     lcm_sum,
     linear_combination,
+    reduced,
 )
 from .psi_kappa import (
+    _ZERO,
+    _dilaton,
     _kappa_memo,
     _kappa_value,
-    _lowered,
     _pad_to_stable,
     _psi_memo,
+    _string_lowerings,
     _subsets_of_multiset,
 )
 
-_hodge_memo: dict[tuple, Fraction] = {}
-_ch_memo: dict[tuple, Fraction] = {}
+_hodge_memo: dict[tuple, tuple[int, int]] = {}
+_ch_memo: dict[tuple, tuple[int, int]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -158,10 +174,16 @@ def _ch_integral(
     psi: tuple[int, ...],
     kappa: tuple[int, ...],
     ch: tuple[int, ...],
-) -> Fraction:
-    """Integral of a psi-kappa monomial times prod ch_(m)(E), m odd.
+) -> tuple[int, int]:
+    """Integral of a psi-kappa monomial times prod ch_(m)(E), m odd, as a
+    reduced pair (num, den).
 
-    Eliminates the largest ch factor by the GRR expansion
+    A key without kappa factors first loses psi points by the dilaton and
+    string equations (``_dilaton``, ``_string_lowerings``): ch(E) pulls back
+    under the map forgetting a point, as the lambda classes do.  Kappa
+    classes do not (kappa_a = pi^* kappa_a + psi_(n+1)^a, Arbarello and
+    Cornalba), so a key with a kappa factor is always expanded.  The
+    remaining keys eliminate the largest ch factor by the GRR expansion
 
         ch_m = B_(m+1)/(m+1)! * [ kappa_m - sum_i psi_i^m
                + 1/2 * sum_boundary push(sum_(a+b=m-1) (-psi')^a psi''^b) ],
@@ -173,42 +195,66 @@ def _ch_integral(
     appears twice, which the global 1/2 compensates.  All terms are summed
     as integers over one running denominator, the same-space ones doubled
     against the 1/2, and the prefactor B_(m+1)/(2 (m+1)!) is folded into
-    the one Fraction built for the memo entry.
+    the one reduction of the memo entry.
 
     A ch factor at genus 0 (where E = 0), or ch_m with m >= 3 at genus 1
     (where lambda_1^2 = 0 by Mumford's relation, so ch_m = lambda_1^m / m!
     vanishes for m >= 2), gives 0 without expansion.
     """
+    factor = 1
+    if not kappa and 1 in psi:
+        factor, psi = _dilaton(genus, psi)
     key = (genus, psi, kappa, ch)
-    cached = _ch_memo.get(key)
-    if cached is not None:
-        return cached
+    value = _ch_memo.get(key)
+    if value is None:
+        n = len(psi)
+        if 2 * genus - 2 + n <= 0:
+            return _ZERO
+        if sum(psi) + sum(kappa) + sum(ch) != 3 * genus - 3 + n:
+            return _ZERO
+        if not ch:
+            value = _kappa_value(genus, psi, kappa)
+        elif genus == 0 or (genus == 1 and ch[-1] >= 3):
+            return _ZERO
+        else:
+            lowerings = None if kappa else _string_lowerings(genus, psi)
+            if lowerings is not None:
+                terms = [
+                    (weight, *_ch_integral(genus, lowered, (), ch))
+                    for lowered, weight in lowerings
+                ]
+                value = reduced(*lcm_sum(terms))
+            else:
+                value = _grr(genus, psi, kappa, ch)
+            _ch_memo[key] = value
+    if factor == 1:
+        return value
+    return reduced(factor * value[0], value[1])
+
+
+def _grr(
+    genus: int,
+    psi: tuple[int, ...],
+    kappa: tuple[int, ...],
+    ch: tuple[int, ...],
+) -> tuple[int, int]:
+    """The GRR expansion of the largest ch factor of a stable genus >= 1
+    key of the right dimension, as described in ``_ch_integral``."""
     n = len(psi)
-    if 2 * genus - 2 + n <= 0:
-        return Fraction(0)
-    if sum(psi) + sum(kappa) + sum(ch) != 3 * genus - 3 + n:
-        return Fraction(0)
-    if not ch:
-        return _kappa_value(genus, psi, kappa)
-    if genus == 0 or (genus == 1 and ch[-1] >= 3):
-        return Fraction(0)
     m = ch[-1]
     rest_ch = ch[:-1]
     # kappa_m and psi_i^m stay on the same space.
-    v = _ch_integral(genus, psi, tuple(sorted(kappa + (m,))), rest_ch)
-    terms = [(2, v.numerator, v.denominator)]
+    terms = [(2, *_ch_integral(genus, psi, tuple(sorted(kappa + (m,))), rest_ch))]
     for i, p in enumerate(psi):
         if i and psi[i - 1] == p:
             continue
         bumped = tuple(sorted(psi[:i] + (p + m,) + psi[i + 1 :]))
-        v = _ch_integral(genus, bumped, kappa, rest_ch)
-        terms.append((-2 * psi.count(p), v.numerator, v.denominator))
+        terms.append((-2 * psi.count(p), *_ch_integral(genus, bumped, kappa, rest_ch)))
     # Boundary terms, summed with the sign (-1)^a of the node exponent a.
-    if genus >= 1:
-        for a in range(m):
-            psi_irr = tuple(sorted(psi + (a, m - 1 - a)))
-            v = _ch_integral(genus - 1, psi_irr, kappa, rest_ch)
-            terms.append((-1 if a % 2 else 1, v.numerator, v.denominator))
+    for a in range(m):
+        psi_irr = tuple(sorted(psi + (a, m - 1 - a)))
+        v = _ch_integral(genus - 1, psi_irr, kappa, rest_ch)
+        terms.append((-1 if a % 2 else 1, *v))
     buckets = _splits_by_degree(kappa, rest_ch)
     for left, right, count in _subsets_of_multiset(psi):
         n_left = len(left)
@@ -230,31 +276,23 @@ def _ch_integral(
                 # without ch factors is a psi-kappa correlator.
                 for k1, c1, k2, c2, w in bucket:
                     if c1:
-                        v1 = _ch_integral(h, psi1, k1, c1)
+                        n1, d1 = _ch_integral(h, psi1, k1, c1)
                     else:
-                        v1 = _kappa_value(h, psi1, k1)
-                    if not v1:
+                        n1, d1 = _kappa_value(h, psi1, k1)
+                    if not n1:
                         continue
                     if c2:
-                        v2 = _ch_integral(genus - h, psi2, k2, c2)
+                        n2, d2 = _ch_integral(genus - h, psi2, k2, c2)
                     else:
-                        v2 = _kappa_value(genus - h, psi2, k2)
-                    if not v2:
+                        n2, d2 = _kappa_value(genus - h, psi2, k2)
+                    if not n2:
                         continue
-                    terms.append(
-                        (
-                            sign * w,
-                            v1.numerator * v2.numerator,
-                            v1.denominator * v2.denominator,
-                        )
-                    )
+                    terms.append((sign * w, n1 * n2, d1 * d2))
     num, den = lcm_sum(terms)
     pref = bernoulli(m + 1)
-    total = Fraction(
+    return reduced(
         pref.numerator * num, pref.denominator * 2 * math.factorial(m + 1) * den
     )
-    _ch_memo[key] = total
-    return total
 
 
 def _splits_by_degree(
@@ -285,15 +323,19 @@ def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
     layer).  A negative genus, psi exponent or lambda index raises
     ``ValueError``.
 
-    A psi^0 point is removed by the string equation
+    Lambda classes pull back under the map forgetting a point, so the
+    dilaton and string equations hold.  In the same call, the psi^1 points
+    are removed by the dilaton equation while the space with one point
+    fewer is stable, each for a factor 2g - 2 + (points left)
+    (``_dilaton``), and the memo is keyed on what is left.  Then all
+    removable psi^0 points go at once by the iterated string equation
 
-        <tau_0 prod_j tau_(a_j) lambda>
-            = sum_j <tau_(a_j - 1) prod_(i != j) tau_(a_i) lambda>
+        <tau_0^k prod_j tau_(a_j) lambda>
+            = sum_b k!/prod_j b_j! <prod_j tau_(a_j - b_j) lambda>,
 
-    while the space with one point fewer is stable; it holds because lambda
-    classes pull back under the map forgetting a point.  Only queries with
-    no psi^0 point left, or on a space that cannot lose one, are expanded
-    by ``lambda_to_ch`` and ``_ch_integral``.
+    over b with sum k and b_j <= a_j (``_string_lowerings``).  Only queries
+    with no point left to remove are expanded by ``lambda_to_ch`` and
+    ``_ch_integral``.
     """
     psi = tuple(sorted(psi_exponents))
     lam = tuple(sorted(lambda_indices))
@@ -308,26 +350,24 @@ def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
         return Fraction(0)
     if genus >= 1 and lam.count(genus) >= 2:
         return Fraction(0)
+    factor, psi = _dilaton(genus, psi)
     key = (genus, psi, lam)
-    cached = _hodge_memo.get(key)
-    if cached is not None:
-        return cached
-    terms = []
-    if psi and psi[0] == 0 and 2 * genus - 3 + len(psi) > 0:
-        # Through the module binding, so a wrapper installed on it sees
-        # every reduced query.
-        for count, reduced in _lowered(psi[1:]):
-            v = hodge_integral(genus, reduced, lam)
-            terms.append((count, v.numerator, v.denominator))
-    else:
-        for ch_key, coeff in lambda_to_ch(lam).items():
-            v = _ch_integral(genus, psi, (), ch_key)
-            terms.append(
-                (1, coeff.numerator * v.numerator, coeff.denominator * v.denominator)
-            )
-    total = Fraction(*lcm_sum(terms))
-    _hodge_memo[key] = total
-    return total
+    value = _hodge_memo.get(key)
+    if value is None:
+        terms = []
+        lowerings = _string_lowerings(genus, psi)
+        if lowerings is not None:
+            # Through the module binding, so a wrapper installed on it sees
+            # every reduced query.
+            for lowered, weight in lowerings:
+                v = hodge_integral(genus, lowered, lam)
+                terms.append((weight, v.numerator, v.denominator))
+        else:
+            for ch_key, coeff in lambda_to_ch(lam).items():
+                num, den = _ch_integral(genus, psi, (), ch_key)
+                terms.append((1, coeff.numerator * num, coeff.denominator * den))
+        value = _hodge_memo[key] = reduced(*lcm_sum(terms))
+    return Fraction(factor * value[0], value[1])
 
 
 def lambda_product_integral(

@@ -2,8 +2,10 @@
 
 ``witten_psi`` evaluates the correlators <tau_{a_1} ... tau_{a_n}>_g, i.e. the
 integrals of psi-class monomials over the Deligne-Mumford space of genus-g
-n-pointed stable curves.  The evaluation applies the string and dilaton
-equations whenever a zero or one exponent is present and otherwise runs the
+n-pointed stable curves.  The evaluation removes the one exponents by the
+dilaton equation and then all zero exponents at once by the iterated string
+equation, as far as the space stays stable (``_dilaton`` and
+``_string_lowerings``, which the Hodge layer shares), and otherwise runs the
 Witten-Kontsevich (DVV) recursion on the largest exponent.  The two seed
 values are
 
@@ -21,7 +23,10 @@ last kappa index for a new marked point minus merge corrections.
 
 The string, DVV and kappa sums are accumulated as integer numerators over
 one running lcm denominator (``exact_arith.lcm_sum``), with the DVV weights
-doubled to integers, so each memo entry builds one Fraction.
+doubled to integers.  The memos hold each value as a reduced integer pair
+(num, den) with den > 0, zero as (0, 1), reduced by one gcd
+(``exact_arith.reduced``); the recursions read and sum the pairs as
+integers, and only ``witten_psi`` and ``kappa_psi`` build a Fraction.
 
 All queries are memoized on canonical sorted keys, and a memo hit returns
 before any stability or dimension check; the module is pure but the shared
@@ -34,10 +39,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_arith import Rational, lcm_sum
+from .exact_arith import Rational, lcm_sum, reduced
 
-_psi_memo: dict[tuple, Fraction] = {}
-_kappa_memo: dict[tuple, Fraction] = {}
+_psi_memo: dict[tuple, tuple[int, int]] = {}
+_kappa_memo: dict[tuple, tuple[int, int]] = {}
+
+_ZERO = (0, 1)
 
 
 def _pad_to_stable(genus: int, psi: tuple[int, ...]) -> tuple[int, ...]:
@@ -57,7 +64,7 @@ def _double_factorial(n: int) -> int:
     return out
 
 
-def _psi_value(genus: int, exps: tuple[int, ...]) -> Fraction:
+def _psi_value(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
     """Internal evaluation with the convention that unstable input is 0.
 
     ``exps`` is sorted (every caller passes a sorted tuple), so exps[0] is
@@ -69,45 +76,76 @@ def _psi_value(genus: int, exps: tuple[int, ...]) -> Fraction:
         return cached
     n = len(exps)
     if 2 * genus - 2 + n <= 0:
-        return Fraction(0)
+        return _ZERO
     # n >= 1 past the dimension check: a stable space with no points has
     # genus >= 2 and dimension 3g - 3 > 0.
     if sum(exps) != 3 * genus - 3 + n or exps[0] < 0:
-        return Fraction(0)
+        return _ZERO
     value = _psi_reduce(genus, exps)
     _psi_memo[key] = value
     return value
 
 
-def _lowered(psi: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """(multiplicity, psi with one copy of a lowered by 1) for each distinct
-    positive exponent a of the sorted tuple psi; the tuples stay sorted.
-    These are the right-hand side terms of the string equation."""
-    out = []
-    for i, v in enumerate(psi):
-        if v and (i == 0 or psi[i - 1] != v):
-            out.append((psi.count(v), psi[:i] + (v - 1,) + psi[i + 1 :]))
-    return out
+def _dilaton(genus: int, psi: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(factor, rest) for a sorted psi tuple: rest drops the psi^1 points
+    that the dilaton equation
+
+        <tau_1 X> = (2g - 2 + n) <X>    (X on n points)
+
+    removes, one after another while the space with one point fewer is
+    stable, and factor is the product of their 2g - 2 + (points left).  The
+    equation holds for every class pulled back under the forgetful map."""
+    top = 2 * genus - 3 + len(psi)
+    removed = min(psi.count(1), top)
+    if removed <= 0:
+        return 1, psi
+    i = psi.index(1)
+    return math.perm(top, removed), psi[:i] + psi[i + removed :]
 
 
-def _psi_reduce(genus: int, exps: tuple[int, ...]) -> Fraction:
-    n = len(exps)
+def _string_lowerings(genus: int, psi: tuple[int, ...]):
+    """The iterated string equation for a sorted psi tuple, or None when no
+    psi^0 point can be removed.
+
+    The k psi^0 points that can go while the space stays stable are removed
+    at once: the value of psi is the sum of weight times the value of
+    lowered over the (lowered, weight) pairs returned.  A lowered tuple is
+    the remaining exponents minus a vector b with sum k and b_j <= a_j,
+    sorted, and its weight sums k!/prod b_j! over the b that give it.  The
+    pairs are built by k rounds of the one-point string equation (lower one
+    positive exponent by 1, times its multiplicity), merging the partial
+    lowerings that meet; there are none when the exponents sum to less than
+    k, and the value is 0.  Like the dilaton equation, this holds for every
+    class pulled back under the forgetful map."""
+    removed = min(psi.count(0), 2 * genus - 3 + len(psi))
+    if removed <= 0:
+        return None
+    states = {psi[removed:]: 1}
+    for _ in range(removed):
+        nxt: dict[tuple[int, ...], int] = {}
+        for rest, weight in states.items():
+            for i, a in enumerate(rest):
+                if a and (i == 0 or rest[i - 1] != a):
+                    lowered = rest[:i] + (a - 1,) + rest[i + 1 :]
+                    nxt[lowered] = nxt.get(lowered, 0) + rest.count(a) * weight
+        states = nxt
+    return states.items()
+
+
+def _psi_reduce(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
     if genus == 0 and exps == (0, 0, 0):
-        return Fraction(1)
+        return (1, 1)
     if genus == 1 and exps == (1,):
-        return Fraction(1, 24)
-    # String equation: drop a tau_0 and lower one remaining exponent.
-    if exps[0] == 0:
-        terms = []
-        for count, reduced in _lowered(exps[1:]):
-            v = _psi_value(genus, reduced)
-            terms.append((count, v.numerator, v.denominator))
-        return Fraction(*lcm_sum(terms))
-    # Dilaton equation: drop a tau_1 and scale by 2g - 2 + (n - 1).
-    if 1 in exps:
-        j = exps.index(1)
-        rest = exps[:j] + exps[j + 1 :]
-        return (2 * genus - 2 + n - 1) * _psi_value(genus, rest)
+        return (1, 24)
+    # Dilaton, then string equation, as far as the space stays stable.
+    factor, stripped = _dilaton(genus, exps)
+    if stripped != exps:
+        num, den = _psi_value(genus, stripped)
+        return reduced(factor * num, den)
+    lowerings = _string_lowerings(genus, exps)
+    if lowerings is not None:
+        terms = [(weight, *_psi_value(genus, lowered)) for lowered, weight in lowerings]
+        return reduced(*lcm_sum(terms))
     # DVV recursion on the largest exponent (all exponents are >= 2 here),
     # summed in integers with every term doubled, so the degeneration weight
     # (2b+1)!! (2c+1)!! / 2 becomes an integer; the 2 and (2 a1 + 1)!! go
@@ -117,34 +155,26 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> Fraction:
     terms = []
     for j in range(len(rest)):
         aj = rest[j]
-        reduced = rest[:j] + rest[j + 1 :] + (a1 + aj - 1,)
-        v = _psi_value(genus, tuple(sorted(reduced)))
+        merged = rest[:j] + rest[j + 1 :] + (a1 + aj - 1,)
         # (2(a1 + aj) - 1)!! / (2 aj - 1)!! is a product of odd integers.
         c = _double_factorial(2 * (a1 + aj) - 1) // _double_factorial(2 * aj - 1)
-        terms.append((2 * c, v.numerator, v.denominator))
+        terms.append((2 * c, *_psi_value(genus, tuple(sorted(merged)))))
     for b in range(a1 - 1):
         c = a1 - 2 - b
         w = _double_factorial(2 * b + 1) * _double_factorial(2 * c + 1)
         # Non-separating degeneration.
-        v = _psi_value(genus - 1, tuple(sorted(rest + (b, c))))
-        terms.append((w, v.numerator, v.denominator))
+        terms.append((w, *_psi_value(genus - 1, tuple(sorted(rest + (b, c))))))
         # Separating degenerations over all genus and marked-point splits,
         # one term per split of the exponent multiset times its subset count.
         for g1 in range(genus + 1):
             for left, right, count in _subsets_of_multiset(rest):
-                lv = _psi_value(g1, tuple(sorted(left + (b,))))
-                if not lv:
+                ln, ld = _psi_value(g1, tuple(sorted(left + (b,))))
+                if not ln:
                     continue
-                rv = _psi_value(genus - g1, tuple(sorted(right + (c,))))
-                terms.append(
-                    (
-                        count * w,
-                        lv.numerator * rv.numerator,
-                        lv.denominator * rv.denominator,
-                    )
-                )
+                rn, rd = _psi_value(genus - g1, tuple(sorted(right + (c,))))
+                terms.append((count * w, ln * rn, ld * rd))
     num, den = lcm_sum(terms)
-    return Fraction(num, 2 * den * _double_factorial(2 * a1 + 1))
+    return reduced(num, 2 * den * _double_factorial(2 * a1 + 1))
 
 
 def witten_psi(genus: int, exponents) -> Rational:
@@ -160,7 +190,7 @@ def witten_psi(genus: int, exponents) -> Rational:
         raise ValueError(f"unstable query: genus {genus} with {len(exps)} points")
     if any(a < 0 for a in exps):
         raise ValueError("psi exponents must be nonnegative")
-    return _psi_value(genus, exps)
+    return Fraction(*_psi_value(genus, exps))
 
 
 def kappa_psi(genus: int, psi_exponents, kappa_indices) -> Rational:
@@ -202,7 +232,7 @@ def kappa_psi(genus: int, psi_exponents, kappa_indices) -> Rational:
         raise ValueError("psi exponents must be nonnegative")
     if any(b <= 0 for b in kappa):
         raise ValueError("kappa indices must be positive")
-    return _kappa_value(genus, _pad_to_stable(genus, psi), kappa)
+    return Fraction(*_kappa_value(genus, _pad_to_stable(genus, psi), kappa))
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +256,7 @@ def _subsets_of_multiset(
 
 def _kappa_value(
     genus: int, psi: tuple[int, ...], kappa: tuple[int, ...]
-) -> Fraction:
+) -> tuple[int, int]:
     if not kappa:
         return _psi_value(genus, psi)
     key = (genus, psi, kappa)
@@ -239,8 +269,8 @@ def _kappa_value(
     for merged, remaining, count in _subsets_of_multiset(rest):
         exponent = 1 + b + sum(merged)
         v = _kappa_value(genus, tuple(sorted(psi + (exponent,))), remaining)
-        terms.append((-count if len(merged) % 2 else count, v.numerator, v.denominator))
-    value = Fraction(*lcm_sum(terms))
+        terms.append((-count if len(merged) % 2 else count, *v))
+    value = reduced(*lcm_sum(terms))
     _kappa_memo[key] = value
     return value
 

@@ -147,7 +147,7 @@ def _reference_ch_integral(genus, psi, kappa, ch, memo):
     if sum(psi) + sum(kappa) + sum(ch) != 3 * genus - 3 + n:
         return Fraction(0)
     if not ch:
-        return _kappa_value(genus, psi, kappa)
+        return Fraction(*_kappa_value(genus, psi, kappa))
     key = (genus, psi, kappa, ch)
     if key in memo:
         return memo[key]
@@ -229,17 +229,20 @@ def test_ch_integral_matches_per_subset_reference():
                 if sum(lam) <= dim:
                     for psi in _psi_tuples(n, dim - sum(lam)):
                         hodge_cases.append((g, psi, lam))
-    # Direct keys with kappa classes and several ch factors, which no lambda
-    # monomial reaches at the top level.
+    # Direct keys with several ch factors, which no lambda monomial reaches
+    # at the top level: with kappa classes, which are always expanded by
+    # GRR, and without, with psi^0 and psi^1 points that the string and
+    # dilaton steps remove first.
     ch_cases = []
     for g in (2, 3):
-        for kappa in ((1,), (2,), (1, 1), (1, 3)):
+        for kappa in ((), (1,), (2,), (1, 1), (1, 3)):
             for ch in ((1, 1), (1, 3), (1, 1, 1), (3, 3), (1, 5)):
-                for n in (0, 1, 2):
+                for n in (0, 1, 2) if kappa else (1, 2, 3):
                     rest = 3 * g - 3 + n - sum(kappa) - sum(ch)
                     if 2 * g - 2 + n > 0 and rest >= 0:
                         for psi in _psi_tuples(n, rest):
-                            ch_cases.append((g, psi, kappa, ch))
+                            if kappa or psi[0] <= 1:
+                                ch_cases.append((g, psi, kappa, ch))
     # Three lambda indices through genus 3, such as (1, g, g), where the
     # lambda_g^2 = 0 shortcut of hodge_integral applies.
     three_cases = []
@@ -256,20 +259,21 @@ def test_ch_integral_matches_per_subset_reference():
     want_three = [_reference_hodge_integral(*case, memo) for case in three_cases]
     clear_caches()
     got_hodge = [hodge_integral(*case) for case in hodge_cases]
-    got_ch = [_ch_integral(*case) for case in ch_cases]
+    got_ch = [Fraction(*_ch_integral(*case)) for case in ch_cases]
     got_three = [hodge_integral(*case) for case in three_cases]
     assert got_hodge == want_hodge
     assert got_ch == want_ch
     assert got_three == want_three
-    assert (len(hodge_cases), len(ch_cases)) == (405, 61)
-    assert sum(v != 0 for v in want_hodge + want_ch) == 446
+    assert (len(hodge_cases), len(ch_cases)) == (405, 115)
+    assert sum(v != 0 for v in want_hodge + want_ch) == 494
     assert (len(three_cases), sum(v != 0 for v in want_three)) == (71, 52)
     assert sum(lam.count(g) >= 2 for g, _, lam in three_cases) == 11
 
 
 def test_string_reduction_matches_per_subset_reference():
-    # hodge_integral removes psi^0 points by the string equation; the
-    # reference expands every query by GRR instead.
+    # hodge_integral removes psi^1 points by the dilaton equation and psi^0
+    # points by the iterated string equation; the reference expands every
+    # query by GRR instead.
     cases = []
     # Several psi^0 points next to positive exponents.
     for g in (1, 2, 3):
@@ -291,6 +295,22 @@ def test_string_reduction_matches_per_subset_reference():
         (0, (0, 0, 0, 1), ()),
         (0, (0, 0, 1, 1, 0), ()),
     ]
+    # Two or more psi^1 points, alone and next to psi^0 points: the dilaton
+    # step removes them in one call, down to the unpointed space at genus
+    # >= 2 and to the stability edge below.
+    cases += [
+        (1, (1, 1, 1), ()),
+        (1, (0, 1, 1), (1,)),
+        (1, (0, 1, 1, 1), (1,)),
+        (0, (0, 0, 0, 1, 1, 1), ()),
+        (2, (1, 1), (1, 2)),
+        (2, (1, 1, 4), ()),
+        (2, (1, 1, 1, 1, 3), (1,)),
+        (2, (0, 1, 1, 2), (1, 2)),
+        (2, (0, 0, 1, 1, 4), (2,)),
+        (3, (1, 1, 3, 3), (2,)),
+        (3, (0, 1, 1, 5), (3,)),
+    ]
     # The degree-1 vertex shape: psi exponents (0, s) with the nonzero
     # entries of three lambda indices, through genus 3.
     for g in (1, 2, 3):
@@ -304,7 +324,7 @@ def test_string_reduction_matches_per_subset_reference():
     clear_caches()
     got = [hodge_integral(*case) for case in cases]
     assert got == want
-    assert (len(cases), sum(v != 0 for v in want)) == (75, 61)
+    assert (len(cases), sum(v != 0 for v in want)) == (86, 72)
 
 
 def test_dimension_mismatch_returns_zero_before_expansion(monkeypatch):
@@ -450,7 +470,7 @@ def test_genus0_chern_characters_vanish():
     ]
     memo = {}
     for case in cases:
-        assert _ch_integral(*case) == 0, case
+        assert Fraction(*_ch_integral(*case)) == 0, case
         assert _reference_ch_integral(*case, memo) == 0, case
 
 
@@ -468,9 +488,9 @@ def test_genus1_higher_chern_characters_vanish():
     ]
     memo = {}
     for case in cases:
-        assert _ch_integral(*case) == 0, case
+        assert Fraction(*_ch_integral(*case)) == 0, case
         assert _reference_ch_integral(*case, memo) == 0, case
-    assert _ch_integral(1, (0,), (), (1,)) == Fraction(1, 24)
+    assert Fraction(*_ch_integral(1, (0,), (), (1,))) == Fraction(1, 24)
 
 
 # -- Mumford's product relation at integral level ------------------------------

@@ -683,21 +683,58 @@ def test_cold_enumeration_canonical_form_calls():
     assert calls[0] <= 56 and calls[1] <= 182 and calls[2] <= 844
 
 
-def test_cold_degree1_column_memo_sizes():
-    # Memo entries left by a cold `realgw enum --degree 1 --max-genus 8`,
-    # counted in a fresh interpreter.  Removing psi^0 points by the string
-    # equation in hodge_integral took them from 1,791, 2,003 and 903.
+def _cold_memo_sizes(argv: list[str]) -> tuple[int, int, int]:
+    """Entries of the ch, kappa and psi memos after a cold CLI run, counted
+    in a fresh interpreter."""
     probe = (
         "import contextlib, io\n"
         "from realgw import cli, hodge, psi_kappa\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['enum', '--degree', '1', '--max-genus', '8'])\n"
+        f"    cli.main({argv!r})\n"
         "print(len(hodge._ch_memo), len(psi_kappa._kappa_memo), "
         "len(psi_kappa._psi_memo))\n"
     )
-    done = _run_fresh(probe)
-    ch, kappa, psi = map(int, done.stdout.split())
-    assert ch <= 879 and kappa <= 997 and psi <= 495
+    return tuple(map(int, _run_fresh(probe).stdout.split()))
+
+
+def test_cold_degree1_column_memo_sizes():
+    # Memo entries left by a cold `realgw enum --degree 1 --max-genus 8`.
+    # Removing psi^0 points by the string equation in hodge_integral took
+    # them from 1,791, 2,003 and 903; the dilaton step and the string and
+    # dilaton steps on kappa-free ch keys from 879, 997 and 495.
+    ch, kappa, psi = _cold_memo_sizes(["enum", "--degree", "1", "--max-genus", "8"])
+    assert ch <= 657 and kappa <= 673 and psi <= 326
+
+
+def test_cold_verify_order6_memo_sizes():
+    # Memo entries left by a cold `realgw verify --suite all --order 6`.
+    # The dilaton step and the string and dilaton steps on kappa-free ch
+    # keys took them from 261, 252 and 166.
+    ch, kappa, psi = _cold_memo_sizes(["verify", "--suite", "all", "--order", "6"])
+    assert ch <= 132 and kappa <= 114 and psi <= 75
+
+
+def test_memo_values_are_reduced_integer_pairs():
+    # After a cold `realgw enum --degree 1 --max-genus 8`, every memo value
+    # of the Hodge and psi-kappa layers is a reduced pair of ints with a
+    # positive denominator, and zero is stored as (0, 1).
+    probe = (
+        "import contextlib, io, math\n"
+        "from realgw import cli, hodge, psi_kappa\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['enum', '--degree', '1', '--max-genus', '8'])\n"
+        "memos = (hodge._hodge_memo, hodge._ch_memo, psi_kappa._kappa_memo, "
+        "psi_kappa._psi_memo)\n"
+        "values = [v for memo in memos for v in memo.values()]\n"
+        "bad = [v for v in values if not (\n"
+        "    type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)\n"
+        "    and v[1] > 0 and math.gcd(*v) == 1)]\n"
+        "zeros = [v for v in values if not v[0]]\n"
+        "print(len(values), bad, len(zeros), set(zeros) <= {(0, 1)})\n"
+    )
+    count, bad, zeros, zeros_ok = _run_fresh(probe).stdout.split(maxsplit=3)
+    assert int(count) > 1000 and bad == "[]"
+    assert int(zeros) > 0 and zeros_ok == "True\n"
 
 
 @pytest.mark.parametrize(
@@ -757,15 +794,16 @@ def test_cold_run_polynomial_products():
 @pytest.mark.parametrize(
     "argv, bound",
     [
-        (["gw", "--genus", "4", "--degree", "3"], 227),
-        (["verify", "--suite", "all", "--order", "6"], 185),
+        (["gw", "--genus", "4", "--degree", "3"], 196),
+        (["verify", "--suite", "all", "--order", "6"], 182),
     ],
     ids=["gw-4-3", "verify-order6"],
 )
 def test_cold_run_hodge_integral_calls(argv, bound):
     # hodge_integral calls of a cold CLI run, recursive ones included,
     # counted in a fresh interpreter.  Looking the Lambda-product values up
-    # once per shape and lambda multiset took them from 809 and 5,146.
+    # once per shape and lambda multiset took them from 809 and 5,146; the
+    # dilaton step, which does not recurse, from 227 and 185.
     probe = (
         "import contextlib, io\n"
         "from realgw import cli, hodge\n"

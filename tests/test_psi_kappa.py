@@ -314,11 +314,10 @@ def test_self_validation_survives_optimize_flag():
     # With asserts stripped by -O, a wrong seed value must still be caught.
     probe = (
         "import sys\n"
-        "from fractions import Fraction\n"
         "from realgw import psi_kappa\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(3)\n"
-        "psi_kappa._psi_memo[(2, (4,))] = Fraction(1, 1151)\n"
+        "psi_kappa._psi_memo[(2, (4,))] = (1, 1151)\n"
         "try:\n"
         "    psi_kappa.self_validate()\n"
         "except ArithmeticError:\n"
