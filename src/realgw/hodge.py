@@ -21,23 +21,24 @@ The evaluation pipeline:
    Chern characters of E vanish identically (Mumford), so they are dropped.
 3. ``_ch_integral`` eliminates ch factors one at a time, expanding the
    largest ch_(2l-1) by GRR into kappa, psi, and boundary terms with the
-   Bernoulli-number prefactor B_(2l)/(2l)!.  Kappa and psi terms stay on the
+   Bernoulli-number prefactor B_(2l)/(2l)!.  The kappa_a term becomes one
+   more marked point with psi exponent a + 1 by the pushforward identity
+   kappa_a = pi_*(psi_(n+1)^(a+1)) of Arbarello and Cornalba (see
+   ``_grr``), an identity, not a vanishing rule.  Psi terms stay on the
    same space; boundary terms push the remaining integrand to the
-   normalization (irreducible divisor) or to a product of two smaller spaces
-   (separating divisors) by the projection formula, and recurse.  Kappa, psi,
-   and remaining ch factors restrict to boundary pieces in the standard way:
-   psi_i lands on the piece carrying the point i, while kappa and ch restrict
-   to the sum over pieces.  ch(E) pulls back under the forgetful map, so a
-   key without kappa factors first takes the dilaton and string steps of
-   step 1.  Kappa classes do not pull back (kappa_a = pi^* kappa_a +
-   psi_(n+1)^a, Arbarello and Cornalba), so a key with a kappa factor is
-   always expanded.
+   normalization (irreducible divisor) or to a product of two smaller
+   spaces (separating divisors) by the projection formula, and recurse.
+   Psi and remaining ch factors restrict to boundary pieces in the standard
+   way: psi_i lands on the piece carrying the point i, while ch restricts
+   to the sum over pieces.  So every key is psi and ch only, and first
+   takes the dilaton and string steps of step 1: ch(E) pulls back under
+   the forgetful map.
 4. The terms are generated already grouped by the integral they lead to:
    one psi term per distinct exponent times its multiplicity, and one
    separating term per split of the psi-exponent multiset times the number
-   of labeled point subsets realizing it.  The kappa and ch splits of a
-   separating term are bucketed by the degree they send to the genus-h
-   side, and only the bucket that side's dimension asks for is visited.
+   of labeled point subsets realizing it.  The ch splits of a separating
+   term are bucketed by the degree they send to the genus-h side, and only
+   the bucket that side's dimension asks for is visited.
    All terms of one expansion, same-space, irreducible and separating, are
    summed as integer numerators over one running lcm denominator
    (``exact_arith.lcm_sum``), and the prefactor B_(2l)/(2 (2l)!) is folded
@@ -55,7 +56,8 @@ The evaluation pipeline:
    are identities, not vanishing rules: a query reaches 0 through them
    only when the lowerings run out (the psi exponents sum to less than
    the number of removable psi^0 points).
-6. With no ch factors left, the integral is a psi-kappa correlator.
+6. With no ch factors left, the integral is a psi correlator, read from
+   the psi-kappa layer through ``_kappa_value`` with no kappa index.
 
 On top of this the module exposes the products Lambda(u_1)Lambda(u_2)
 Lambda(u_3) integrated against geometric-series denominators 1/(u - psi),
@@ -170,92 +172,92 @@ def lambda_to_ch(lambda_indices) -> dict[tuple[int, ...], Fraction]:
 
 
 def _ch_integral(
-    genus: int,
-    psi: tuple[int, ...],
-    kappa: tuple[int, ...],
-    ch: tuple[int, ...],
+    genus: int, psi: tuple[int, ...], ch: tuple[int, ...]
 ) -> tuple[int, int]:
-    """Integral of a psi-kappa monomial times prod ch_(m)(E), m odd, as a
-    reduced pair (num, den).
+    """Integral of a psi monomial times prod ch_(m)(E), m odd, as a reduced
+    pair (num, den).
 
-    A key without kappa factors first loses psi points by the dilaton and
-    string equations (``_dilaton``, ``_string_lowerings``): ch(E) pulls back
-    under the map forgetting a point, as the lambda classes do.  Kappa
-    classes do not (kappa_a = pi^* kappa_a + psi_(n+1)^a, Arbarello and
-    Cornalba), so a key with a kappa factor is always expanded.  The
-    remaining keys eliminate the largest ch factor by the GRR expansion
+    A key first loses psi points by the dilaton and string equations
+    (``_dilaton``, ``_string_lowerings``): ch(E) pulls back under the map
+    forgetting a point, as the lambda classes do.  The remaining keys
+    eliminate the largest ch factor by the GRR expansion
 
         ch_m = B_(m+1)/(m+1)! * [ kappa_m - sum_i psi_i^m
                + 1/2 * sum_boundary push(sum_(a+b=m-1) (-psi')^a psi''^b) ],
 
-    with the terms generated already grouped: one psi term per distinct
-    exponent times its multiplicity, and one separating term per
-    (genus-h side, point multiset) split times the number of labeled point
-    subsets realizing it.  Separating types are ordered, so each divisor
-    appears twice, which the global 1/2 compensates.  All terms are summed
-    as integers over one running denominator, the same-space ones doubled
-    against the 1/2, and the prefactor B_(m+1)/(2 (m+1)!) is folded into
-    the one reduction of the memo entry.
+    in which the kappa term becomes one more marked point (``_grr``), so
+    every key is psi and ch only.  The terms are generated already grouped:
+    one psi term per distinct exponent times its multiplicity, and one
+    separating term per (genus-h side, point multiset) split times the
+    number of labeled point subsets realizing it.  Separating types are
+    ordered, so each divisor appears twice, which the global 1/2
+    compensates.  All terms are summed as integers over one running
+    denominator, the same-space ones doubled against the 1/2, and the
+    prefactor B_(m+1)/(2 (m+1)!) is folded into the one reduction of the
+    memo entry.
 
     A ch factor at genus 0 (where E = 0), or ch_m with m >= 3 at genus 1
     (where lambda_1^2 = 0 by Mumford's relation, so ch_m = lambda_1^m / m!
     vanishes for m >= 2), gives 0 without expansion.
     """
     factor = 1
-    if not kappa and 1 in psi:
+    if 1 in psi:
         factor, psi = _dilaton(genus, psi)
-    key = (genus, psi, kappa, ch)
-    value = _ch_memo.get(key)
+    key = (genus, psi, ch)
+    # With no ch factor left, the key is a psi correlator.
+    value = _ch_memo.get(key) if ch else _kappa_value(genus, psi, ())
     if value is None:
         n = len(psi)
         if 2 * genus - 2 + n <= 0:
             return _ZERO
-        if sum(psi) + sum(kappa) + sum(ch) != 3 * genus - 3 + n:
+        if sum(psi) + sum(ch) != 3 * genus - 3 + n:
             return _ZERO
-        if not ch:
-            value = _kappa_value(genus, psi, kappa)
-        elif genus == 0 or (genus == 1 and ch[-1] >= 3):
+        if genus == 0 or (genus == 1 and ch[-1] >= 3):
             return _ZERO
+        lowerings = _string_lowerings(genus, psi)
+        if lowerings is None:
+            value = _grr(genus, psi, ch)
         else:
-            lowerings = None if kappa else _string_lowerings(genus, psi)
-            if lowerings is not None:
-                terms = [
-                    (weight, *_ch_integral(genus, lowered, (), ch))
-                    for lowered, weight in lowerings
-                ]
-                value = reduced(*lcm_sum(terms))
-            else:
-                value = _grr(genus, psi, kappa, ch)
-            _ch_memo[key] = value
+            terms = [
+                (weight, *_ch_integral(genus, lowered, ch))
+                for lowered, weight in lowerings
+            ]
+            value = reduced(*lcm_sum(terms))
+        _ch_memo[key] = value
     if factor == 1:
         return value
     return reduced(factor * value[0], value[1])
 
 
-def _grr(
-    genus: int,
-    psi: tuple[int, ...],
-    kappa: tuple[int, ...],
-    ch: tuple[int, ...],
-) -> tuple[int, int]:
+def _grr(genus: int, psi: tuple[int, ...], ch: tuple[int, ...]) -> tuple[int, int]:
     """The GRR expansion of the largest ch factor of a stable genus >= 1
-    key of the right dimension, as described in ``_ch_integral``."""
+    key of the right dimension, as described in ``_ch_integral``.
+
+    The kappa_m term goes to the space with one more point: kappa_m is the
+    pushforward of psi_(n+1)^(m+1) under the map pi forgetting that point
+    (Arbarello and Cornalba, Combinatorial and algebro-geometric cohomology
+    classes on the moduli spaces of curves, 1996), psi_i = pi^* psi_i +
+    D_(i,n+1) with psi_(n+1) D_(i,n+1) = 0, and ch(E) pulls back, so by the
+    projection formula
+
+        int kappa_m psi^A P = int_(n+1 points) psi_(n+1)^(m+1) psi^A P.
+    """
     n = len(psi)
     m = ch[-1]
     rest_ch = ch[:-1]
-    # kappa_m and psi_i^m stay on the same space.
-    terms = [(2, *_ch_integral(genus, psi, tuple(sorted(kappa + (m,))), rest_ch))]
+    # kappa_m and psi_i^m stay on the same genus.
+    terms = [(2, *_ch_integral(genus, tuple(sorted(psi + (m + 1,))), rest_ch))]
     for i, p in enumerate(psi):
         if i and psi[i - 1] == p:
             continue
         bumped = tuple(sorted(psi[:i] + (p + m,) + psi[i + 1 :]))
-        terms.append((-2 * psi.count(p), *_ch_integral(genus, bumped, kappa, rest_ch)))
+        terms.append((-2 * psi.count(p), *_ch_integral(genus, bumped, rest_ch)))
     # Boundary terms, summed with the sign (-1)^a of the node exponent a.
     for a in range(m):
         psi_irr = tuple(sorted(psi + (a, m - 1 - a)))
-        v = _ch_integral(genus - 1, psi_irr, kappa, rest_ch)
+        v = _ch_integral(genus - 1, psi_irr, rest_ch)
         terms.append((-1 if a % 2 else 1, *v))
-    buckets = _splits_by_degree(kappa, rest_ch)
+    buckets = _splits_by_degree(rest_ch)
     for left, right, count in _subsets_of_multiset(psi):
         n_left = len(left)
         free = n_left - sum(left) - 2
@@ -263,7 +265,7 @@ def _grr(
             if 2 * h - 1 + n_left <= 0 or 2 * (genus - h) - 1 + n - n_left <= 0:
                 continue
             # Degree the genus-h side needs from its node exponent a plus the
-            # kappa and ch factors it receives; the other side then matches.
+            # ch factors it receives; the other side then matches.
             need = 3 * h + free
             for a in range(min(m, need + 1)):
                 bucket = buckets.get(need - a)
@@ -272,19 +274,11 @@ def _grr(
                 psi1 = tuple(sorted(left + (a,)))
                 psi2 = tuple(sorted(right + (m - 1 - a,)))
                 sign = -count if a % 2 else count
-                # Both sides are stable and of the right dimension, so a side
-                # without ch factors is a psi-kappa correlator.
-                for k1, c1, k2, c2, w in bucket:
-                    if c1:
-                        n1, d1 = _ch_integral(h, psi1, k1, c1)
-                    else:
-                        n1, d1 = _kappa_value(h, psi1, k1)
+                for c1, c2, w in bucket:
+                    n1, d1 = _ch_integral(h, psi1, c1)
                     if not n1:
                         continue
-                    if c2:
-                        n2, d2 = _ch_integral(genus - h, psi2, k2, c2)
-                    else:
-                        n2, d2 = _kappa_value(genus - h, psi2, k2)
+                    n2, d2 = _ch_integral(genus - h, psi2, c2)
                     if not n2:
                         continue
                     terms.append((sign * w, n1 * n2, d1 * d2))
@@ -295,17 +289,13 @@ def _grr(
     )
 
 
-def _splits_by_degree(
-    kappa: tuple[int, ...], ch: tuple[int, ...]
-) -> dict[int, list[tuple]]:
-    """Splits (k1, c1, k2, c2, count) of the kappa and ch multisets between
-    the two sides of a separating node, bucketed by the degree
-    sum(k1) + sum(c1) they send to the first side."""
+def _splits_by_degree(ch: tuple[int, ...]) -> dict[int, list[tuple]]:
+    """Splits (c1, c2, count) of the ch multiset between the two sides of a
+    separating node, bucketed by the degree sum(c1) they send to the first
+    side."""
     buckets: dict[int, list[tuple]] = {}
-    for k1, k2, wk in _subsets_of_multiset(kappa):
-        for c1, c2, wc in _subsets_of_multiset(ch):
-            degree = sum(k1) + sum(c1)
-            buckets.setdefault(degree, []).append((k1, c1, k2, c2, wk * wc))
+    for c1, c2, count in _subsets_of_multiset(ch):
+        buckets.setdefault(sum(c1), []).append((c1, c2, count))
     return buckets
 
 
@@ -364,7 +354,7 @@ def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
                 terms.append((weight, v.numerator, v.denominator))
         else:
             for ch_key, coeff in lambda_to_ch(lam).items():
-                num, den = _ch_integral(genus, psi, (), ch_key)
+                num, den = _ch_integral(genus, psi, ch_key)
                 terms.append((1, coeff.numerator * num, coeff.denominator * den))
         value = _hodge_memo[key] = reduced(*lcm_sum(terms))
     return Fraction(factor * value[0], value[1])

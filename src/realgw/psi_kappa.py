@@ -19,7 +19,10 @@ the Hodge layer.
 
 ``kappa_psi`` additionally accepts kappa classes and eliminates them one at a
 time through the forgetful-map relation kappa_b = pi_*(psi^(b+1)), trading the
-last kappa index for a new marked point minus merge corrections.
+last kappa index for a new marked point minus merge corrections.  The Hodge
+layer uses the single-kappa step of the same identity: its GRR expansion
+turns each kappa_m term into a marked point with psi exponent m+1 at once,
+so it reads only psi correlators from here.
 
 The string, DVV and kappa sums are accumulated as integer numerators over
 one running lcm denominator (``exact_arith.lcm_sum``), with the DVV weights

@@ -683,16 +683,24 @@ def test_cold_enumeration_canonical_form_calls():
     assert calls[0] <= 56 and calls[1] <= 182 and calls[2] <= 844
 
 
-def _cold_memo_sizes(argv: list[str]) -> tuple[int, int, int]:
-    """Entries of the ch, kappa and psi memos after a cold CLI run, counted
-    in a fresh interpreter."""
+def _cold_memo_sizes(argv: list[str]) -> tuple[int, int, int, int]:
+    """Entries of the ch, kappa and psi memos after a cold CLI run, and the
+    calls hodge makes into ``_kappa_value``, counted in a fresh
+    interpreter."""
     probe = (
         "import contextlib, io\n"
         "from realgw import cli, hodge, psi_kappa\n"
+        "calls = 0\n"
+        "kappa_value = hodge._kappa_value\n"
+        "def counted(*args):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return kappa_value(*args)\n"
+        "hodge._kappa_value = counted\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    cli.main({argv!r})\n"
         "print(len(hodge._ch_memo), len(psi_kappa._kappa_memo), "
-        "len(psi_kappa._psi_memo))\n"
+        "len(psi_kappa._psi_memo), calls)\n"
     )
     return tuple(map(int, _run_fresh(probe).stdout.split()))
 
@@ -701,28 +709,41 @@ def test_cold_degree1_column_memo_sizes():
     # Memo entries left by a cold `realgw enum --degree 1 --max-genus 8`.
     # Removing psi^0 points by the string equation in hodge_integral took
     # them from 1,791, 2,003 and 903; the dilaton step and the string and
-    # dilaton steps on kappa-free ch keys from 879, 997 and 495.
-    ch, kappa, psi = _cold_memo_sizes(["enum", "--degree", "1", "--max-genus", "8"])
-    assert ch <= 657 and kappa <= 673 and psi <= 326
+    # dilaton steps on kappa-free ch keys from 879, 997 and 495; pushing
+    # each GRR kappa term into a marked point from 657, 673 and 326, and
+    # hodge's calls into _kappa_value from 7,921.  The bench's psi_kappa
+    # layer wraps those calls, so there must be some.
+    ch, kappa, psi, calls = _cold_memo_sizes(
+        ["enum", "--degree", "1", "--max-genus", "8"]
+    )
+    assert ch <= 217 and kappa == 0 and psi <= 136
+    assert 0 < calls <= 558
 
 
 def test_cold_verify_order6_memo_sizes():
     # Memo entries left by a cold `realgw verify --suite all --order 6`.
     # The dilaton step and the string and dilaton steps on kappa-free ch
-    # keys took them from 261, 252 and 166.
-    ch, kappa, psi = _cold_memo_sizes(["verify", "--suite", "all", "--order", "6"])
-    assert ch <= 132 and kappa <= 114 and psi <= 75
+    # keys took them from 261, 252 and 166; pushing each GRR kappa term into
+    # a marked point from 132, 114 and 75, and hodge's calls into
+    # _kappa_value from 881.
+    ch, kappa, psi, calls = _cold_memo_sizes(
+        ["verify", "--suite", "all", "--order", "6"]
+    )
+    assert ch <= 51 and kappa == 0 and psi <= 43
+    assert 0 < calls <= 128
 
 
 def test_memo_values_are_reduced_integer_pairs():
-    # After a cold `realgw enum --degree 1 --max-genus 8`, every memo value
-    # of the Hodge and psi-kappa layers is a reduced pair of ints with a
-    # positive denominator, and zero is stored as (0, 1).
+    # After a cold `realgw enum --degree 1 --max-genus 10` and one kappa_psi
+    # query, which fills the kappa memo the Hodge layer no longer uses,
+    # every memo value of the Hodge and psi-kappa layers is a reduced pair of
+    # ints with a positive denominator, and zero is stored as (0, 1).
     probe = (
         "import contextlib, io, math\n"
         "from realgw import cli, hodge, psi_kappa\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['enum', '--degree', '1', '--max-genus', '8'])\n"
+        "    cli.main(['enum', '--degree', '1', '--max-genus', '10'])\n"
+        "psi_kappa.kappa_psi(2, (), (1, 1, 1))\n"
         "memos = (hodge._hodge_memo, hodge._ch_memo, psi_kappa._kappa_memo, "
         "psi_kappa._psi_memo)\n"
         "values = [v for memo in memos for v in memo.values()]\n"
@@ -730,10 +751,12 @@ def test_memo_values_are_reduced_integer_pairs():
         "    type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)\n"
         "    and v[1] > 0 and math.gcd(*v) == 1)]\n"
         "zeros = [v for v in values if not v[0]]\n"
-        "print(len(values), bad, len(zeros), set(zeros) <= {(0, 1)})\n"
+        "print(len(values), len(psi_kappa._kappa_memo), bad, len(zeros), "
+        "set(zeros) <= {(0, 1)})\n"
     )
-    count, bad, zeros, zeros_ok = _run_fresh(probe).stdout.split(maxsplit=3)
-    assert int(count) > 1000 and bad == "[]"
+    out = _run_fresh(probe).stdout.split(maxsplit=4)
+    count, kappa, bad, zeros, zeros_ok = out
+    assert int(count) > 1000 and int(kappa) > 0 and bad == "[]"
     assert int(zeros) > 0 and zeros_ok == "True\n"
 
 
@@ -987,7 +1010,7 @@ def test_table_column_degree4():
 
 
 @pytest.mark.parametrize(
-    "g", [0, 2, 4, 6, 8, 10, 12, pytest.param(14, marks=pytest.mark.slow)]
+    "g", [0, 2, 4, 6, 8, 10, 12, 14, pytest.param(16, marks=pytest.mark.slow)]
 )
 def test_degree1_closed_form(g):
     # A line has E(g, 1) = 0 for g >= 1, so the real GW-invariant is

@@ -72,6 +72,9 @@ def test_tracer_boundaries_resolve():
         psi_kappa._kappa_memo,
     ):
         assert isinstance(memo, dict)
+    # The psi_kappa span wraps hodge's binding of _kappa_value, so hodge
+    # must reach psi correlators through it.
+    assert hodge._kappa_value is psi_kappa._kappa_value
     for cached in (localization.vertex_contribution, hodge.I1, hodge.I2):
         assert cached.cache_info().misses >= 0
 
