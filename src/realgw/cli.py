@@ -172,7 +172,7 @@ def _cmd_hodge(args) -> int:
 
 def _cmd_verify(args) -> int:
     series_ids.check_order(args.order)
-    if args.order >= 10:
+    if args.order >= 16:
         print(
             f"note: order {args.order} needs Hodge integrals through genus "
             f"{args.order // 2} and can take much longer than the default t^6",

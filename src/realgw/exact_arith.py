@@ -10,8 +10,15 @@ functions) is computed over this tower, so all values are exact:
   one common denominator in a unique reduced form.
 * :class:`RationalFunction` is a quotient of two polynomials kept in normal
   form (coprime, monic denominator), so equality of values is equality of
-  normal forms.  Its constructor builds that form with one polynomial gcd;
-  :func:`factored_sum` builds it for a factored denominator without one.
+  normal forms.  Its constructor builds that form with one polynomial gcd,
+  and with none when a side is constant.  Where the normal form is known in
+  advance, no gcd is taken (Henrici's rules, Knuth, TAOCP vol. 2, 4.5.1):
+  a sum with a constant denominator, which is 1, on one side, as
+  a/1 + c/d = (a d + c)/d; a product a/b * c/d whose cross pairs (a, d)
+  and (c, b) each have a constant member; and a power, since powers of
+  coprime polynomials are coprime and of a monic one monic.
+  :func:`factored_sum` builds the form for a factored denominator without a
+  gcd.
 * :class:`Factored` is a value whose denominator is a product of primitive
   integer linear forms a*z + b: a Fraction times an optional Polynomial times
   those forms with signed exponents.  Its products add exponents, and
@@ -19,6 +26,9 @@ functions) is computed over this tower, so all values are exact:
   normal form by integer synthetic division, with no polynomial gcd.
 * :class:`Series` is a truncated formal power series in ``t`` whose
   coefficients live either in the rationals or in rational functions of ``z``.
+  Products pair only the nonzero coefficients, and :func:`series_pow`
+  raises to any integer power in one pass by J. C. P. Miller's recurrence
+  (TAOCP vol. 2, 4.7).
 
 Scalars are ``int`` or ``Fraction``; a float anywhere is a TypeError.  Degrees
 stay small in the target computations (below ~40), hence the dense
@@ -167,7 +177,8 @@ class Polynomial(Frozen):
 
     @staticmethod
     def const(value: Scalar) -> "Polynomial":
-        return Polynomial((value,))
+        c = _scalar(value)
+        return _poly((c.numerator,), c.denominator)
 
     @staticmethod
     def variable() -> "Polynomial":
@@ -222,6 +233,19 @@ class Polynomial(Frozen):
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return _poly(out, self._den * other._den)
+
+    def __pow__(self, n: int) -> "Polynomial":
+        """self^n for n >= 0 by binary powering."""
+        if n < 0:
+            raise ValueError("a polynomial has no negative powers")
+        out, base = _ONE, self
+        while n:
+            if n & 1:
+                out = base if out is _ONE else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
 
     def eval_at(self, q: Scalar) -> Fraction:
         q = _scalar(q)
@@ -315,8 +339,10 @@ class RationalFunction(Frozen):
     the form in one pass: num/den = (N d)/(D n) on the integer numerators N, D
     over n, d; the primitive gcd G from :func:`poly_gcd` divides N and D
     exactly over the integers (Gauss's lemma); the leading integer of D/G is
-    folded into both sides.  ``const``, ``z`` and negation are normal by
-    construction and skip the gcd.
+    folded into both sides.  A constant side skips the gcd: nothing can
+    cancel.  ``const``, ``z``, negation, ``**`` and the sums and products
+    named in the module docstring are normal by construction and store their
+    result without one.
     """
 
     __slots__ = ("num", "den")
@@ -335,15 +361,15 @@ class RationalFunction(Frozen):
             den = _ONE
         else:
             top, bottom = num._ints, den._ints
-            # Looked up as a module global, so a tracer can count the calls.
-            gcd = poly_gcd(num, den)._ints
-            if len(gcd) > 1:
-                q, _, s = _pseudo_divmod(top, gcd)
-                r, _, t = _pseudo_divmod(bottom, gcd)
-                top, bottom = [c // s for c in q], [c // t for c in r]
-            lead = bottom[-1]
-            num = _poly([c * den._den for c in top], num._den * lead)
-            den = _poly(bottom, lead)
+            # A constant side leaves nothing to cancel.
+            if len(top) > 1 and len(bottom) > 1:
+                # Looked up as a module global, so a tracer can count the calls.
+                gcd = poly_gcd(num, den)._ints
+                if len(gcd) > 1:
+                    q, _, s = _pseudo_divmod(top, gcd)
+                    r, _, t = _pseudo_divmod(bottom, gcd)
+                    top, bottom = [c // s for c in q], [c // t for c in r]
+            num, den = _monic(top, num._den, bottom, den._den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -374,9 +400,12 @@ class RationalFunction(Frozen):
 
     def __add__(self, other: "RatLike") -> "RationalFunction":
         other = RationalFunction.coerce(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        num = self.num * other.den + other.num * self.den
+        den = self.den * other.den
+        # A constant denominator is 1, and a/1 + c/d = (a d + c)/d is coprime.
+        if self.den.degree == 0 or other.den.degree == 0:
+            return _normal(num, den if num._ints else _ONE)
+        return RationalFunction(num, den)
 
     __radd__ = __add__
 
@@ -391,7 +420,13 @@ class RationalFunction(Frozen):
 
     def __mul__(self, other: "RatLike") -> "RationalFunction":
         other = RationalFunction.coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        num, den = a * c, b * d
+        # (a c)/(b d) is coprime when a, d and c, b are: a constant member of
+        # each cross pair makes it so.
+        if (a.degree <= 0 or d.degree == 0) and (c.degree <= 0 or b.degree == 0):
+            return _normal(num, den if num._ints else _ONE)
+        return RationalFunction(num, den)
 
     __rmul__ = __mul__
 
@@ -405,16 +440,13 @@ class RationalFunction(Frozen):
         return RationalFunction.coerce(other) / self
 
     def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return (RationalFunction.const(1) / self) ** (-n)
-        out = RationalFunction.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        # Powers of coprime polynomials are coprime, and of a monic one monic.
+        if n >= 0:
+            return _normal(self.num**n, self.den**n)
+        if self.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        top, bottom = self.den**-n, self.num**-n
+        return _normal(*_monic(top._ints, top._den, bottom._ints, bottom._den))
 
     def eval_at(self, q: Scalar) -> Fraction:
         """Evaluate at a rational point where the denominator does not vanish."""
@@ -427,6 +459,16 @@ class RationalFunction(Frozen):
         if self.den.degree == 0:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+def _monic(
+    top: Sequence[int], n: int, bottom: Sequence[int], d: int
+) -> tuple[Polynomial, Polynomial]:
+    """(top / n) / (bottom / d) for integer lists with no trailing zero, as
+    num and den with the leading coefficient of den divided out of both
+    sides: the normal form when top and bottom are coprime."""
+    lead = bottom[-1]
+    return _poly([c * d for c in top], n * lead), _poly(bottom, lead)
 
 
 def _normal(num: Polynomial, den: Polynomial) -> RationalFunction:
@@ -562,14 +604,7 @@ class Factored:
     def __pow__(self, n: int) -> "Factored":
         if n < 0 and self.rest is not None:
             raise ArithmeticError("only a product of linear forms can be inverted")
-        rest = None
-        if self.rest is not None:
-            rest, base, k = _ONE, self.rest, n
-            while k:
-                if k & 1:
-                    rest = rest * base
-                base = base * base
-                k >>= 1
+        rest = None if self.rest is None else self.rest**n
         # Fraction(0) ** -k raises ZeroDivisionError.
         scalar = self.scalar**n
         return Factored(scalar, rest, {f: e * n for f, e in self._forms.items()})
@@ -720,58 +755,70 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.truncation_order, other.truncation_order)
-        out: list[Coefficient] = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if _coeff_is_zero(a):
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if _coeff_is_zero(b):
-                    continue
-                out[i + j] = out[i + j] + a * b
+        right = other._nonzero(n)
+        out: list[Coefficient | None] = [None] * (n + 1)
+        for i, a in self._nonzero(n):
+            for j, b in right:
+                if i + j > n:
+                    break
+                # A slot starts from its first product, not from a zero.
+                p = a * b
+                out[i + j] = p if out[i + j] is None else out[i + j] + p
         return Series(
-            out, n, parity=self._join_parity(self.parity, other.parity, "mul")
+            [Fraction(0) if c is None else c for c in out],
+            n,
+            parity=self._join_parity(self.parity, other.parity, "mul"),
         )
+
+    def _nonzero(self, n: int) -> list[tuple[int, Coefficient]]:
+        """The (k, coefficient) pairs with k <= n and a nonzero coefficient."""
+        coeffs = enumerate(self.coeffs[: n + 1])
+        return [(k, c) for k, c in coeffs if not _coeff_is_zero(c)]
 
     def scale(self, c: Coefficient | int) -> "Series":
         return Series(
             [a * c for a in self.coeffs], self.truncation_order, self.parity
         )
 
-    def inverse(self) -> "Series":
-        """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coeffs[0]
-        if _coeff_is_zero(c0):
-            raise ZeroDivisionError("series with zero constant term is not invertible")
-        inv0 = 1 / c0
-        n = self.truncation_order
-        out: list[Coefficient] = [inv0] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc: Coefficient = Fraction(0)
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out[k] = -(acc * inv0)
-        return Series(out, n, parity=self.parity if self.parity == "even" else None)
-
 
 def series_pow(base: Series, exponent: int) -> Series:
-    """Truncated integer power of a series.
+    """Truncated integer power of a series, in one pass.
 
-    Negative exponents invert first, which requires an invertible (nonzero)
-    constant term.
+    With base = t^v g and g_0 != 0, base^k = t^(vk) g^k, and the
+    coefficients a_m of g^k follow from J. C. P. Miller's recurrence
+    m g_0 a_m = sum_(j=1..m) ((k+1) j - m) g_j a_(m-j), for any integer k.
+    A negative exponent needs v = 0 and raises ZeroDivisionError otherwise.
+    An even base gives an even power, an odd one a power of the parity of
+    k, and k = 0 gives ``Series.one``.
     """
-    if exponent < 0:
-        base = base.inverse()
-        exponent = -exponent
-    out = Series.one(base.truncation_order)
-    b = base
-    n = exponent
-    while n:
-        if n & 1:
-            out = out * b
-        b = b * b
-        n >>= 1
-    return out
+    n = base.truncation_order
+    if exponent == 0:
+        return Series.one(n)
+    parity = base.parity
+    if parity == "odd" and exponent % 2 == 0:
+        parity = "even"
+    terms = base._nonzero(n)
+    if not terms or (exponent < 0 and terms[0][0] > 0):
+        if exponent < 0:
+            raise ZeroDivisionError("series with zero constant term is not invertible")
+        return Series([], n, parity)
+    v, g0 = terms[0]
+    shift = v * exponent
+    g = [(j - v, c) for j, c in terms[1:]]
+    inverse = g0**-1
+    out: list[Coefficient] = [g0**exponent]
+    for m in range(1, n - shift + 1):
+        acc: Coefficient | None = None
+        for j, c in g:
+            if j > m:
+                break
+            a = out[m - j]
+            weight = (exponent + 1) * j - m
+            if weight and not _coeff_is_zero(a):
+                p = weight * c * a
+                acc = p if acc is None else acc + p
+        out.append(Fraction(0) if acc is None else acc * (inverse * Fraction(1, m)))
+    return Series([Fraction(0)] * shift + out, n, parity)
 
 
 def series_exp(s: Series) -> Series:

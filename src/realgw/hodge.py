@@ -645,13 +645,18 @@ def i1(g: int, u1: RatLike, u2: RatLike, u3: RatLike) -> RationalFunction:
 
 
 def i2(g: int, u1: RatLike, u2: RatLike, u3: RatLike) -> RationalFunction:
-    """Coercing convenience wrapper around :func:`I2`."""
-    return I2(
-        g,
-        RationalFunction.coerce(u1),
-        RationalFunction.coerce(u2),
-        RationalFunction.coerce(u3),
-    )
+    """Coercing convenience wrapper around :func:`I2`.
+
+    I2 is symmetric in u1 and u2: swapping the two marked points is an
+    automorphism of the 2-pointed space, and the prefactor is symmetric.  So
+    the pair is put in hash order before the lookup, and both orders share
+    one cache entry; a hash tie only costs a cache miss.
+    """
+    u1 = RationalFunction.coerce(u1)
+    u2 = RationalFunction.coerce(u2)
+    if hash(u2) < hash(u1):
+        u1, u2 = u2, u1
+    return I2(g, u1, u2, RationalFunction.coerce(u3))
 
 
 @lru_cache(maxsize=None)

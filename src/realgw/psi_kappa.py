@@ -24,6 +24,12 @@ layer uses the single-kappa step of the same identity: its GRR expansion
 turns each kappa_m term into a marked point with psi exponent m+1 at once,
 so it reads only psi correlators from here.
 
+The separating DVV terms are grouped by splits of the exponent multiset,
+each weighted by its number of labeled point subsets.  The genus of a split
+is not searched for: the side carrying psi^b has the exponents left + (b,)
+on len(left) + 1 points, so its dimension 3 g1 - 2 + len(left) must equal
+sum(left) + b, and that fixes g1 or rules the split out.
+
 The string, DVV and kappa sums are accumulated as integer numerators over
 one running lcm denominator (``exact_arith.lcm_sum``), with the DVV weights
 doubled to integers.  The memos hold each value as a reduced integer pair
@@ -167,15 +173,18 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
         w = _double_factorial(2 * b + 1) * _double_factorial(2 * c + 1)
         # Non-separating degeneration.
         terms.append((w, *_psi_value(genus - 1, tuple(sorted(rest + (b, c))))))
-        # Separating degenerations over all genus and marked-point splits,
-        # one term per split of the exponent multiset times its subset count.
-        for g1 in range(genus + 1):
-            for left, right, count in _subsets_of_multiset(rest):
-                ln, ld = _psi_value(g1, tuple(sorted(left + (b,))))
-                if not ln:
-                    continue
-                rn, rd = _psi_value(genus - g1, tuple(sorted(right + (c,))))
-                terms.append((count * w, ln * rn, ld * rd))
+        # Separating degenerations, one term per split of the exponent
+        # multiset times its subset count; the dimension of the side with
+        # psi^b, 3 g1 - 2 + len(left) = sum(left) + b, fixes its genus g1.
+        for left, right, count in _subsets_of_multiset(rest):
+            g1, r = divmod(sum(left) + b + 2 - len(left), 3)
+            if r or not 0 <= g1 <= genus:
+                continue
+            ln, ld = _psi_value(g1, tuple(sorted(left + (b,))))
+            if not ln:
+                continue
+            rn, rd = _psi_value(genus - g1, tuple(sorted(right + (c,))))
+            terms.append((count * w, ln * rn, ld * rd))
     num, den = lcm_sum(terms)
     return reduced(num, 2 * den * _double_factorial(2 * a1 + 1))
 

@@ -119,6 +119,75 @@ def test_power_additivity_on_random_series():
         assert series_pow(s, a) * series_pow(s, b) == series_pow(s, a + b)
 
 
+def _binary_power(base, k):
+    """Reference: base^k by binary powering, for k < 0 after inverting base
+    by the triangular recurrence of 1/base, with the parity flags series
+    products give."""
+    n = base.truncation_order
+    if k < 0:
+        c0 = RationalFunction.coerce(base.coeffs[0])
+        if c0.is_zero():
+            raise ZeroDivisionError("zero constant term")
+        out = [1 / c0]
+        for m in range(1, n + 1):
+            acc = sum((base.coeffs[i] * out[m - i] for i in range(1, m + 1)), Fraction(0))
+            out.append(-acc / c0)
+        base = Series(out, n, parity="even" if base.parity == "even" else None)
+        k = -k
+    out = Series.one(n)
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
+def _coeff_zero(c):
+    return RationalFunction.coerce(c).is_zero()
+
+
+def _rand_ratfunc(rng):
+    num = Polynomial([rand_fraction(rng) for _ in range(rng.randint(1, 2))])
+    den = Polynomial([rand_fraction(rng), Fraction(rng.randint(0, 2))])
+    return RationalFunction(num, den if not den.is_zero() else Polynomial.const(1))
+
+
+@pytest.mark.parametrize("kind", ["fraction", "ratfunc"])
+def test_power_matches_binary_powering_reference(kind):
+    # series_pow against binary powering on random series of valuation 0-3
+    # with each parity flag: the same coefficients, as normal forms, and the
+    # same flag for k from -4 to 6; a negative power of a series with zero
+    # constant term raises, the zero series included.
+    rng = random.Random(11)
+    coeff = rand_fraction if kind == "fraction" else _rand_ratfunc
+    order = 6 if kind == "fraction" else 4
+    for parity, valuations in (("even", (0, 2)), ("odd", (1, 3)), (None, (0, 1, 2, 3))):
+        for v in valuations:
+            coeffs = [Fraction(0)] * (order + 1)
+            for j in range(v, order + 1):
+                if parity is None or j % 2 == v % 2:
+                    coeffs[j] = coeff(rng)
+            if _coeff_zero(coeffs[v]):
+                coeffs[v] = Fraction(1)
+            base = Series(coeffs, order, parity)
+            for k in range(-4, 7):
+                if k < 0 and v > 0:
+                    with pytest.raises(ZeroDivisionError):
+                        series_pow(base, k)
+                    continue
+                got, want = series_pow(base, k), _binary_power(base, k)
+                assert got.truncation_order == want.truncation_order == order
+                assert got.parity == want.parity, (parity, v, k)
+                assert [RationalFunction.coerce(c) for c in got.coeffs] == [
+                    RationalFunction.coerce(c) for c in want.coeffs
+                ], (parity, v, k)
+    zero = Series([], order)
+    assert series_pow(zero, 0) == Series.one(order) and series_pow(zero, 3).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        series_pow(zero, -1)
+
+
 def test_exp_log_round_trip():
     assert series_exp(Series([0], 4)) == Series.one(4)
     s = Series([0, 0, Fraction(1, 24)], 6)
@@ -173,6 +242,15 @@ def test_poly_gcd_example():
     two, three = Polynomial.const(2), Polynomial.const(3)
     g = poly_gcd(two * (z * z - one), three * (z - one))
     assert g == z - one and g.coeffs == (-1, 1)
+
+
+def test_polynomial_power():
+    z = Polynomial.variable()
+    p = Polynomial((Fraction(-1, 2), 3)) + z * z
+    assert p**0 == Polynomial.const(1) and p**1 == p
+    assert p**5 == p * p * p * p * p
+    with pytest.raises(ValueError):
+        p**-1
 
 
 def test_ratfunc_cancellation_to_normal_form():

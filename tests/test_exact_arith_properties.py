@@ -278,16 +278,39 @@ def test_equal_values_have_equal_normal_forms(num, den, common, scale):
     assert r == s and hash(r) == hash(s)
 
 
+def _product(factors):
+    out = ONE_P
+    for f in factors:
+        out = out * f
+    return out
+
+
 @exact
-@given(fractions, ratfuncs)
-def test_values_normal_by_construction_match_the_constructor(c, r):
-    # const, z and negation store their result without a gcd; the full
-    # constructor must build the same fields from the same quotient.
+@given(fractions, ratfuncs, polys, nonzero_polys, st.integers(-3, 3))
+def test_values_normal_by_construction_match_the_constructor(c, r, p, q, k):
+    # const, z, negation, sums with a constant denominator on one side,
+    # products with a constant member in each cross pair and powers store
+    # their result without a gcd; the full constructor must build the same
+    # fields from the same quotient.
+    P, Q = RationalFunction(p), RationalFunction(q)
+    # Constant numerators: 1/q times c/q^2 (c = 1 when c is 0).
+    over_q, over_q2 = RationalFunction(1, q), RationalFunction(c or 1, q * q)
     pairs = [
         (RationalFunction.const(c), RationalFunction(Polynomial.const(c), ONE_P)),
         (RationalFunction.z(), RationalFunction(Polynomial.variable(), ONE_P)),
         (-r, RationalFunction(-r.num, r.den)),
+        (r + P, RationalFunction(r.num + p * r.den, r.den)),
+        (P + r, RationalFunction(p * r.den + r.num, r.den)),
+        (r + c, RationalFunction(r.num + Polynomial.const(c) * r.den, r.den)),
+        (r * c, RationalFunction(Polynomial.const(c) * r.num, r.den)),
+        (P * Q, RationalFunction(p * q, ONE_P)),
+        (over_q * over_q2, RationalFunction(Polynomial.const(c or 1), q * q * q)),
+        (r ** abs(k), RationalFunction(_product([r.num] * abs(k)), _product([r.den] * abs(k)))),
     ]
+    if not r.is_zero():
+        pairs.append(
+            (r ** -abs(k), RationalFunction(_product([r.den] * abs(k)), _product([r.num] * abs(k))))
+        )
     for stored, built in pairs:
         assert (stored.num, stored.den) == (built.num, built.den)
         assert hash(stored) == hash(built)

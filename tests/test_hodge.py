@@ -845,9 +845,20 @@ def test_one_partition_swap_symmetry():
 
 
 def test_two_partition_swap_symmetry():
-    u1, u2, u3 = _symbolic_args()
-    for g in (0, 1, 2):
-        assert (i2(g, u1, u2, u3) - i2(g, u2, u1, u3)).is_zero()
+    # I2 itself, called for both orders of (u1, u2), so each order is
+    # computed and cached: the normal forms agree.  i2 then shares one cache
+    # entry between the two orders.
+    z = RationalFunction.z()
+    one = RationalFunction.const(1)
+    linear = _symbolic_args()
+    rational = (one / (one + z), (z * z + 1) / (z - 2), 3 * one / z)
+    for u1, u2, u3 in (linear, rational):
+        for g in range(4):
+            assert hodge.I2(g, u1, u2, u3) == hodge.I2(g, u2, u1, u3)
+    u1, u2, u3 = z + 5, 7 * one - z, z
+    misses = hodge.I2.cache_info().misses
+    assert i2(2, u1, u2, u3) == i2(2, u2, u1, u3)
+    assert hodge.I2.cache_info().misses == misses + 1
 
 
 def test_negation_symmetry():

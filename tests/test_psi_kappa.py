@@ -179,7 +179,8 @@ def _dfact(k):
 
 def _labeled_subset_psi(genus, exps, memo):
     """Reference correlator: the string, dilaton and DVV steps of the library,
-    but with the separating DVV sum over all labeled subsets of the points."""
+    but with the separating DVV sum over every genus g1 and all labeled
+    subsets of the points."""
     n = len(exps)
     if 2 * genus - 2 + n <= 0 or sum(exps) != 3 * genus - 3 + n:
         return Fraction(0)
@@ -224,15 +225,16 @@ def _labeled_subset_psi(genus, exps, memo):
     return total
 
 
-def test_psi_reduce_matches_labeled_subset_reference():
-    # The library groups the separating DVV terms by exponent multiset; the
-    # reference sums them over every labeled subset.  Clearing the memo makes
-    # the library recompute each correlator with the grouped sum.
+def _matches_reference(max_genus, max_points):
+    """Check witten_psi against _labeled_subset_psi on every exponent tuple
+    with genus <= max_genus and 1 to max_points points; returns the number
+    of tuples.  Clearing the memo first makes the library recompute each
+    correlator."""
     psi_kappa._psi_memo.clear()
     memo = {}
     checked = 0
-    for genus in range(4):
-        for n in range(1, 6):
+    for genus in range(max_genus + 1):
+        for n in range(1, max_points + 1):
             if 2 * genus - 2 + n <= 0:
                 continue
             dim = 3 * genus - 3 + n
@@ -241,7 +243,19 @@ def test_psi_reduce_matches_labeled_subset_reference():
                     got = witten_psi(genus, exps)
                     assert got == _labeled_subset_psi(genus, exps, memo), (genus, exps)
                     checked += 1
-    assert checked == 140
+    return checked
+
+
+def test_psi_reduce_matches_labeled_subset_reference():
+    # The library groups the separating DVV terms by exponent multiset; the
+    # reference sums them over every labeled subset.
+    assert _matches_reference(3, 5) == 140
+
+
+def test_psi_reduce_matches_all_genus_split_reference():
+    # The library reads the genus of the separating DVV split off the
+    # dimension of the side carrying psi^b; the reference tries every g1.
+    assert _matches_reference(5, 4) == 241
 
 
 def test_memo_determinism():
