@@ -83,12 +83,22 @@ class Record:
 class Frozen(Record):
     """An immutable, hashable record.
 
-    A subclass sets its fields in ``__init__`` through
-    ``object.__setattr__``; assigning or deleting a field afterwards raises
-    AttributeError.  The hash is that of the field tuple.
+    The constructor takes the fields in ``__slots__`` order or by name; a
+    subclass that normalizes its input overrides it and sets the fields
+    through ``object.__setattr__``.  Assigning or deleting a field
+    afterwards raises AttributeError.  The hash is that of the field tuple.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        # The positional fields come first, and the keywords name the rest.
+        rest = set(names[len(args) :])
+        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= rest:
+            raise TypeError(f"{type(self).__name__} takes the fields {names} once each")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return hash(self._fields(self))

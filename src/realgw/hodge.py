@@ -36,9 +36,11 @@ The evaluation pipeline:
 4. The terms are generated already grouped by the integral they lead to:
    one psi term per distinct exponent times its multiplicity, and one
    separating term per split of the psi-exponent multiset times the number
-   of labeled point subsets realizing it.  The ch splits of a separating
-   term are bucketed by the degree they send to the genus-h side, and only
-   the bucket that side's dimension asks for is visited.
+   of labeled point subsets realizing it, for each node exponent and each
+   split of the remaining ch factors.  The genus h of a separating side is
+   not searched for: its dimension must equal the degree of the psi and ch
+   classes it receives, and that fixes h or rules the split out, as in the
+   DVV recursion of the psi-kappa layer.
    All terms of one expansion, same-space, irreducible and separating, are
    summed as integer numerators over one running lcm denominator
    (``exact_arith.lcm_sum``), and the prefactor B_(2l)/(2 (2l)!) is folded
@@ -177,10 +179,11 @@ def _ch_integral(
     """Integral of a psi monomial times prod ch_(m)(E), m odd, as a reduced
     pair (num, den).
 
-    A key first loses psi points by the dilaton and string equations
-    (``_dilaton``, ``_string_lowerings``): ch(E) pulls back under the map
-    forgetting a point, as the lambda classes do.  The remaining keys
-    eliminate the largest ch factor by the GRR expansion
+    A key with no ch factor is a psi correlator and goes to the psi-kappa
+    layer as it is.  Any other key first loses psi points by the dilaton
+    and string equations (``_dilaton``, ``_string_lowerings``): ch(E) pulls
+    back under the map forgetting a point, as the lambda classes do.  The
+    remaining keys eliminate the largest ch factor by the GRR expansion
 
         ch_m = B_(m+1)/(m+1)! * [ kappa_m - sum_i psi_i^m
                + 1/2 * sum_boundary push(sum_(a+b=m-1) (-psi')^a psi''^b) ],
@@ -188,8 +191,9 @@ def _ch_integral(
     in which the kappa term becomes one more marked point (``_grr``), so
     every key is psi and ch only.  The terms are generated already grouped:
     one psi term per distinct exponent times its multiplicity, and one
-    separating term per (genus-h side, point multiset) split times the
-    number of labeled point subsets realizing it.  Separating types are
+    separating term per (point multiset split, node exponent, ch split)
+    times the number of labeled point subsets realizing it, the genus of
+    each side read off its dimension.  Separating types are
     ordered, so each divisor appears twice, which the global 1/2
     compensates.  All terms are summed as integers over one running
     denominator, the same-space ones doubled against the 1/2, and the
@@ -200,12 +204,13 @@ def _ch_integral(
     (where lambda_1^2 = 0 by Mumford's relation, so ch_m = lambda_1^m / m!
     vanishes for m >= 2), gives 0 without expansion.
     """
+    if not ch:
+        return _kappa_value(genus, psi, ())
     factor = 1
     if 1 in psi:
         factor, psi = _dilaton(genus, psi)
     key = (genus, psi, ch)
-    # With no ch factor left, the key is a psi correlator.
-    value = _ch_memo.get(key) if ch else _kappa_value(genus, psi, ())
+    value = _ch_memo.get(key)
     if value is None:
         n = len(psi)
         if 2 * genus - 2 + n <= 0:
@@ -233,6 +238,14 @@ def _grr(genus: int, psi: tuple[int, ...], ch: tuple[int, ...]) -> tuple[int, in
     """The GRR expansion of the largest ch factor of a stable genus >= 1
     key of the right dimension, as described in ``_ch_integral``.
 
+    A separating term puts the points left and psi^a on one side and the
+    rest with psi^(m-1-a) on the other, and sends the ch factors c1 to the
+    first side.  That side has len(left) + 1 points, so its dimension
+    3h - 2 + len(left) must equal sum(left) + a + sum(c1): this fixes its
+    genus h, or rules the term out when h is no integer in 0..genus.  The
+    other side's dimension then matches.  An unstable side, genus 0 with at
+    most two points, would have negative dimension, so none is reached.
+
     The kappa_m term goes to the space with one more point: kappa_m is the
     pushforward of psi_(n+1)^(m+1) under the map pi forgetting that point
     (Arbarello and Cornalba, Combinatorial and algebro-geometric cohomology
@@ -242,7 +255,6 @@ def _grr(genus: int, psi: tuple[int, ...], ch: tuple[int, ...]) -> tuple[int, in
 
         int kappa_m psi^A P = int_(n+1 points) psi_(n+1)^(m+1) psi^A P.
     """
-    n = len(psi)
     m = ch[-1]
     rest_ch = ch[:-1]
     # kappa_m and psi_i^m stay on the same genus.
@@ -257,46 +269,31 @@ def _grr(genus: int, psi: tuple[int, ...], ch: tuple[int, ...]) -> tuple[int, in
         psi_irr = tuple(sorted(psi + (a, m - 1 - a)))
         v = _ch_integral(genus - 1, psi_irr, rest_ch)
         terms.append((-1 if a % 2 else 1, *v))
-    buckets = _splits_by_degree(rest_ch)
+    # Separating terms, one per (psi split, node exponent a, ch split), the
+    # genus h of the first side read off its dimension.
+    ch_splits = [(sum(c1), c1, c2, w) for c1, c2, w in _subsets_of_multiset(rest_ch)]
     for left, right, count in _subsets_of_multiset(psi):
-        n_left = len(left)
-        free = n_left - sum(left) - 2
-        for h in range(genus + 1):
-            if 2 * h - 1 + n_left <= 0 or 2 * (genus - h) - 1 + n - n_left <= 0:
-                continue
-            # Degree the genus-h side needs from its node exponent a plus the
-            # ch factors it receives; the other side then matches.
-            need = 3 * h + free
-            for a in range(min(m, need + 1)):
-                bucket = buckets.get(need - a)
-                if bucket is None:
+        shift = sum(left) + 2 - len(left)
+        for a in range(m):
+            psi1 = tuple(sorted(left + (a,)))
+            psi2 = tuple(sorted(right + (m - 1 - a,)))
+            sign = -count if a % 2 else count
+            for deg, c1, c2, w in ch_splits:
+                h, r = divmod(shift + a + deg, 3)
+                if r or not 0 <= h <= genus:
                     continue
-                psi1 = tuple(sorted(left + (a,)))
-                psi2 = tuple(sorted(right + (m - 1 - a,)))
-                sign = -count if a % 2 else count
-                for c1, c2, w in bucket:
-                    n1, d1 = _ch_integral(h, psi1, c1)
-                    if not n1:
-                        continue
-                    n2, d2 = _ch_integral(genus - h, psi2, c2)
-                    if not n2:
-                        continue
-                    terms.append((sign * w, n1 * n2, d1 * d2))
+                n1, d1 = _ch_integral(h, psi1, c1)
+                if not n1:
+                    continue
+                n2, d2 = _ch_integral(genus - h, psi2, c2)
+                if not n2:
+                    continue
+                terms.append((sign * w, n1 * n2, d1 * d2))
     num, den = lcm_sum(terms)
     pref = bernoulli(m + 1)
     return reduced(
         pref.numerator * num, pref.denominator * 2 * math.factorial(m + 1) * den
     )
-
-
-def _splits_by_degree(ch: tuple[int, ...]) -> dict[int, list[tuple]]:
-    """Splits (c1, c2, count) of the ch multiset between the two sides of a
-    separating node, bucketed by the degree sum(c1) they send to the first
-    side."""
-    buckets: dict[int, list[tuple]] = {}
-    for c1, c2, count in _subsets_of_multiset(ch):
-        buckets.setdefault(sum(c1), []).append((c1, c2, count))
-    return buckets
 
 
 def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:

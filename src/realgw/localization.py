@@ -125,18 +125,6 @@ class DecoratedGraph(Frozen):
     edges: tuple[tuple[int, int, int], ...]
     marks_plus: tuple[int, ...]
 
-    def __init__(
-        self,
-        theta: tuple[int, ...],
-        genus: tuple[int, ...],
-        edges: tuple[tuple[int, int, int], ...],
-        marks_plus: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "marks_plus", marks_plus)
-
     @property
     def num_vertices(self) -> int:
         return len(self.theta)
@@ -155,10 +143,6 @@ class GraphInvolution(Frozen):
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
 
-    def __init__(self, vertices: tuple[int, ...], edges: tuple[int, ...]) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-
     def fixed_edges(self) -> list[int]:
         return [i for i, j in enumerate(self.edges) if j == i]
 
@@ -174,13 +158,6 @@ class AdmissiblePair(Frozen):
     graph: DecoratedGraph
     involution: GraphInvolution
     aut_order: int
-
-    def __init__(
-        self, graph: DecoratedGraph, involution: GraphInvolution, aut_order: int
-    ) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "involution", involution)
-        object.__setattr__(self, "aut_order", aut_order)
 
     def default_halves(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Canonical (V+, E+): labels 1 and 3, least index per free orbit."""

@@ -3,11 +3,11 @@
 ``witten_psi`` evaluates the correlators <tau_{a_1} ... tau_{a_n}>_g, i.e. the
 integrals of psi-class monomials over the Deligne-Mumford space of genus-g
 n-pointed stable curves.  The evaluation removes the one exponents by the
-dilaton equation and then all zero exponents at once by the iterated string
-equation, as far as the space stays stable (``_dilaton`` and
-``_string_lowerings``, which the Hodge layer shares), and otherwise runs the
-Witten-Kontsevich (DVV) recursion on the largest exponent.  The two seed
-values are
+dilaton equation before it reads the memo, as the Hodge layer's queries do,
+and then all zero exponents at once by the iterated string equation, as far
+as the space stays stable (``_dilaton`` and ``_string_lowerings``, which the
+Hodge layer shares), and otherwise runs the Witten-Kontsevich (DVV)
+recursion on the largest exponent.  The two seed values are
 
     <tau_0^3>_0 = 1        (the 3-pointed rational moduli space is a point)
     <tau_1>_1   = 1/24
@@ -37,9 +37,10 @@ doubled to integers.  The memos hold each value as a reduced integer pair
 (``exact_arith.reduced``); the recursions read and sum the pairs as
 integers, and only ``witten_psi`` and ``kappa_psi`` build a Fraction.
 
-All queries are memoized on canonical sorted keys, and a memo hit returns
-before any stability or dimension check; the module is pure but the shared
-memo dictionaries are not synchronized, so it is single-threaded by contract.
+All queries are memoized on canonical sorted keys with no psi^1 point the
+dilaton equation can remove, and a memo hit returns before any stability or
+dimension check; the module is pure but the shared memo dictionaries are not
+synchronized, so it is single-threaded by contract.
 """
 
 from __future__ import annotations
@@ -64,35 +65,30 @@ def _pad_to_stable(genus: int, psi: tuple[int, ...]) -> tuple[int, ...]:
     return psi
 
 
-def _double_factorial(n: int) -> int:
-    """(2k+1)!! for odd arguments; (-1)!! = 1."""
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def _psi_value(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
     """Internal evaluation with the convention that unstable input is 0.
 
     ``exps`` is sorted (every caller passes a sorted tuple), so exps[0] is
-    the least exponent.
+    the least exponent.  The psi^1 points go by the dilaton equation before
+    the memo read, so the memo is keyed on what is left.
     """
+    factor = 1
+    if 1 in exps:
+        factor, exps = _dilaton(genus, exps)
     key = (genus, exps)
-    cached = _psi_memo.get(key)
-    if cached is not None:
-        return cached
-    n = len(exps)
-    if 2 * genus - 2 + n <= 0:
-        return _ZERO
-    # n >= 1 past the dimension check: a stable space with no points has
-    # genus >= 2 and dimension 3g - 3 > 0.
-    if sum(exps) != 3 * genus - 3 + n or exps[0] < 0:
-        return _ZERO
-    value = _psi_reduce(genus, exps)
-    _psi_memo[key] = value
-    return value
+    value = _psi_memo.get(key)
+    if value is None:
+        n = len(exps)
+        if 2 * genus - 2 + n <= 0:
+            return _ZERO
+        # n >= 1 past the dimension check: a stable space with no points has
+        # genus >= 2 and dimension 3g - 3 > 0.
+        if sum(exps) != 3 * genus - 3 + n or exps[0] < 0:
+            return _ZERO
+        value = _psi_memo[key] = _psi_reduce(genus, exps)
+    if factor == 1:
+        return value
+    return reduced(factor * value[0], value[1])
 
 
 def _dilaton(genus: int, psi: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -146,11 +142,7 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
         return (1, 1)
     if genus == 1 and exps == (1,):
         return (1, 24)
-    # Dilaton, then string equation, as far as the space stays stable.
-    factor, stripped = _dilaton(genus, exps)
-    if stripped != exps:
-        num, den = _psi_value(genus, stripped)
-        return reduced(factor * num, den)
+    # String equation, as far as the space stays stable.
     lowerings = _string_lowerings(genus, exps)
     if lowerings is not None:
         terms = [(weight, *_psi_value(genus, lowered)) for lowered, weight in lowerings]
@@ -166,11 +158,11 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
         aj = rest[j]
         merged = rest[:j] + rest[j + 1 :] + (a1 + aj - 1,)
         # (2(a1 + aj) - 1)!! / (2 aj - 1)!! is a product of odd integers.
-        c = _double_factorial(2 * (a1 + aj) - 1) // _double_factorial(2 * aj - 1)
+        c = math.prod(range(2 * aj + 1, 2 * (a1 + aj), 2))
         terms.append((2 * c, *_psi_value(genus, tuple(sorted(merged)))))
     for b in range(a1 - 1):
         c = a1 - 2 - b
-        w = _double_factorial(2 * b + 1) * _double_factorial(2 * c + 1)
+        w = math.prod(range(1, 2 * b + 2, 2)) * math.prod(range(1, 2 * c + 2, 2))
         # Non-separating degeneration.
         terms.append((w, *_psi_value(genus - 1, tuple(sorted(rest + (b, c))))))
         # Separating degenerations, one term per split of the exponent
@@ -186,7 +178,7 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
             rn, rd = _psi_value(genus - g1, tuple(sorted(right + (c,))))
             terms.append((count * w, ln * rn, ld * rd))
     num, den = lcm_sum(terms)
-    return reduced(num, 2 * den * _double_factorial(2 * a1 + 1))
+    return reduced(num, 2 * den * math.prod(range(1, 2 * a1 + 2, 2)))
 
 
 def witten_psi(genus: int, exponents) -> Rational:

@@ -398,3 +398,21 @@ def test_value_classes_are_immutable_with_value_equality(kind):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert a == b and a != object()
+
+
+def test_frozen_records_take_each_field_once():
+    # The shared Frozen constructor takes the fields by position, by name in
+    # any order, or both, and raises TypeError on a missing, extra, repeated
+    # or unknown field.
+    inv = GraphInvolution((1, 0), (0,))
+    assert inv == GraphInvolution((1, 0), edges=(0,))
+    assert inv == GraphInvolution(edges=(0,), vertices=(1, 0))
+    for args, kwargs in [
+        (((1, 0),), {}),
+        (((1, 0), (0,), ()), {}),
+        (((1, 0),), {"vertices": (1, 0)}),
+        (((1, 0),), {"edge": (0,)}),
+        ((), {}),
+    ]:
+        with pytest.raises(TypeError):
+            GraphInvolution(*args, **kwargs)

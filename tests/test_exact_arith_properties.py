@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from realgw.exact_arith import (
     Factored,
@@ -390,18 +390,48 @@ def test_factored_sum_matches_left_to_right_sum(values):
     assert fields(got) == fields(left_to_right(r for _, r in values))
 
 
+Z2_PLUS_1 = Polynomial((1, 0, 1))
+
+
+def splits_over(den, forms):
+    """Reference: whether den divides the product of the forms (a, b), that
+    is a*z + b, each to the power deg(den)."""
+    power = FractionPolynomial((1,))
+    for a, b in set(forms):
+        for _ in range(den.degree):
+            power = power * FractionPolynomial((b, a))
+    return power.divmod(FractionPolynomial(den.coeffs))[1].is_zero()
+
+
+# (z^2 + 1)/(2z + 1): z^2 + 1 cancels, and the split round-trips when other
+# is 2z + 1 and raises when it is z + 3.
+CANCELLING = (
+    Factored.split(RationalFunction(Z2_PLUS_1), ())
+    * Factored.weight(Polynomial((1, 2))) ** -1,
+    RationalFunction(Z2_PLUS_1, Polynomial((1, 2))),
+)
+
+
 @exact
 @given(factored_values(), nonzero_polys)
+@example(CANCELLING, Polynomial((1, 2)))
+@example(CANCELLING, Polynomial((3, 1)))
 def test_split_recovers_the_value_or_raises(x, other):
     # A normal-form denominator splits over the forms the value was built
-    # from; one with the irreducible factor z^2 + 1 splits over none.
+    # from.  Dividing by other * (z^2 + 1) leaves the irreducible factor
+    # z^2 + 1 in the denominator, and then the split raises, unless the
+    # numerator cancels it; then the split round-trips exactly when what is
+    # left of the denominator splits over the forms, and raises otherwise.
     fx, rx = x
     forms = [f for f, _ in fx.forms]
     assert fields(Factored.split(rx, forms).rational_function()) == fields(rx)
     if not rx.is_zero():
-        bad = rx / RationalFunction(other * Polynomial((1, 0, 1)))
-        with pytest.raises(ArithmeticError):
-            Factored.split(bad, forms)
+        bad = rx / RationalFunction(other * Z2_PLUS_1)
+        if poly_gcd(bad.den, Z2_PLUS_1).degree > 0 or not splits_over(bad.den, forms):
+            with pytest.raises(ArithmeticError):
+                Factored.split(bad, forms)
+        else:
+            assert fields(Factored.split(bad, forms).rational_function()) == fields(bad)
 
 
 @exact

@@ -732,12 +732,13 @@ def test_cold_degree1_column_memo_sizes():
     # them from 1,791, 2,003 and 903; the dilaton step and the string and
     # dilaton steps on kappa-free ch keys from 879, 997 and 495; pushing
     # each GRR kappa term into a marked point from 657, 673 and 326, and
-    # hodge's calls into _kappa_value from 7,921.  The bench's psi_kappa
-    # layer wraps those calls, so there must be some.
+    # hodge's calls into _kappa_value from 7,921; the dilaton step before
+    # the psi memo read took psi from 136.  The bench's psi_kappa layer
+    # wraps those calls, so there must be some.
     ch, kappa, psi, calls = _cold_memo_sizes(
         ["enum", "--degree", "1", "--max-genus", "8"]
     )
-    assert ch <= 217 and kappa == 0 and psi <= 136
+    assert ch <= 217 and kappa == 0 and psi <= 98
     assert 0 < calls <= 558
 
 
@@ -746,11 +747,12 @@ def test_cold_verify_order6_memo_sizes():
     # The dilaton step and the string and dilaton steps on kappa-free ch
     # keys took them from 261, 252 and 166; pushing each GRR kappa term into
     # a marked point from 132, 114 and 75, and hodge's calls into
-    # _kappa_value from 881.
+    # _kappa_value from 881; the dilaton step before the psi memo read took
+    # psi from 43.
     ch, kappa, psi, calls = _cold_memo_sizes(
         ["verify", "--suite", "all", "--order", "6"]
     )
-    assert ch <= 51 and kappa == 0 and psi <= 43
+    assert ch <= 51 and kappa == 0 and psi <= 31
     assert 0 < calls <= 128
 
 
@@ -758,7 +760,9 @@ def test_memo_values_are_reduced_integer_pairs():
     # After a cold `realgw enum --degree 1 --max-genus 10` and one kappa_psi
     # query, which fills the kappa memo the Hodge layer no longer uses,
     # every memo value of the Hodge and psi-kappa layers is a reduced pair of
-    # ints with a positive denominator, and zero is stored as (0, 1).
+    # ints with a positive denominator, and zero is stored as (0, 1).  No key
+    # of the psi, ch or Hodge memo keeps a psi^1 point that the dilaton
+    # equation removes: each is read after the dilaton step.
     probe = (
         "import contextlib, io, math\n"
         "from realgw import cli, hodge, psi_kappa\n"
@@ -772,12 +776,16 @@ def test_memo_values_are_reduced_integer_pairs():
         "    type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)\n"
         "    and v[1] > 0 and math.gcd(*v) == 1)]\n"
         "zeros = [v for v in values if not v[0]]\n"
-        "print(len(values), len(psi_kappa._kappa_memo), bad, len(zeros), "
-        "set(zeros) <= {(0, 1)})\n"
+        "dilatable = [key for memo in (psi_kappa._psi_memo, hodge._ch_memo, "
+        "hodge._hodge_memo) for key in memo\n"
+        "    if psi_kappa._dilaton(*key[:2])[1] != key[1]]\n"
+        "print(len(values), len(psi_kappa._kappa_memo), len(dilatable), bad, "
+        "len(zeros), set(zeros) <= {(0, 1)})\n"
     )
-    out = _run_fresh(probe).stdout.split(maxsplit=4)
-    count, kappa, bad, zeros, zeros_ok = out
+    out = _run_fresh(probe).stdout.split(maxsplit=5)
+    count, kappa, dilatable, bad, zeros, zeros_ok = out
     assert int(count) > 1000 and int(kappa) > 0 and bad == "[]"
+    assert dilatable == "0"
     assert int(zeros) > 0 and zeros_ok == "True\n"
 
 
@@ -814,9 +822,11 @@ def test_cold_verify_order6_lambda_product_calls():
 def test_cold_degree1_column_psi_value_calls():
     # _psi_value calls of a cold `realgw enum --degree 1 --max-genus 8`,
     # recursive ones included.  Reading the genus of the separating DVV split
-    # off the dimension, instead of trying every genus, took them from 4,621.
+    # off the dimension, instead of trying every genus, took them from 4,621;
+    # the dilaton step before the memo read, in place of a recursive call,
+    # from 1,487.
     call = "cli.main(['enum', '--degree', '1', '--max-genus', '8'])"
-    assert 0 < _cold_call_count("psi_kappa._psi_value", call) <= 1487
+    assert 0 < _cold_call_count("psi_kappa._psi_value", call) <= 1453
 
 
 def test_cold_run_polynomial_products():
