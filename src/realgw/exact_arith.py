@@ -566,11 +566,9 @@ class Factored:
             raise ValueError(f"weight {value} is not of degree at most 1")
         if value.degree <= 0:
             return Factored.const(value.eval_at(0))
-        b, a = value._ints
-        content = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
-        return Factored(
-            Fraction(content, value._den), None, {(a // content, b // content): 1}
-        )
+        content, form = value.primitive()
+        b, a = form._ints
+        return Factored(content, None, {(a, b): 1})
 
     @staticmethod
     def split(value: RationalFunction, forms: Iterable[Form]) -> "Factored":

@@ -34,20 +34,16 @@ The evaluation pipeline:
    takes the dilaton and string steps of step 1: ch(E) pulls back under
    the forgetful map.
 4. The terms are generated already grouped by the integral they lead to:
-   one psi term per distinct exponent times its multiplicity, and one
-   separating term per split of the psi-exponent multiset times the number
-   of labeled point subsets realizing it, for each node exponent and each
-   split of the remaining ch factors.  The genus h of a separating side is
-   not searched for: its dimension must equal the degree of the psi and ch
-   classes it receives, and that fixes h or rules the split out, as in the
-   DVV recursion of the psi-kappa layer.
-   All terms of one expansion, same-space, irreducible and separating, are
-   summed as integer numerators over one running lcm denominator
-   (``exact_arith.lcm_sum``), and the prefactor B_(2l)/(2 (2l)!) is folded
-   into the one reduction per memo entry.  ``hodge_integral`` sums its
-   string and ch terms the same way.  The memos hold reduced integer pairs
-   (num, den), as the psi-kappa layer's do, and only ``hodge_integral``
-   builds a Fraction, one per call.
+   one psi term per distinct exponent times its multiplicity, and the
+   boundary terms from ``psi_kappa._boundary_terms``, the pushforward the
+   DVV recursion shares, which reads the genus of a separating side off
+   its dimension.  All terms of one expansion, same-space, irreducible
+   and separating, are summed as integer numerators over one running lcm
+   denominator (``exact_arith.lcm_sum``), and the prefactor
+   B_(2l)/(2 (2l)!) is folded into the one reduction per memo entry.
+   ``hodge_integral`` sums its string and ch terms the same way.  The
+   memos hold reduced integer pairs (num, den), as the psi-kappa layer's
+   do, and only ``hodge_integral`` builds a Fraction, one per call.
 5. Classes that vanish by theorem are not expanded.  Mumford's relation
    c(E)c(E^dual) = 1 (Towards an enumerative geometry of the moduli space
    of curves, 1983) gives lambda_g^2 = 0 for g >= 1, so ``hodge_integral``
@@ -106,13 +102,13 @@ from .exact_arith import (
 )
 from .psi_kappa import (
     _ZERO,
+    _boundary_terms,
     _dilaton,
     _kappa_memo,
     _kappa_value,
     _pad_to_stable,
     _psi_memo,
     _string_lowerings,
-    _subsets_of_multiset,
 )
 
 _hodge_memo: dict[tuple, tuple[int, int]] = {}
@@ -189,13 +185,9 @@ def _ch_integral(
                + 1/2 * sum_boundary push(sum_(a+b=m-1) (-psi')^a psi''^b) ],
 
     in which the kappa term becomes one more marked point (``_grr``), so
-    every key is psi and ch only.  The terms are generated already grouped:
-    one psi term per distinct exponent times its multiplicity, and one
-    separating term per (point multiset split, node exponent, ch split)
-    times the number of labeled point subsets realizing it, the genus of
-    each side read off its dimension.  Separating types are
-    ordered, so each divisor appears twice, which the global 1/2
-    compensates.  All terms are summed as integers over one running
+    every key is psi and ch only.  The psi terms come one per distinct
+    exponent times its multiplicity, the boundary terms from
+    ``_boundary_terms``.  All terms are summed as integers over one running
     denominator, the same-space ones doubled against the 1/2, and the
     prefactor B_(m+1)/(2 (m+1)!) is folded into the one reduction of the
     memo entry.
@@ -236,15 +228,9 @@ def _ch_integral(
 
 def _grr(genus: int, psi: tuple[int, ...], ch: tuple[int, ...]) -> tuple[int, int]:
     """The GRR expansion of the largest ch factor of a stable genus >= 1
-    key of the right dimension, as described in ``_ch_integral``.
-
-    A separating term puts the points left and psi^a on one side and the
-    rest with psi^(m-1-a) on the other, and sends the ch factors c1 to the
-    first side.  That side has len(left) + 1 points, so its dimension
-    3h - 2 + len(left) must equal sum(left) + a + sum(c1): this fixes its
-    genus h, or rules the term out when h is no integer in 0..genus.  The
-    other side's dimension then matches.  An unstable side, genus 0 with at
-    most two points, would have negative dimension, so none is reached.
+    key of the right dimension, as described in ``_ch_integral``.  The
+    boundary terms push sum_a (-psi')^a psi''^(m-1-a) and the other ch
+    factors forward (``_boundary_terms``).
 
     The kappa_m term goes to the space with one more point: kappa_m is the
     pushforward of psi_(n+1)^(m+1) under the map pi forgetting that point
@@ -264,31 +250,9 @@ def _grr(genus: int, psi: tuple[int, ...], ch: tuple[int, ...]) -> tuple[int, in
             continue
         bumped = tuple(sorted(psi[:i] + (p + m,) + psi[i + 1 :]))
         terms.append((-2 * psi.count(p), *_ch_integral(genus, bumped, rest_ch)))
-    # Boundary terms, summed with the sign (-1)^a of the node exponent a.
-    for a in range(m):
-        psi_irr = tuple(sorted(psi + (a, m - 1 - a)))
-        v = _ch_integral(genus - 1, psi_irr, rest_ch)
-        terms.append((-1 if a % 2 else 1, *v))
-    # Separating terms, one per (psi split, node exponent a, ch split), the
-    # genus h of the first side read off its dimension.
-    ch_splits = [(sum(c1), c1, c2, w) for c1, c2, w in _subsets_of_multiset(rest_ch)]
-    for left, right, count in _subsets_of_multiset(psi):
-        shift = sum(left) + 2 - len(left)
-        for a in range(m):
-            psi1 = tuple(sorted(left + (a,)))
-            psi2 = tuple(sorted(right + (m - 1 - a,)))
-            sign = -count if a % 2 else count
-            for deg, c1, c2, w in ch_splits:
-                h, r = divmod(shift + a + deg, 3)
-                if r or not 0 <= h <= genus:
-                    continue
-                n1, d1 = _ch_integral(h, psi1, c1)
-                if not n1:
-                    continue
-                n2, d2 = _ch_integral(genus - h, psi2, c2)
-                if not n2:
-                    continue
-                terms.append((sign * w, n1 * n2, d1 * d2))
+    # Boundary terms, with the sign (-1)^a of the node exponent a.
+    signs = [-1 if a % 2 else 1 for a in range(m)]
+    terms += _boundary_terms(genus, psi, signs, rest_ch, _ch_integral)
     num, den = lcm_sum(terms)
     pref = bernoulli(m + 1)
     return reduced(
@@ -603,12 +567,12 @@ def I1(
     Lambda(u1)Lambda(u2)Lambda(u3) / (u1 (u1 - psi)) on the 1-pointed space."""
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    if any(RationalFunction.coerce(u).is_zero() for u in (u1, u2, u3)):
+    if u1.is_zero() or u2.is_zero() or u3.is_zero():
         raise ZeroDivisionError("I1 requires nonzero arguments")
     if g == 0:
         return RationalFunction.const(1)
     inner = lambda_product_integral(g, (u1, u2, u3), [u1])
-    return inner / RationalFunction.coerce(u1)
+    return inner / u1
 
 
 @lru_cache(maxsize=None)
@@ -620,9 +584,6 @@ def I2(
     (u1 - psi_1)(u2 - psi_2)."""
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    u1 = RationalFunction.coerce(u1)
-    u2 = RationalFunction.coerce(u2)
-    u3 = RationalFunction.coerce(u3)
     if u1.is_zero() or u2.is_zero() or u3.is_zero():
         raise ZeroDivisionError("I2 requires nonzero arguments")
     if g == 0:

@@ -24,11 +24,9 @@ layer uses the single-kappa step of the same identity: its GRR expansion
 turns each kappa_m term into a marked point with psi exponent m+1 at once,
 so it reads only psi correlators from here.
 
-The separating DVV terms are grouped by splits of the exponent multiset,
-each weighted by its number of labeled point subsets.  The genus of a split
-is not searched for: the side carrying psi^b has the exponents left + (b,)
-on len(left) + 1 points, so its dimension 3 g1 - 2 + len(left) must equal
-sum(left) + b, and that fixes g1 or rules the split out.
+The boundary terms of DVV, irreducible and separating, come from
+``_boundary_terms``, which the GRR recursion of the Hodge layer shares: it
+reads the genus of each separating side off its dimension.
 
 The string, DVV and kappa sums are accumulated as integer numerators over
 one running lcm denominator (``exact_arith.lcm_sum``), with the DVV weights
@@ -137,6 +135,61 @@ def _string_lowerings(genus: int, psi: tuple[int, ...]):
     return states.items()
 
 
+def _boundary_terms(genus: int, points: tuple[int, ...], weights, ch, value):
+    """(weight, num, den) terms of the boundary pushforward of
+    sum_a weights[a] psi'^a psi''^(top - a), top = len(weights) - 1, from the
+    genus-g space with the sorted psi exponents ``points`` and the sorted ch
+    factors ``ch``; ``value(genus, psi, ch)`` reads an integral as a reduced
+    pair.  Both node branches get a new point.
+
+    The irreducible divisor gives one genus g - 1 term per a, with psi^a and
+    psi^(top - a) on the two branches.  A separating divisor puts the points
+    left and psi^a on one side, the rest with psi^(top - a) on the other,
+    and sends the ch factors c1 to the first side (ch restricts to the sum
+    over the pieces).  Each such term comes once per split of the point
+    multiset and of the ch multiset, times the number of labeled subsets
+    realizing both.  The genus h of the first side is not searched for: it
+    has len(left) + 1 points, so its dimension 3h - 2 + len(left) must equal
+    sum(left) + a + sum(c1), which fixes h, or rules the term out when h is
+    outside 0..genus.  The ch splits are grouped by degree mod 3, so only
+    those that make h an integer are visited.  The other side's dimension
+    then matches; an unstable side, genus 0 with at most two points, would
+    need a negative dimension, so none is reached (Faber, Algorithms for
+    computing intersection numbers on moduli spaces of curves, 1999).
+    Separating types are ordered, so each divisor comes twice, and the
+    caller halves the sum.
+    """
+    top = len(weights) - 1
+    terms = [
+        (w, *value(genus - 1, tuple(sorted(points + (a, top - a))), ch))
+        for a, w in enumerate(weights)
+    ]
+    by_class = ([], [], [])
+    for c1, c2, count in _subsets_of_multiset(ch):
+        deg = sum(c1)
+        by_class[deg % 3].append((deg, c1, c2, count))
+    for left, right, count in _subsets_of_multiset(points):
+        base = sum(left) + 2 - len(left)
+        for a, w in enumerate(weights):
+            shift = base + a
+            splits = by_class[-shift % 3]
+            if not splits:
+                continue
+            psi1 = tuple(sorted(left + (a,)))
+            psi2 = tuple(sorted(right + (top - a,)))
+            for deg, c1, c2, ch_count in splits:
+                h = (shift + deg) // 3
+                if not 0 <= h <= genus:
+                    continue
+                n1, d1 = value(h, psi1, c1)
+                if not n1:
+                    continue
+                n2, d2 = value(genus - h, psi2, c2)
+                if n2:
+                    terms.append((count * ch_count * w, n1 * n2, d1 * d2))
+    return terms
+
+
 def _psi_reduce(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
     if genus == 0 and exps == (0, 0, 0):
         return (1, 1)
@@ -160,23 +213,11 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
         # (2(a1 + aj) - 1)!! / (2 aj - 1)!! is a product of odd integers.
         c = math.prod(range(2 * aj + 1, 2 * (a1 + aj), 2))
         terms.append((2 * c, *_psi_value(genus, tuple(sorted(merged)))))
-    for b in range(a1 - 1):
-        c = a1 - 2 - b
-        w = math.prod(range(1, 2 * b + 2, 2)) * math.prod(range(1, 2 * c + 2, 2))
-        # Non-separating degeneration.
-        terms.append((w, *_psi_value(genus - 1, tuple(sorted(rest + (b, c))))))
-        # Separating degenerations, one term per split of the exponent
-        # multiset times its subset count; the dimension of the side with
-        # psi^b, 3 g1 - 2 + len(left) = sum(left) + b, fixes its genus g1.
-        for left, right, count in _subsets_of_multiset(rest):
-            g1, r = divmod(sum(left) + b + 2 - len(left), 3)
-            if r or not 0 <= g1 <= genus:
-                continue
-            ln, ld = _psi_value(g1, tuple(sorted(left + (b,))))
-            if not ln:
-                continue
-            rn, rd = _psi_value(genus - g1, tuple(sorted(right + (c,))))
-            terms.append((count * w, ln * rn, ld * rd))
+    # Degenerations with psi'^b psi''^c at the node, b + c = a1 - 2, each
+    # weighted (2b+1)!! (2c+1)!!.
+    odd = [math.prod(range(1, 2 * b + 2, 2)) for b in range(a1 - 1)]
+    weights = [odd[b] * odd[a1 - 2 - b] for b in range(a1 - 1)]
+    terms += _boundary_terms(genus, rest, weights, (), _kappa_value)
     num, den = lcm_sum(terms)
     return reduced(num, 2 * den * math.prod(range(1, 2 * a1 + 2, 2)))
 

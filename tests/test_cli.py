@@ -48,6 +48,10 @@ def _too_deep(genus, psi, lam):
     "argv, callee, message",
     [
         (("gw", "--genus", "-1", "--degree", "1"), None, "genus must be nonnegative"),
+        (("enum", "--degree", "0", "--max-genus", "2"), None,
+         "need degree >= 1 and max-genus >= 0"),
+        (("enum", "--degree", "1", "--max-genus", "-1"), None,
+         "need degree >= 1 and max-genus >= 0"),
         (("gw", "--genus", "7", "--degree", "8"), None, "g=7 is outside the bundled data"),
         (("gw", "--genus", "-1", "--degree", "5"), None, "g=-1 is outside the bundled data"),
         (("enum", "--degree", "9", "--max-genus", "3"), None,
@@ -64,8 +68,9 @@ def _too_deep(genus, psi, lam):
          (cli, "hodge_integral", _too_deep), "too many"),
     ],
     ids=[
-        "value", "key", "key-negative-genus", "key-missing-degree-enum",
-        "key-missing-degree-gw", "os", "unicode", "arithmetic", "recursion",
+        "value", "value-enum-degree", "value-enum-max-genus", "key",
+        "key-negative-genus", "key-missing-degree-enum", "key-missing-degree-gw",
+        "os", "unicode", "arithmetic", "recursion",
     ],
 )
 def test_main_reports_each_exception_family(tmp_path, capsys, monkeypatch, argv, callee, message):
@@ -368,6 +373,10 @@ def test_usage_error_exit_code():
     # convert has no --kind: the direction picks the section.
     with pytest.raises(SystemExit) as err:
         main(["convert", "--input", "t.csv", "--direction", "e-from-gw", "--kind", "GW"])
+    assert err.value.code == 2
+    # A psi list that is not comma-separated integers is a usage error.
+    with pytest.raises(SystemExit) as err:
+        main(["hodge", "--g", "1", "--n", "1", "--psi", "x"])
     assert err.value.code == 2
 
 

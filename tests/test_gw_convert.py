@@ -185,6 +185,20 @@ def test_transforms_reject_real_parity_violation(kind, transform):
         transform(t)
 
 
+@pytest.mark.parametrize(
+    "kind, check, message",
+    [
+        ("E", e_from_gw, "e_from_gw expects a GW table"),
+        ("GW", gw_from_e, "gw_from_e expects an E table"),
+        ("GW", integrality_check, "integrality_check applies to E tables"),
+    ],
+    ids=["e_from_gw", "gw_from_e", "integrality_check"],
+)
+def test_kind_mismatch_is_rejected(kind, check, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(table_from("real", kind, {(0, 1): 1}))
+
+
 def test_parity_check_flags_bad_entries():
     ok = bundled_table(2, "GW")
     assert parity_check(ok) == []
@@ -245,6 +259,12 @@ def test_parse_errors_carry_line_numbers():
         parse_tables("real,GW\n0,1,5\n0,1,6\n")
     with pytest.raises(TableParseError):
         parse_tables("purple,GW\n")
+    with pytest.raises(TableParseError) as err:
+        parse_tables("real,GW\n0,1,five\n")
+    assert "line 2" in str(err.value)
+    with pytest.raises(TableParseError) as err:
+        parse_tables("real,GW\n0,1,5\nreal,GW,E\n")
+    assert "line 3" in str(err.value) and "malformed header" in str(err.value)
 
 
 @pytest.mark.parametrize("row", ["-1,1,1", "0,0,1", "1,-1,0"])

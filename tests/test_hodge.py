@@ -16,6 +16,7 @@ from functools import lru_cache
 import pytest
 
 from realgw import hodge, psi_kappa
+from realgw.cli import main
 from realgw.exact_arith import (
     Polynomial,
     RationalFunction,
@@ -434,8 +435,12 @@ def test_pure_psi_delegates():
     assert hodge_integral(0, (1, 0, 0, 0), ()) == 1
 
 
-def test_lambda_index_above_rank_vanishes():
-    assert hodge_integral(1, (0,), (2,)) == 0
+def test_lambda_index_above_rank_vanishes(capsys):
+    # Each query meets the dimension, so only the rank rule gives the 0.
+    assert hodge_integral(1, (0, 0), (2,)) == 0
+    assert hodge_integral(2, (), (3,)) == 0
+    assert main(["hodge", "--g", "1", "--n", "2", "--lambda", "2"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_hodge_symmetry_under_shuffling():

@@ -50,6 +50,24 @@ def test_cli_reports_errors_only_in_main():
     assert sorted(node.lineno for node in sites(tree) if id(node) not in inside) == []
 
 
+def test_psi_kappa_imports_no_higher_layer():
+    # hodge reads psi correlators and the shared boundary pushforward from
+    # psi_kappa, so the dependency runs one way only.
+    higher = {"hodge", "localization", "series_ids", "gw_convert", "cli"}
+    tree = ast.parse((SRC / "psi_kappa.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported |= {f"{module}.{alias.name}" for alias in node.names}
+    names = {part for name in imported for part in name.split(".")}
+    assert "exact_arith" in names
+    assert names & higher == set()
+
+
 def test_tracer_boundaries_resolve():
     # bench/tracer.py wraps these functions and reads these memos by name,
     # so deleting or renaming one breaks `bench/run.py --trace 1`.  The file
