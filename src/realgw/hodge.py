@@ -5,17 +5,14 @@ A Hodge integral here is an integral of a monomial in psi classes and lambda
 classes (Chern classes of the Hodge bundle E) over the Deligne-Mumford space.
 The evaluation pipeline:
 
-1. ``hodge_integral`` returns 0 on a dimension mismatch before any
-   expansion.  Lambda classes pull back under the map forgetting a point,
-   so the dilaton and string equations hold; this is the first step of
-   Faber's algorithm (Algorithms for computing intersection numbers on
-   moduli spaces of curves, 1999).  In the same call, the psi^1 points
-   are removed by the dilaton equation <tau_1 X lambda> = (2g - 2 + n)
-   <X lambda>, X on n points, while the space with one point fewer is
-   stable.  Then the removable psi^0 points go all at once by the
-   iterated string equation
-   <tau_0^k prod tau_(a_j) lambda> = sum_b k!/prod b_j! <prod tau_(a_j - b_j) lambda>,
-   b running over the vectors with sum k and b_j <= a_j.
+1. Lambda classes and ch(E) pull back under the map forgetting a point, so
+   the dilaton and string equations hold.  ``hodge_integral`` and
+   ``_ch_integral`` remove the psi^1 points by the dilaton equation before
+   the memo read, and a miss takes the expansion step of the psi-kappa
+   layer, ``psi_kappa._expand``: 0 on an unstable space or a dimension
+   mismatch, else the iterated string step, else the layer's own expansion
+   below.  This is the first step of Faber's algorithm (Algorithms for
+   computing intersection numbers on moduli spaces of curves, 1999).
 2. ``lambda_to_ch`` rewrites a lambda monomial as a polynomial in the odd
    Chern characters ch_1, ch_3, ch_5, ... by Newton's identities; the even
    Chern characters of E vanish identically (Mumford), so they are dropped.
@@ -31,8 +28,7 @@ The evaluation pipeline:
    Psi and remaining ch factors restrict to boundary pieces in the standard
    way: psi_i lands on the piece carrying the point i, while ch restricts
    to the sum over pieces.  So every key is psi and ch only, and first
-   takes the dilaton and string steps of step 1: ch(E) pulls back under
-   the forgetful map.
+   takes step 1.
 4. The terms are generated already grouped by the integral they lead to:
    one psi term per distinct exponent times its multiplicity, and the
    boundary terms from ``psi_kappa._boundary_terms``, the pushforward the
@@ -104,11 +100,11 @@ from .psi_kappa import (
     _ZERO,
     _boundary_terms,
     _dilaton,
+    _expand,
     _kappa_memo,
     _kappa_value,
     _pad_to_stable,
     _psi_memo,
-    _string_lowerings,
 )
 
 _hodge_memo: dict[tuple, tuple[int, int]] = {}
@@ -176,10 +172,10 @@ def _ch_integral(
     pair (num, den).
 
     A key with no ch factor is a psi correlator and goes to the psi-kappa
-    layer as it is.  Any other key first loses psi points by the dilaton
-    and string equations (``_dilaton``, ``_string_lowerings``): ch(E) pulls
-    back under the map forgetting a point, as the lambda classes do.  The
-    remaining keys eliminate the largest ch factor by the GRR expansion
+    layer as it is.  Any other key loses its psi^1 points by the dilaton
+    equation (``_dilaton``) before the memo read; a miss goes to ``_expand``
+    with ``_grr``, which eliminates the largest ch factor by the GRR
+    expansion
 
         ch_m = B_(m+1)/(m+1)! * [ kappa_m - sum_i psi_i^m
                + 1/2 * sum_boundary push(sum_(a+b=m-1) (-psi')^a psi''^b) ],
@@ -204,23 +200,9 @@ def _ch_integral(
     key = (genus, psi, ch)
     value = _ch_memo.get(key)
     if value is None:
-        n = len(psi)
-        if 2 * genus - 2 + n <= 0:
-            return _ZERO
-        if sum(psi) + sum(ch) != 3 * genus - 3 + n:
-            return _ZERO
         if genus == 0 or (genus == 1 and ch[-1] >= 3):
             return _ZERO
-        lowerings = _string_lowerings(genus, psi)
-        if lowerings is None:
-            value = _grr(genus, psi, ch)
-        else:
-            terms = [
-                (weight, *_ch_integral(genus, lowered, ch))
-                for lowered, weight in lowerings
-            ]
-            value = reduced(*lcm_sum(terms))
-        _ch_memo[key] = value
+        value = _expand(_ch_memo, key, _grr, _ch_integral)
     if factor == 1:
         return value
     return reduced(factor * value[0], value[1])
@@ -267,26 +249,17 @@ def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
     Returns 0 on a dimension mismatch, when a lambda index exceeds the
     genus (the Hodge bundle has rank g), or when lambda_g appears twice at
     genus g >= 1 (Mumford's relation c(E)c(E^dual) = 1 gives lambda_g^2 = 0;
-    at genus 0, lambda_0 = 1), in each case before any expansion.  A query
+    at genus 0, lambda_0 = 1), in each case without expansion.  A query
     with too few points for a stable space is interpreted on the minimal
     stable space with extra psi^0 points, so a genus-1 query with no points
     integrates over the 1-pointed space (same convention as the kappa
     layer).  A negative genus, psi exponent or lambda index raises
     ``ValueError``.
 
-    Lambda classes pull back under the map forgetting a point, so the
-    dilaton and string equations hold.  In the same call, the psi^1 points
-    are removed by the dilaton equation while the space with one point
-    fewer is stable, each for a factor 2g - 2 + (points left)
-    (``_dilaton``), and the memo is keyed on what is left.  Then all
-    removable psi^0 points go at once by the iterated string equation
-
-        <tau_0^k prod_j tau_(a_j) lambda>
-            = sum_b k!/prod_j b_j! <prod_j tau_(a_j - b_j) lambda>,
-
-    over b with sum k and b_j <= a_j (``_string_lowerings``).  Only queries
-    with no point left to remove are expanded by ``lambda_to_ch`` and
-    ``_ch_integral``.
+    The psi^1 points go by the dilaton equation (``_dilaton``) before the
+    memo read, and a miss goes to ``_expand`` with ``_lambda_expand``, so
+    only queries with no psi^0 point left to remove are expanded by
+    ``lambda_to_ch`` and ``_ch_integral``.
     """
     psi = tuple(sorted(psi_exponents))
     lam = tuple(sorted(lambda_indices))
@@ -295,8 +268,6 @@ def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
     if any(a < 0 for a in psi) or any(r < 0 for r in lam):
         raise ValueError("psi exponents and lambda indices must be nonnegative")
     psi = _pad_to_stable(genus, psi)
-    if sum(psi) + sum(lam) != 3 * genus - 3 + len(psi):
-        return Fraction(0)
     if any(r > genus for r in lam):
         return Fraction(0)
     if genus >= 1 and lam.count(genus) >= 2:
@@ -305,20 +276,26 @@ def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
     key = (genus, psi, lam)
     value = _hodge_memo.get(key)
     if value is None:
-        terms = []
-        lowerings = _string_lowerings(genus, psi)
-        if lowerings is not None:
-            # Through the module binding, so a wrapper installed on it sees
-            # every reduced query.
-            for lowered, weight in lowerings:
-                v = hodge_integral(genus, lowered, lam)
-                terms.append((weight, v.numerator, v.denominator))
-        else:
-            for ch_key, coeff in lambda_to_ch(lam).items():
-                num, den = _ch_integral(genus, psi, ch_key)
-                terms.append((1, coeff.numerator * num, coeff.denominator * den))
-        value = _hodge_memo[key] = reduced(*lcm_sum(terms))
+        value = _expand(_hodge_memo, key, _lambda_expand, _lambda_value)
     return Fraction(factor * value[0], value[1])
+
+
+def _lambda_value(genus: int, psi: tuple[int, ...], lam: tuple[int, ...]):
+    # Through the module binding, so a wrapper installed on it sees every
+    # reduced query.
+    return hodge_integral(genus, psi, lam).as_integer_ratio()
+
+
+def _lambda_expand(
+    genus: int, psi: tuple[int, ...], lam: tuple[int, ...]
+) -> tuple[int, int]:
+    """A lambda monomial with no psi^0 or psi^1 point left to remove,
+    rewritten by ``lambda_to_ch`` as a sum of ch integrals."""
+    terms = []
+    for ch_key, coeff in lambda_to_ch(lam).items():
+        num, den = _ch_integral(genus, psi, ch_key)
+        terms.append((1, coeff.numerator * num, coeff.denominator * den))
+    return reduced(*lcm_sum(terms))
 
 
 def lambda_product_integral(

@@ -3,11 +3,11 @@
 ``witten_psi`` evaluates the correlators <tau_{a_1} ... tau_{a_n}>_g, i.e. the
 integrals of psi-class monomials over the Deligne-Mumford space of genus-g
 n-pointed stable curves.  The evaluation removes the one exponents by the
-dilaton equation before it reads the memo, as the Hodge layer's queries do,
-and then all zero exponents at once by the iterated string equation, as far
-as the space stays stable (``_dilaton`` and ``_string_lowerings``, which the
-Hodge layer shares), and otherwise runs the Witten-Kontsevich (DVV)
-recursion on the largest exponent.  The two seed values are
+dilaton equation (``_dilaton``) before it reads the memo; a miss takes the
+expansion step ``_expand``, which the ch and lambda memos of the Hodge layer
+share: the stability and dimension check, then the iterated string equation
+on the zero exponents, and otherwise the Witten-Kontsevich (DVV) recursion
+on the largest exponent.  The two seed values are
 
     <tau_0^3>_0 = 1        (the 3-pointed rational moduli space is a point)
     <tau_1>_1   = 1/24
@@ -37,8 +37,9 @@ integers, and only ``witten_psi`` and ``kappa_psi`` build a Fraction.
 
 All queries are memoized on canonical sorted keys with no psi^1 point the
 dilaton equation can remove, and a memo hit returns before any stability or
-dimension check; the module is pure but the shared memo dictionaries are not
-synchronized, so it is single-threaded by contract.
+dimension check (a key that fails it is never stored); the module is pure
+but the shared memo dictionaries are not synchronized, so it is
+single-threaded by contract.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def _pad_to_stable(genus: int, psi: tuple[int, ...]) -> tuple[int, ...]:
 def _psi_value(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
     """Internal evaluation with the convention that unstable input is 0.
 
-    ``exps`` is sorted (every caller passes a sorted tuple), so exps[0] is
-    the least exponent.  The psi^1 points go by the dilaton equation before
-    the memo read, so the memo is keyed on what is left.
+    ``exps`` is sorted (every caller passes a sorted tuple).  The psi^1
+    points go by the dilaton equation before the memo read, so the memo is
+    keyed on what is left; a miss goes to ``_expand``.
     """
     factor = 1
     if 1 in exps:
@@ -76,14 +77,7 @@ def _psi_value(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
     key = (genus, exps)
     value = _psi_memo.get(key)
     if value is None:
-        n = len(exps)
-        if 2 * genus - 2 + n <= 0:
-            return _ZERO
-        # n >= 1 past the dimension check: a stable space with no points has
-        # genus >= 2 and dimension 3g - 3 > 0.
-        if sum(exps) != 3 * genus - 3 + n or exps[0] < 0:
-            return _ZERO
-        value = _psi_memo[key] = _psi_reduce(genus, exps)
+        value = _expand(_psi_memo, key, _psi_reduce, _psi_value)
     if factor == 1:
         return value
     return reduced(factor * value[0], value[1])
@@ -133,6 +127,36 @@ def _string_lowerings(genus: int, psi: tuple[int, ...]):
                     nxt[lowered] = nxt.get(lowered, 0) + rest.count(a) * weight
         states = nxt
     return states.items()
+
+
+def _expand(memo: dict, key: tuple, expand, value) -> tuple[int, int]:
+    """The value of a key (genus, psi, *classes) that missed ``memo`` after
+    the dilaton step, stored in ``memo`` unless the first check rules it out.
+
+    This is the first step of Faber's algorithm (Algorithms for computing
+    intersection numbers on moduli spaces of curves, 1999), shared by the
+    psi, ch and lambda memos.  An unstable space, or degrees (psi exponents
+    plus class degrees) that miss its dimension 3g - 3 + n, give 0 and no
+    entry.  Otherwise the removable psi^0 points go at once by the iterated
+    string equation (``_string_lowerings``), summing weight times
+    ``value(genus, lowered, *classes)``; the classes pull back under the map
+    forgetting a point, so the equation holds.  A key with no psi^0 point to
+    remove is handed to ``expand(*key)``, the layer's own expansion.
+    """
+    genus, psi, *classes = key
+    n = len(psi)
+    if 2 * genus - 2 + n <= 0:
+        return _ZERO
+    if sum(psi) + sum(map(sum, classes)) != 3 * genus - 3 + n:
+        return _ZERO
+    lowerings = _string_lowerings(genus, psi)
+    if lowerings is None:
+        result = expand(*key)
+    else:
+        terms = [(w, *value(genus, lowered, *classes)) for lowered, w in lowerings]
+        result = reduced(*lcm_sum(terms))
+    memo[key] = result
+    return result
 
 
 def _boundary_terms(genus: int, points: tuple[int, ...], weights, ch, value):
@@ -195,11 +219,6 @@ def _psi_reduce(genus: int, exps: tuple[int, ...]) -> tuple[int, int]:
         return (1, 1)
     if genus == 1 and exps == (1,):
         return (1, 24)
-    # String equation, as far as the space stays stable.
-    lowerings = _string_lowerings(genus, exps)
-    if lowerings is not None:
-        terms = [(weight, *_psi_value(genus, lowered)) for lowered, weight in lowerings]
-        return reduced(*lcm_sum(terms))
     # DVV recursion on the largest exponent (all exponents are >= 2 here),
     # summed in integers with every term doubled, so the degeneration weight
     # (2b+1)!! (2c+1)!! / 2 becomes an integer; the 2 and (2 a1 + 1)!! go

@@ -29,6 +29,7 @@ from .exact_arith import (
     RationalFunction,
     Record,
     Series,
+    _coeff_is_zero,
     series_exp,
     series_pow,
     series_sinc,
@@ -122,27 +123,29 @@ def _ordered_tuples(total: int):
             yield (first,) + rest
 
 
-def F1_series(u1: RatLike, u2: RatLike, u3: RatLike, order: int) -> Series:
-    """Generating series of one-partition Hodge integrals: sum I1_g t^(2g)."""
+def _partition_series(integral, u1, u2, u3, order: int) -> Series:
     coeffs = [RationalFunction.const(0)] * (order + 1)
     for g in range(order // 2 + 1):
-        coeffs[2 * g] = i1(g, u1, u2, u3)
+        coeffs[2 * g] = integral(g, u1, u2, u3)
     return Series(coeffs, order, parity="even")
+
+
+def F1_series(u1: RatLike, u2: RatLike, u3: RatLike, order: int) -> Series:
+    """Generating series of one-partition Hodge integrals: sum I1_g t^(2g)."""
+    return _partition_series(i1, u1, u2, u3, order)
 
 
 def F2_series(u1: RatLike, u2: RatLike, u3: RatLike, order: int) -> Series:
     """Generating series of two-partition Hodge integrals: sum I2_g t^(2g)."""
-    coeffs = [RationalFunction.const(0)] * (order + 1)
-    for g in range(order // 2 + 1):
-        coeffs[2 * g] = i2(g, u1, u2, u3)
-    return Series(coeffs, order, parity="even")
+    return _partition_series(i2, u1, u2, u3, order)
 
 
 def _report(name: str, order: int, diff: Series, note: str = "", conjecture: bool = False) -> IdentityReport:
-    residual = [f"t^{k}: {diff.coeffs[k]}" for k in range(order + 1)]
-    return IdentityReport(
-        name, order, diff.is_zero(), residual, note, conjecture
-    )
+    """Report on a difference series, listing its nonzero coefficients."""
+    residual = [
+        f"t^{k}: {c}" for k, c in enumerate(diff.coeffs) if not _coeff_is_zero(c)
+    ]
+    return IdentityReport(name, order, not residual, residual, note, conjecture)
 
 
 # Spot-check weights: (u, a, b) for F1sq, with u different from a and b, and

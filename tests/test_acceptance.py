@@ -90,6 +90,7 @@ def test_criterion_5_identity_suite_order_6():
     for name in ("F1", "F12", "F2", "F1sq", "hat_eq_tilde", "alpha_exp"):
         report = verify_identity(name, 6)
         assert report.passed, (name, report.residual)
+        assert report.residual == [], name
     _passed("identity suite to t^6: F1, F12, F2, F1sq, hat=tilde, alpha exponential")
 
 

@@ -212,6 +212,12 @@ def test_exp_log_preconditions():
 def test_series_parity_flag_enforced():
     with pytest.raises(ValueError):
         Series([1, 1], 2, parity="even")
+    with pytest.raises(ValueError, match="unknown parity flag"):
+        Series([1], 0, parity="sym")
+    with pytest.raises(ValueError, match="nonnegative"):
+        Series([1], -1)
+    with pytest.raises(IndexError):
+        Series.one(2)[3]
     even = Series([1, 0, 2], 2, parity="even")
     assert (even * even).parity == "even"
 
@@ -283,6 +289,8 @@ def test_ratfunc_division_by_zero():
         RationalFunction.const(1) / RationalFunction.const(0)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(Polynomial.const(1), Polynomial())
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction.const(0) ** -1
 
 
 def test_ring_axioms_on_random_inputs():

@@ -291,6 +291,17 @@ def test_load_single_and_multi_section(tmp_path):
     assert load_table(multi, kind="E").kind == "E"
     with pytest.raises(ValueError):
         load_table(multi)
+    twice = tmp_path / "twice.csv"
+    twice.write_text("real,GW\n0,1,1\nreal,GW\n0,1,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="expected exactly one E section"):
+        load_table(path, kind="E")
+    with pytest.raises(ValueError, match="expected exactly one GW section"):
+        load_table(twice, kind="GW")
+
+
+def test_bundled_table_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="no X section"):
+        bundled_table(2, "X")
 
 
 def test_markdown_layout():

@@ -470,11 +470,30 @@ def test_hodge_symmetry_under_shuffling():
         (2, (0, -2), (1,)),
         (1, (1,), (-1,)),
         (3, (), (2, -5)),
+        (-1, (), ()),
     ],
 )
 def test_negative_exponent_or_index_rejected(query):
     with pytest.raises(ValueError, match="nonnegative"):
         hodge_integral(*query)
+
+
+_ONE = RationalFunction.const(1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: alpha_coeff(0),
+        lambda: hodge.I1(-1, _ONE, _ONE, _ONE),
+        lambda: hodge.I2(-1, _ONE, _ONE, _ONE),
+        lambda: lambda_to_ch((-1,)),
+    ],
+    ids=["alpha_coeff", "I1", "I2", "lambda_to_ch"],
+)
+def test_out_of_range_arguments_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_classical_genus2_lambda_values():

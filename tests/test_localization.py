@@ -1126,3 +1126,5 @@ def test_gw_real_argument_validation():
         gw_real(-2, 1)
     with pytest.raises(ValueError):
         enumerate_pairs(-1, 2)
+    with pytest.raises(ValueError, match="degree must be positive"):
+        enumerate_pairs(0, 0)

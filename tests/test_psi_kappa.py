@@ -115,6 +115,13 @@ def test_unstable_query_raises():
         kappa_psi(0, (0,), ())
 
 
+def test_unstable_internal_key_is_zero():
+    # The genus-1 key with no points meets the dimension (0 = 0), so only the
+    # stability check of _expand keeps it out of DVV, which needs a point.
+    assert psi_kappa._psi_value(1, ()) == (0, 1)
+    assert (1, ()) not in psi_kappa._psi_memo
+
+
 def test_string_equation_randomized():
     rng = random.Random(17)
     checked = 0

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from realgw.exact_arith import RationalFunction, series_sinc
+from realgw import series_ids
+from realgw.exact_arith import RationalFunction, Series, series_sinc
 from realgw.series_ids import (
     CONJECTURE_NAMES,
     F1_series,
@@ -150,6 +151,45 @@ def test_identity_rejects_odd_order():
 def test_unknown_identity_name():
     with pytest.raises(ValueError):
         verify_identity("F3", 4)
+    with pytest.raises(ValueError, match="unknown conjecture"):
+        check_conjecture("nope")
+
+
+def test_report_lists_only_nonzero_coefficients():
+    report = series_ids._report("x", 4, Series([0, 0, Fraction(1, 3), 0, 0], 4))
+    assert report.passed is False
+    assert report.residual == ["t^2: 1/3"]
+    assert series_ids._report("x", 4, Series([0] * 5, 4)).residual == []
+
+
+def test_hat_eq_tilde_failure_names_the_case(monkeypatch):
+    exact = series_ids.coeff_hat
+
+    def perturbed(h, c1B, g):
+        return exact(h, c1B, g) + (Fraction(1, 7) if (h, c1B, g) == (1, 8, 2) else 0)
+
+    monkeypatch.setattr(series_ids, "coeff_hat", perturbed)
+    report = verify_identity("hat_eq_tilde", 6)
+    assert report.passed is False
+    assert report.residual == ["(h=1, c1B=8, g=2): 1/7"]
+
+
+def test_F1_dep_failure_names_the_pair(monkeypatch):
+    exact = series_ids.F1_series
+
+    def perturbed(u1, u2, u3, order):
+        s = exact(u1, u2, u3, order)
+        if (u2, u3) != (Fraction(1, 3), Fraction(2, 3)):
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[2] = coeffs[2] + 1
+        return Series(coeffs, order, parity="even")
+
+    monkeypatch.setattr(series_ids, "F1_series", perturbed)
+    report = check_conjecture("F1_dep", 4)
+    assert report.passed is False
+    assert len(report.residual) == 1
+    assert report.residual[0].startswith("(u2,u3)=(1/3,2/3): ")
 
 
 def test_conjecture_reports_order_4():

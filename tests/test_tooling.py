@@ -68,6 +68,34 @@ def test_psi_kappa_imports_no_higher_layer():
     assert names & higher == set()
 
 
+def _callers(name):
+    # (module file, enclosing function) of every call to ``name`` in src.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == name
+                    or getattr(node.func, "attr", None) == name
+                ):
+                    found.add((path.name, fn.name))
+    return found
+
+
+def test_one_expansion_step_for_the_memoized_layers():
+    # The stability and dimension check and the iterated string step are
+    # written once, in psi_kappa._expand, and each memoized layer calls it.
+    assert _callers("_string_lowerings") == {("psi_kappa.py", "_expand")}
+    assert _callers("_expand") == {
+        ("psi_kappa.py", "_psi_value"),
+        ("hodge.py", "_ch_integral"),
+        ("hodge.py", "hodge_integral"),
+    }
+
+
 def test_tracer_boundaries_resolve():
     # bench/tracer.py wraps these functions and reads these memos by name,
     # so deleting or renaming one breaks `bench/run.py --trace 1`.  The file
