@@ -28,7 +28,9 @@ functions) is computed over this tower, so all values are exact:
   coefficients live either in the rationals or in rational functions of ``z``.
   Products pair only the nonzero coefficients, and :func:`series_pow`
   raises to any integer power in one pass by J. C. P. Miller's recurrence
-  (TAOCP vol. 2, 4.7).
+  (TAOCP vol. 2, 4.7); :func:`series_exp` and :func:`series_log` are one
+  pass each of the recurrences their derivatives give, and all three share
+  one recurrence step.
 
 Scalars are ``int`` or ``Fraction``; a float anywhere is a TypeError.  Degrees
 stay small in the target computations (below ~40), hence the dense
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -789,6 +791,27 @@ class Series:
         )
 
 
+def _recurrence_sum(
+    terms: list[tuple[int, Coefficient]],
+    out: list[Coefficient],
+    m: int,
+    weight: Callable[[int], int],
+) -> Coefficient | None:
+    """sum of weight(j) * c * out[m - j] over the (j, c) of ``terms``, sorted
+    by j, with j <= m, skipping zero weights and zero entries of ``out``;
+    None when nothing is summed.  The one step of the power, exp and log
+    recurrences."""
+    acc: Coefficient | None = None
+    for j, c in terms:
+        if j > m:
+            break
+        w, a = weight(j), out[m - j]
+        if w and not _coeff_is_zero(a):
+            p = w * c * a
+            acc = p if acc is None else acc + p
+    return acc
+
+
 def series_pow(base: Series, exponent: int) -> Series:
     """Truncated integer power of a series, in one pass.
 
@@ -816,45 +839,44 @@ def series_pow(base: Series, exponent: int) -> Series:
     inverse = g0**-1
     out: list[Coefficient] = [g0**exponent]
     for m in range(1, n - shift + 1):
-        acc: Coefficient | None = None
-        for j, c in g:
-            if j > m:
-                break
-            a = out[m - j]
-            weight = (exponent + 1) * j - m
-            if weight and not _coeff_is_zero(a):
-                p = weight * c * a
-                acc = p if acc is None else acc + p
+        acc = _recurrence_sum(g, out, m, lambda j: (exponent + 1) * j - m)
         out.append(Fraction(0) if acc is None else acc * (inverse * Fraction(1, m)))
     return Series([Fraction(0)] * shift + out, n, parity)
 
 
 def series_exp(s: Series) -> Series:
-    """exp of a series with zero constant term, truncated to the same order."""
+    """exp of a series with zero constant term, truncated to the same order.
+
+    In one pass: a = exp(s) satisfies t a' = (t s') a, so a_0 = 1 and
+    m a_m = sum_(k=1..m) k s_k a_(m-k).  An even s gives an even series.
+    """
     if not _coeff_is_zero(s.coeffs[0]):
         raise ValueError("series_exp requires a zero constant term")
     n = s.truncation_order
-    out = Series.one(n)
-    term = Series.one(n)
-    # exp(s) = sum s^k / k!; s has valuation >= 1 so k <= n terms suffice.
-    for k in range(1, n + 1):
-        term = term * s
-        out = out + term.scale(Fraction(1, math.factorial(k)))
-    return out
+    terms = s._nonzero(n)
+    out: list[Coefficient] = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = _recurrence_sum(terms, out, m, lambda k: k)
+        out.append(Fraction(0) if acc is None else acc * Fraction(1, m))
+    return Series(out, n, "even" if n == 0 or s.parity == "even" else None)
 
 
 def series_log(s: Series) -> Series:
-    """log of a series with constant term 1, truncated to the same order."""
+    """log of a series with constant term 1, truncated to the same order.
+
+    In one pass: with s = 1 + u, b = log(s) satisfies s b' = u', so b_0 = 0
+    and m b_m = m u_m - sum_(k=1..m-1) k b_k u_(m-k).
+    """
     if not _coeff_eq(s.coeffs[0], Fraction(1)):
         raise ValueError("series_log requires constant term 1")
     n = s.truncation_order
-    u = s - Series.one(n)
-    out = Series([Fraction(0)], n)
-    term = Series.one(n)
-    for k in range(1, n + 1):
-        term = term * u
-        out = out + term.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    terms = s._nonzero(n)[1:]
+    out: list[Coefficient] = [Fraction(0)]
+    for m in range(1, n + 1):
+        acc = _recurrence_sum(terms, out, m, lambda j: m - j)
+        um = s.coeffs[m]
+        out.append(um if acc is None else um - acc * Fraction(1, m))
+    return Series(out, n)
 
 
 def series_sinc(kind: str, order: int) -> Series:

@@ -7,7 +7,10 @@ Both transforms are lower triangular with unit diagonal in the genus:
                    coeff_real(h, 4d, (g-h)/2) * E_h,
 * complex flavor:  GW_g = sum over h <= g of coeff_cx(h, 4d, g-h) * E_h,
 
-so each is inverted by back substitution.  Real tables obey the parity rule:
+so each is inverted by back substitution.  Both directions build one kernel
+series per (h, d), through the table's top genus, and read every
+coefficient of that exponent off it, so no coefficient is computed by its
+own kernel power.  Real tables obey the parity rule:
 entries vanish whenever d - g is even, and such missing entries may be
 treated as implied zeros.  Both transforms reject a real table with a
 nonzero entry of that parity (``ValueError``).  All other missing
@@ -25,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from importlib import resources
 
-from .exact_arith import Record
-from .series_ids import coeff_cx, coeff_real
+from .exact_arith import Record, Series
+from .series_ids import _kernel
 
 FLAVORS = ("real", "complex")
 KINDS = ("GW", "E")
@@ -66,16 +69,24 @@ class InvariantTable(Record):
         raise KeyError(f"missing {self.flavor} {self.kind} entry at g={genus}, d={degree}")
 
 
-def _transform_coeff(flavor: str, h: int, degree: int, g: int) -> Fraction:
-    c1B = 4 * degree
-    if flavor == "real":
-        return coeff_real(h, c1B, (g - h) // 2)
-    return coeff_cx(h, c1B, g - h)
+def _lower_terms(table: InvariantTable):
+    """Each entry (g, d) of the table in genus order, with the pairs (h,
+    coefficient of E_h in GW_g) over its lower genera h.
 
-
-def _lower_genera(flavor: str, g: int) -> range:
-    step = 2 if flavor == "real" else 1
-    return range(g - step, -1, -step)
+    One kernel series per (h, d), built through the table's top genus, is
+    read for every g."""
+    # GW_g takes E_h times the t^(g-h) coefficient of the real kernel of
+    # (h, 4d), or the t^(2(g-h)) coefficient of the complex one.
+    step, width = (2, 1) if table.flavor == "real" else (1, 2)
+    top = max((g for g, _ in table.entries), default=0)
+    kernels: dict[tuple[int, int], Series] = {}
+    for g, d in sorted(table.entries):
+        terms = []
+        for h in range(g - step, -1, -step):
+            if (h, d) not in kernels:
+                kernels[(h, d)] = _kernel(table.flavor, h, 4 * d, width * (top - h))
+            terms.append((h, kernels[(h, d)][width * (g - h)]))
+        yield g, d, terms
 
 
 def gw_from_e(table: InvariantTable) -> InvariantTable:
@@ -84,10 +95,10 @@ def gw_from_e(table: InvariantTable) -> InvariantTable:
         raise ValueError("gw_from_e expects an E table")
     _check_parity(table)
     out = InvariantTable(table.flavor, "GW")
-    for g, d in sorted(table.entries):
+    for g, d, terms in _lower_terms(table):
         total = table.value(g, d)
-        for h in _lower_genera(table.flavor, g):
-            total += _transform_coeff(table.flavor, h, d, g) * table.value(h, d)
+        for h, c in terms:
+            total += c * table.value(h, d)
         out.entries[(g, d)] = total
     return out
 
@@ -105,13 +116,13 @@ def e_from_gw(table: InvariantTable) -> InvariantTable:
         raise ValueError("e_from_gw expects a GW table")
     _check_parity(table)
     out = InvariantTable(table.flavor, "E")
-    for g, d in sorted(table.entries):
+    for g, d, terms in _lower_terms(table):
         value = table.value(g, d)
-        for h in _lower_genera(table.flavor, g):
+        for h, c in terms:
             # E(h, d) exists exactly when GW(h, d) does; the input lookup
             # names the entry the user has to supply.
             table.value(h, d)
-            value -= _transform_coeff(table.flavor, h, d, g) * out.value(h, d)
+            value -= c * out.value(h, d)
         out.entries[(g, d)] = value
     return out
 

@@ -1,5 +1,6 @@
 """Ring-level tests for the exact arithmetic tower."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -192,6 +193,53 @@ def test_exp_log_round_trip():
     assert series_exp(Series([0], 4)) == Series.one(4)
     s = Series([0, 0, Fraction(1, 24)], 6)
     assert series_log(series_exp(s)) == s
+
+
+def _product_exp(s):
+    """Reference: exp(s) = sum_(k<=n) s^k / k! by truncated products."""
+    n = s.truncation_order
+    out = term = Series.one(n)
+    for k in range(1, n + 1):
+        term = term * s
+        out = out + term.scale(Fraction(1, math.factorial(k)))
+    return out
+
+
+def _product_log(s):
+    """Reference: log(1 + u) = sum_(k<=n) (-1)^(k+1) u^k / k by truncated
+    products."""
+    n = s.truncation_order
+    u = s - Series.one(n)
+    out, term = Series([Fraction(0)], n), Series.one(n)
+    for k in range(1, n + 1):
+        term = term * u
+        out = out + term.scale(Fraction((-1) ** (k + 1), k))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["fraction", "ratfunc"])
+def test_exp_log_match_product_reference(kind):
+    # series_exp and series_log against the sums of truncated products: the
+    # same coefficients, as normal forms, and the same parity flag, for
+    # every parity flag and every order through 12.
+    rng = random.Random(5)
+    coeff = rand_fraction if kind == "fraction" else _rand_ratfunc
+    for order in range(13):
+        for parity, start in (("even", 2), ("odd", 1), (None, 1)):
+            coeffs = [Fraction(0)] * (order + 1)
+            for j in range(start, order + 1, 1 if parity is None else 2):
+                coeffs[j] = coeff(rng)
+            s = Series(coeffs, order, parity)
+            one_plus = Series([Fraction(1)] + coeffs[1:], order, "even" if parity == "even" else None)
+            for got, want in (
+                (series_exp(s), _product_exp(s)),
+                (series_log(one_plus), _product_log(one_plus)),
+            ):
+                assert got.truncation_order == want.truncation_order == order
+                assert got.parity == want.parity, (parity, order)
+                assert [RationalFunction.coerce(c) for c in got.coeffs] == [
+                    RationalFunction.coerce(c) for c in want.coeffs
+                ], (parity, order)
 
 
 def test_log_of_inverse_sin_kernel_is_alpha_generating_series():

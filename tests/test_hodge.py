@@ -501,6 +501,56 @@ def test_classical_genus2_lambda_values():
     assert hodge_integral(2, (), (1, 2)) == Fraction(1, 5760)
 
 
+# -- closed-form oracles at higher genus -----------------------------------------
+
+# |B_2k| for k = 0..10, written out so that the oracles below share nothing
+# with hodge.bernoulli.
+_ABS_BERNOULLI = (
+    Fraction(1), Fraction(1, 6), Fraction(1, 30), Fraction(1, 42), Fraction(1, 30),
+    Fraction(5, 66), Fraction(691, 2730), Fraction(7, 6), Fraction(3617, 510),
+    Fraction(43867, 798), Fraction(174611, 330),
+)
+
+
+def _lambda_g_oracle(g, psi):
+    """int_{M_{g,n}} prod psi_i^(a_i) lambda_g = C(2g-3+n; a_1..a_n) b_g, with
+    sum b_g t^(2g) = (t/2)/sin(t/2), that is
+    b_g = (2^(2g-1) - 1) |B_2g| / (2^(2g-1) (2g)!)
+    (Getzler-Pandharipande 1998; Faber-Pandharipande 2003)."""
+    multinomial = math.factorial(sum(psi))
+    for a in psi:
+        multinomial //= math.factorial(a)
+    b_g = Fraction(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1) * math.factorial(2 * g))
+    return multinomial * b_g * _ABS_BERNOULLI[g]
+
+
+def _faber_oracle(g):
+    """int_{M_g} lambda_(g-2) lambda_(g-1) lambda_g
+    = |B_(2g-2)| |B_2g| / (2 (2g-2)! (2g-2) (2g)) (Faber 1999)."""
+    den = 2 * math.factorial(2 * g - 2) * (2 * g - 2) * (2 * g)
+    return _ABS_BERNOULLI[g - 1] * _ABS_BERNOULLI[g] / den
+
+
+def _check_closed_forms(g):
+    for n in (1, 2, 3):
+        # Sorted exponent tuples suffice: the integrand is symmetric.
+        for psi in itertools.combinations_with_replacement(range(2 * g - 2 + n), n):
+            if sum(psi) == 2 * g - 3 + n:
+                assert hodge_integral(g, psi, (g,)) == _lambda_g_oracle(g, psi), psi
+    faber = _faber_oracle(g)
+    assert hodge_integral(g, (), (g - 2, g - 1, g)) == faber
+    # Mumford's lambda_(g-1)^2 = 2 lambda_(g-2) lambda_g, reached through a
+    # different lambda_to_ch expansion.
+    assert hodge_integral(g, (), (g - 1, g - 1, g - 1)) == 2 * faber
+
+
+@pytest.mark.parametrize(
+    "g", list(range(2, 9)) + [pytest.param(g, marks=pytest.mark.slow) for g in (9, 10)]
+)
+def test_closed_form_hodge_integrals(g):
+    _check_closed_forms(g)
+
+
 def test_genus0_chern_characters_vanish():
     # The Hodge bundle has rank 0 at genus 0, so its Chern characters kill
     # every integrand.  _ch_integral returns 0 at once, also with a kappa

@@ -660,7 +660,8 @@ def _cold_call_count(target: str, call: str) -> int:
     interpreter, recursive calls through that binding included."""
     probe = (
         "import contextlib, io\n"
-        "from realgw import cli, exact_arith, hodge, localization, psi_kappa\n"
+        "from realgw import cli, exact_arith, gw_convert, hodge, localization, "
+        "psi_kappa, series_ids\n"
         "calls = 0\n"
         f"wrapped = {target}\n"
         "def counted(*args):\n"
@@ -848,6 +849,24 @@ def test_cold_run_polynomial_products():
     value, calls = done.stdout.split()
     assert value == "43/128"
     assert 0 < int(calls) <= 1486
+
+
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 16),
+        ("cli.main(['enum', '--degree', '1', '--max-genus', '8'])", 7),
+        ("gw_convert.e_from_gw(gw_convert.bundled_table(2, 'GW'))", 32),
+    ],
+    ids=["verify-order6", "enum-1-8", "e-from-gw-real"],
+)
+def test_cold_run_series_pow_calls(call, bound):
+    # series_pow calls of a cold run, through series_ids' binding, counted in
+    # a fresh interpreter.  Building each transform kernel once per (h, c1B)
+    # as a whole series and reading every coefficient off it took them from
+    # 52, 16 and 48: the identity check raises 12 kernels plus four sine
+    # kernel powers, and each table transform one kernel per (h, d).
+    assert 0 < _cold_call_count("series_ids.series_pow", call) <= bound
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 """Tests for the transform coefficients and the identity suite."""
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from realgw import series_ids
-from realgw.exact_arith import RationalFunction, Series, series_sinc
+from realgw.exact_arith import RationalFunction, Series, series_pow, series_sinc
+from realgw.hodge import alpha_coeff
 from realgw.series_ids import (
     CONJECTURE_NAMES,
     F1_series,
@@ -96,6 +99,49 @@ def test_hat_equals_real_everywhere_computed():
                 assert coeff_hat(h, c1B, g) == coeff_real(h, c1B, g), (h, c1B, g)
 
 
+def _ordered_tuples(total):
+    """Ordered tuples of positive integers with the given sum."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _ordered_tuples(total - first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def _tuple_sums(g):
+    """{m: sum of prod (-1)^(g_i) alpha_(g_i)} over the ordered tuples
+    (g_1..g_m) of positive integers with sum g."""
+    sums = {}
+    for tup in _ordered_tuples(g):
+        weight = Fraction(1)
+        for gi in tup:
+            weight *= (-1) ** gi * alpha_coeff(gi)
+        sums[len(tup)] = sums.get(len(tup), 0) + weight
+    return sums
+
+
+def _reference_coeffs(h, c1B, g):
+    """Real, complex and hat coefficients one at a time: a kernel power per
+    coefficient, and the alpha exponential written out as its sum over
+    ordered tuples (g_1..g_m) with sum g of
+    (2-2h-c1B)^m / (2^m m!) prod (-1)^(g_i) alpha_(g_i)."""
+    real = series_pow(series_sinc("sinh", 2 * g), h - 1 + c1B // 2)[2 * g]
+    cx = series_pow(series_sinc("sin", 2 * g), 2 * h - 2 + c1B)[2 * g]
+    factor = Fraction(2 - 2 * h - c1B, 2)
+    hat = sum(factor**m / math.factorial(m) * c for m, c in _tuple_sums(g).items())
+    return real, cx, hat
+
+
+def test_coefficients_match_per_coefficient_reference():
+    for h in range(5):
+        for c1B in range(-4, 17, 2):
+            for g in range(9):
+                got = (coeff_real(h, c1B, g), coeff_cx(h, c1B, g), coeff_hat(h, c1B, g))
+                assert got == _reference_coeffs(h, c1B, g), (h, c1B, g)
+
+
 def test_coefficient_table_builder():
     table = {g: coeff_real(0, 4, g) for g in range(3)}
     assert table == {0: 1, 1: Fraction(1, 24), 2: Fraction(1, 1920)}
@@ -163,12 +209,20 @@ def test_report_lists_only_nonzero_coefficients():
 
 
 def test_hat_eq_tilde_failure_names_the_case(monkeypatch):
-    exact = series_ids.coeff_hat
+    # hat_eq_tilde compares the alpha exponential with the kernel power as
+    # whole series; perturbing the t^4 coefficient of one exponential must
+    # name that case and no other.
+    exact = series_ids._hat_series
 
-    def perturbed(h, c1B, g):
-        return exact(h, c1B, g) + (Fraction(1, 7) if (h, c1B, g) == (1, 8, 2) else 0)
+    def perturbed(h, c1B, order):
+        s = exact(h, c1B, order)
+        if (h, c1B) != (1, 8):
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[4] += Fraction(1, 7)
+        return Series(coeffs, order, parity="even")
 
-    monkeypatch.setattr(series_ids, "coeff_hat", perturbed)
+    monkeypatch.setattr(series_ids, "_hat_series", perturbed)
     report = verify_identity("hat_eq_tilde", 6)
     assert report.passed is False
     assert report.residual == ["(h=1, c1B=8, g=2): 1/7"]
@@ -188,8 +242,7 @@ def test_F1_dep_failure_names_the_pair(monkeypatch):
     monkeypatch.setattr(series_ids, "F1_series", perturbed)
     report = check_conjecture("F1_dep", 4)
     assert report.passed is False
-    assert len(report.residual) == 1
-    assert report.residual[0].startswith("(u2,u3)=(1/3,2/3): ")
+    assert report.residual == ["(u2,u3)=(1/3,2/3): t^2: 1"]
 
 
 def test_conjecture_reports_order_4():
