@@ -138,6 +138,17 @@ def _poly(ints: Iterable[int], den: int = 1) -> "Polynomial":
     return p
 
 
+def int_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer polynomials given as coefficient lists
+    indexed by degree."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list, list, int]:
     """Integer pseudo-division: lists q, r and an integer s > 0 with
     s * a = q * b + r, deg r < deg b and no trailing zero in r.  A step
@@ -238,13 +249,7 @@ class Polynomial(Frozen):
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self._ints, other._ints
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _poly(out, self._den * other._den)
+        return _poly(int_product(self._ints, other._ints), self._den * other._den)
 
     def __pow__(self, n: int) -> "Polynomial":
         """self^n for n >= 0 by binary powering."""

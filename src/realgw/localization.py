@@ -22,11 +22,11 @@ pairs of
 
 where (V+, E+) pick one vertex per sigma-orbit and one edge per free
 sigma-orbit; the value is independent of those choices.  Vertex factors are
-closed weight products for unstable vertices and triple-Lambda Hodge
-integrals otherwise; edge factors are the standard weight products of the
-degree-d(e) covers.  Everything is evaluated in exact rational functions of
-the dehomogenized weight z (weights 1, -1, z, -z at the four fixed points);
-the assembled sum must be constant in z, which ``gw_real`` checks.
+triple-Lambda Hodge integrals, in closed form at genus 0 (stable or not);
+edge factors are the standard weight products of the degree-d(e) covers.
+Everything is evaluated in exact rational functions of the dehomogenized
+weight z (weights 1, -1, z, -z at the four fixed points); the assembled sum
+must be constant in z, which ``gw_real`` checks.
 
 Enumeration builds each candidate from its sigma-orbits (generation from
 orbits, as in McKay, "Isomorph-free exhaustive generation", J. Algorithms
@@ -34,16 +34,21 @@ orbits, as in McKay, "Isomorph-free exhaustive generation", J. Algorithms
 involution is fixed once; edges are chosen as a degree multiset per orbit of
 vertex pairs, so every edge multiset is sigma-invariant, and one edge
 involution is emitted per isomorphism type (the number of sigma-fixed edges
-in each class of odd-degree edges on a fixed pair).  Connected ones with the
-right first Betti number then get every genus split, with no marks yet.  Each
-such candidate is reduced to a canonical form: the least encoding of its
-involution and edges over the vertex relabelings that keep every
-(label, genus) cell in its own block.  A candidate is kept as an unmarked
-class when its form is new; the relabelings reaching the least code give its
-vertex automorphism group G, and |G| times closed-form counts of edge
-permutations within each edge class give its automorphism order.  The marked
-classes are the G-orbits of the plus-point placements on the unmarked ones
-(orbit-stabilizer), so they need no canonical form of their own.
+in each class of odd-degree edges on a fixed pair).  The choice is pruned as
+it grows, by the edge count and the components left to join, so only the
+connected multisets with first Betti number b1 <= g come out.  Each such
+genus-free candidate is reduced to a canonical form: the least encoding of
+its involution and edges over the vertex relabelings that keep every cell of
+a refined vertex colouring (the equitable partition of McKay & Piperno,
+"Practical graph isomorphism, II", 2014) in its own block.  A candidate is
+kept when its form is new; the relabelings reaching the least code give its
+vertex automorphism group G.  Its genus splits, (g - b1)/2 spread over the
+vertex orbits, are then taken as G-orbits: the least split of each orbit is
+an unmarked class, with vertex group Stab_G(split) and automorphism order
+|Stab_G(split)| times closed-form counts of edge permutations within each
+edge class.  The marked classes are the G-orbits of the plus-point
+placements on the unmarked ones (orbit-stabilizer), so they need no
+canonical form of their own either.
 
 Vertex and edge factors depend only on local data, and many classes share it,
 so they are cached on it: a vertex on (label, genus, sorted (other-end label,
@@ -63,9 +68,10 @@ placements with 1/|Aut U| equals summing over the marked classes with
 Every denominator in the sum is a product of linear forms in z: the weight
 differences alpha_i - alpha_j, the psi weights and the interpolation points
 of the edge covers.  So the factors are kept as ``exact_arith.Factored``
-values, a scalar times a product of forms with signed exponents (times the
-numerator of a Lambda integral, whose denominator is split over its vertex's
-psi forms).  A term's product adds exponents, so vertex and edge forms
+values, a scalar times a product of forms with signed exponents (times a
+polynomial: the numerator of a Lambda integral, whose denominator is split
+over its vertex's psi forms, or a power of the psi-weight sum of a genus-0
+vertex).  A term's product adds exponents, so vertex and edge forms
 cancel without a polynomial gcd, and the terms of all classes are summed
 once by ``factored_sum``: each form comes out at its least exponent, the
 rest is one integer linear combination, and the normal form of the total is
@@ -84,10 +90,12 @@ from functools import lru_cache
 from .exact_arith import (
     Factored,
     Frozen,
+    Polynomial,
     Rational,
     RationalFunction,
     Scalar,
     factored_sum,
+    int_product,
     linear_combination,
 )
 from .hodge import _compositions, lambda_product_integral
@@ -168,24 +176,6 @@ class AdmissiblePair(Frozen):
         return vplus, eplus
 
 
-def _is_connected(nv: int, edges) -> bool:
-    if nv == 0:
-        return False
-    seen = {0}
-    frontier = [0]
-    adj: dict[int, set[int]] = {v: set() for v in range(nv)}
-    for a, b, _ in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == nv
-
-
 def _theta_tuples(nv: int):
     """Non-decreasing label tuples with paired counts under tau4."""
     for tup in itertools.combinations_with_replacement((1, 2, 3, 4), nv):
@@ -218,40 +208,67 @@ def _sigma_orbits(theta: tuple[int, ...]):
     return tuple(sigma), orbits
 
 
-def _invariant_edges(orbits, total_degree: int):
-    """sigma-invariant edge multisets of the given total degree, each with
-    one admissible edge involution per isomorphism type.
+def _invariant_edges(nv: int, orbits, total_degree: int, max_betti: int):
+    """Connected sigma-invariant edge multisets on nv vertices of the given
+    total degree and first Betti number at most max_betti, each with one
+    admissible edge involution per isomorphism type.
 
     A degree multiset is chosen per orbit.  An edge of degree k on a free
     orbit comes with its copy on the image pair, the two swapped, and costs
     2k of the budget.  On a fixed pair an edge of odd degree k costs k, and
     an even degree comes only as two swapped edges, since a sigma-fixed edge
-    has odd degree.  Up to relabeling edges, the involutions differ only in
-    the number f of fixed edges among the m of each odd degree on each fixed
-    pair: f = m, m - 2, ... down to m mod 2.  Yields (edges, involutions).
+    has odd degree.  A choice is extended only while it can still end
+    connected with at most nv - 1 + max_betti edges: a union-find with undo
+    over the chosen orbits counts the components c, and the c - 1 merges
+    still needed take at least c - 1 more edges and c - 1 more units of the
+    budget, since no choice joins more components than it costs.  Up to
+    relabeling edges, the involutions differ only in the number f of fixed
+    edges among the m of each odd degree on each fixed pair: f = m, m - 2,
+    ... down to m mod 2.  Yields (edges, involutions).
     """
-    items = [
-        (pair, image, deg, deg if pair == image and deg % 2 else 2 * deg)
-        for pair, image in orbits
-        for deg in range(1, total_degree + 1)
-    ]
+    items = []  # (pair, image pair, degree, cost, edge count)
+    for pair, image in orbits:
+        for deg in range(1, total_degree + 1):
+            single = pair == image and deg % 2
+            cost, count = (deg, 1) if single else (2 * deg, 2)
+            items.append((pair, image, deg, cost, count))
+    max_edges = nv - 1 + max_betti
+    parent = list(range(nv))
 
-    def extend(start: int, remaining: int, acc: list):
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def extend(start: int, remaining: int, n_edges: int, components: int, acc: list):
         if remaining == 0:
-            yield acc
+            if components == 1:
+                yield acc
             return
         for idx in range(start, len(items)):
-            if items[idx][3] <= remaining:
+            pair, image, _, cost, count = items[idx]
+            if cost > remaining or n_edges + count > max_edges:
+                continue
+            joined = []
+            for v, w in (pair, image):
+                rv, rw = root(v), root(w)
+                if rv != rw:
+                    parent[rw] = rv
+                    joined.append(rw)
+            left = components - len(joined)
+            if remaining - cost >= left - 1 and n_edges + count + left - 1 <= max_edges:
                 acc.append(idx)
-                yield from extend(idx, remaining - items[idx][3], acc)
+                yield from extend(idx, remaining - cost, n_edges + count, left, acc)
                 acc.pop()
+            for r in joined:
+                parent[r] = r
 
-    for chosen in extend(0, total_degree, []):
+    for chosen in extend(0, total_degree, 0, nv, []):
         edges: list[tuple[int, int, int]] = []
         base: list[int] = []
         blocks = []  # (first edge, edge count, fixed counts) per fixed-pair class
         for idx, m in Counter(chosen).items():
-            pair, image, deg, _ = items[idx]
+            pair, image, deg, _, _ = items[idx]
             start = len(edges)
             if pair == image:
                 n = m if deg % 2 else 2 * m
@@ -271,31 +288,74 @@ def _invariant_edges(orbits, total_degree: int):
         yield tuple(edges), involutions
 
 
+def _ranks(signatures: list) -> list[int]:
+    """The rank of each signature among the distinct ones, sorted."""
+    rank = {s: i for i, s in enumerate(sorted(set(signatures)))}
+    return [rank[s] for s in signatures]
+
+
+def _relabelings(cells: list[list[int]]):
+    """The vertex orders that put each cell, in the given order, onto its own
+    block of positions."""
+    for blocks in itertools.product(*(itertools.permutations(cell) for cell in cells)):
+        yield [v for block in blocks for v in block]
+
+
 def _canonical_form(graph: DecoratedGraph, involution: GraphInvolution):
     """Canonical form of a pair, its automorphism order and the vertex
     permutations of its automorphisms.
 
-    Vertices fall into cells by (theta, genus), taken in sorted order, and
-    only the relabelings that send each cell onto its own block of positions
-    are tried.  Each relabeling encodes the conjugated vertex involution, the
-    relabeled plus points and the sorted edge list with sigma-fixed flags;
-    the least code, after the sorted vertex types, is the canonical form.
-    The relabelings reaching it give the vertex automorphisms: v goes to the
-    vertex the first of them puts at v's position.  Each of them extends to
-    the same number of edge automorphisms: per sigma-stable edge class
-    (a, b, degree) with f fixed edges and p swapped pairs there are f! p! 2^p,
-    and per two classes swapped by sigma with n edges each, n!.
+    A vertex's colour starts as the rank of its (theta, genus) and is
+    refined to a stable partition, as in the equitable-partition step of
+    McKay & Piperno, "Practical graph isomorphism, II" (2014): each round
+    ranks the sorted signatures (colour, colour of the sigma partner, sorted
+    (other end's colour, degree, sigma-fixed?) per incident edge), until the
+    number of colours stops growing or every cell is a singleton; with
+    singleton (theta, genus) cells there is no round.  Colours are ranks of
+    invariant signatures, so every isomorphism keeps them.  Only the
+    relabelings that send each colour cell, in colour order, onto its own
+    block of positions are tried.  Each encodes the conjugated vertex
+    involution, the relabeled plus points and the sorted edge list with
+    sigma-fixed flags; the least code, after the (theta, genus) of every
+    position, is the canonical form.  The relabelings reaching it give the
+    vertex automorphisms: v goes to the vertex the first of them puts at v's
+    position.  Each of them extends to the same number of edge
+    automorphisms: per sigma-stable edge class (a, b, degree) with f fixed
+    edges and p swapped pairs there are f! p! 2^p, and per two classes
+    swapped by sigma with n edges each, n!.
     """
     sigma_v, sigma_e = involution.vertices, involution.edges
-    cells: dict[tuple[int, int], list[int]] = {}
-    for v, kind in enumerate(zip(graph.theta, graph.genus)):
-        cells.setdefault(kind, []).append(v)
-    kinds = sorted(cells)
-    position = [0] * graph.num_vertices
+    nv = graph.num_vertices
+    kinds = list(zip(graph.theta, graph.genus))
+    colour = _ranks(kinds)
+    n_cells = max(colour) + 1
+    if n_cells < nv:
+        adjacency: list[list[tuple[int, int, bool]]] = [[] for _ in range(nv)]
+        for i, (a, b, deg) in enumerate(graph.edges):
+            adjacency[a].append((b, deg, sigma_e[i] == i))
+            adjacency[b].append((a, deg, sigma_e[i] == i))
+        while True:
+            colour = _ranks(
+                [
+                    (
+                        colour[v],
+                        colour[sigma_v[v]],
+                        tuple(sorted((colour[w], deg, fx) for w, deg, fx in ends)),
+                    )
+                    for v, ends in enumerate(adjacency)
+                ]
+            )
+            refined = max(colour) + 1
+            if refined in (n_cells, nv):
+                break
+            n_cells = refined
+    cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
+    for v, c in enumerate(colour):
+        cells[c].append(v)
+    position = [0] * nv
     best = None
     ties: list[list[int]] = []
-    for blocks in itertools.product(*(itertools.permutations(cells[k]) for k in kinds)):
-        order = [v for block in blocks for v in block]
+    for order in _relabelings(cells):
         for i, v in enumerate(order):
             position[v] = i
         edges = []
@@ -330,7 +390,7 @@ def _canonical_form(graph: DecoratedGraph, involution: GraphInvolution):
             edge_auts *= math.factorial(fixed) * math.factorial(swapped) * 2**swapped
         elif (a, b, deg) < image:
             edge_auts *= math.factorial(len(members))
-    form = (tuple(k for k in kinds for _ in cells[k]), best)
+    form = (tuple(kinds[v] for v in ties[0]), best)
     return form, len(group) * edge_auts, tuple(group)
 
 
@@ -365,25 +425,38 @@ def _unmarked_classes(g: int, d: int):
                 continue
             sigma_v, orbits = _sigma_orbits(theta)
             vertex_orbits = [v for v in range(nv) if sigma_v[v] > v]
-            for edges, involutions in _invariant_edges(orbits, d):
+            for edges, involutions in _invariant_edges(nv, orbits, d, g):
                 b1 = len(edges) - nv + 1
-                if b1 > g or (g - b1) % 2:
+                if (g - b1) % 2:
                     continue
-                if not _is_connected(nv, edges):
-                    continue
-                half_genus = (g - b1) // 2
+                splits = []
+                for split in _compositions((g - b1) // 2, len(vertex_orbits)):
+                    genus = [0] * nv
+                    for v, gv in zip(vertex_orbits, split):
+                        genus[v] = genus[sigma_v[v]] = gv
+                    splits.append(tuple(genus))
+                bare = DecoratedGraph(theta, (0,) * nv, edges, ())
                 for sigma_e in involutions:
                     involution = GraphInvolution(sigma_v, sigma_e)
-                    for split in _compositions(half_genus, len(vertex_orbits)):
-                        genus = [0] * nv
-                        for v, gv in zip(vertex_orbits, split):
-                            genus[v] = genus[sigma_v[v]] = gv
-                        graph = DecoratedGraph(theta, tuple(genus), edges, ())
-                        form, aut, group = _canonical_form(graph, involution)
-                        if form in seen:
-                            continue
-                        seen.add(form)
-                        found.append((AdmissiblePair(graph, involution, aut), group))
+                    form, aut, group = _canonical_form(bare, involution)
+                    if form in seen:
+                        continue
+                    seen.add(form)
+                    edge_auts = aut // len(group)
+                    # One class per G-orbit of genus splits, the least one.
+                    for genus in splits:
+                        stabilizer = []
+                        for perm in group:
+                            image = tuple(genus[w] for w in perm)
+                            if image < genus:
+                                break
+                            if image == genus:
+                                stabilizer.append(perm)
+                        else:
+                            graph = DecoratedGraph(theta, genus, edges, ())
+                            aut = len(stabilizer) * edge_auts
+                            pair = AdmissiblePair(graph, involution, aut)
+                            found.append((pair, tuple(stabilizer)))
     return tuple(found)
 
 
@@ -440,15 +513,18 @@ def euler_tangent(label: int) -> Factored:
     return out
 
 
-def _psi_terms(label: int, other: int, deg: int):
-    return (Fraction(1, deg), other), (Fraction(-1, deg), label)
-
-
 @lru_cache(maxsize=None)
 def psi_edge_weight(label: int, other: int, deg: int) -> Factored:
     """Cotangent weight (alpha_other - alpha_label) / deg at the ``label`` end
     of an edge to ``other``."""
-    return _weight(*_psi_terms(label, other, deg))
+    return _weight((Fraction(1, deg), other), (Fraction(-1, deg), label))
+
+
+@lru_cache(maxsize=None)
+def _difference(label: int, other: int) -> tuple[int, ...]:
+    """alpha_label - alpha_other as integer coefficients by degree."""
+    poly = linear_combination(((1, ALPHA[label].num), (-1, ALPHA[other].num)))
+    return tuple(int(c) for c in poly.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -484,29 +560,63 @@ def vertex_contribution(
 ) -> Factored:
     """Signed fixed-locus factor of one vertex, from its local data.
 
-    Unstable vertices (genus 0 with at most two special points) contribute a
-    closed product of weights; stable vertices contribute a triple-Lambda
-    Hodge integral over the moduli of the vertex curve, with one geometric
-    denominator per incident edge.  The integral's denominator is a product
-    of the psi weights' forms and is split over them.
+    With n special points and W_e = (alpha_label - alpha_other) / d_e per
+    incident edge, the factor is -(-1)^(genus + |E_v|) e_T^(n-1) prod_e
+    W_e^-1 times the triple-Lambda Hodge integral of prod_e 1/(W_e - psi_e)
+    over the moduli of the vertex curve.  A vertex of positive genus takes
+    that integral from ``lambda_product_integral``; its denominator is a
+    product of the psi weights' forms and is split over them.
+
+    At genus 0, Lambda = 1 and the integral is prod_e W_e^-1 (sum_e
+    W_e^-1)^(n-3) (the genus-0 psi integrals, as in Graber-Pandharipande
+    1999), so the factor is -(-1)^|E_v| e_T^(n-1) (sum_e W_e^-1)^(n-3)
+    prod_e W_e^-2.  The same closed form gives the unstable vertices (n <= 2)
+    their weight products.  With p_j = alpha_label - alpha_j and D_j the
+    degree sum of the edges to label j, sum_e W_e^-1 = S / prod_j p_j over
+    the labels j the edges reach, where S = sum_j D_j prod_(k != j) p_k is
+    formed on integer coefficient lists.  With m_j edges to label j, the
+    factor is -(-1)^|E_v| prod_e d_e^2 S^(n-3) prod_j p_j^(n-1-2 m_j), the
+    exponent lowered by n - 3 for each reached j.  For n >= 3, S^(n-3) is
+    kept as a polynomial, as the numerator of the integral it replaces was,
+    so the class sum groups its terms on the same forms; for n <= 2, S is a
+    weight (at most two edges) and its power is negative.
     """
     n_special = len(neighbours) + n_marks
-    e_t = euler_tangent(label) ** (n_special - 1)
+    sign = -((-1) ** (genus + len(neighbours)))
+    if genus == 0:
+        edge_counts: Counter[int] = Counter()  # m_j
+        reached: Counter[int] = Counter()  # D_j
+        for other, deg in neighbours:
+            edge_counts[other] += 1
+            reached[other] += deg
+        spread: list[int] = []  # S
+        for j, total in reached.items():
+            term = [total]
+            for k in reached:
+                if k != j:
+                    term = int_product(term, _difference(label, k))
+            spread = [a + b for a, b in itertools.zip_longest(spread, term, fillvalue=0)]
+        out = Factored.const(sign * math.prod(deg * deg for _, deg in neighbours))
+        for j in (1, 2, 3, 4):
+            if j != label:
+                exponent = n_special - 1 - 2 * edge_counts[j]
+                if j in reached:
+                    exponent -= n_special - 3
+                out = out * _weight((1, label), (-1, j)) ** exponent
+        if n_special < 3:
+            return out * Factored.weight(Polynomial(spread)) ** (n_special - 3)
+        power = [1]
+        for _ in range(n_special - 3):
+            power = int_product(power, spread)
+        return out * Factored.split(RationalFunction(Polynomial(power)), ())
     weights = [psi_edge_weight(label, other, deg) for other, deg in neighbours]
-    if genus == 0 and n_special <= 2:
-        out = Factored.const((-1) ** n_marks) * e_t
-        for w in weights:
-            out = out / w
-        exponent = 3 - n_special - len(neighbours)
-        total = _weight(*(t for end in neighbours for t in _psi_terms(label, *end)))
-        return out * total**exponent
     denominators: list[RationalFunction | None] = [
         _psi_denominator(label, *end) for end in neighbours
     ]
     denominators += [None] * n_marks
     integral = lambda_product_integral(genus, _lambda_args(label), denominators)
     forms = [f for w in weights for f, _ in w.forms]
-    out = Factored.const(-((-1) ** (genus + len(neighbours)))) * e_t
+    out = Factored.const(sign) * euler_tangent(label) ** (n_special - 1)
     out = out * Factored.split(integral, forms)
     for w in weights:
         out = out / (-w)

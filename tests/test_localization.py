@@ -44,7 +44,8 @@ from realgw.localization import (
     _class_value,
     _fixed_edge_contribution,
     _free_edge_contribution,
-    _is_connected,
+    _invariant_edges,
+    _sigma_orbits,
     _theta_tuples,
     _unmarked_classes,
 )
@@ -128,13 +129,19 @@ def _reference_key(pair: AdmissiblePair):
 
 
 def _reference_vertex_bijections(p: AdmissiblePair, q: AdmissiblePair):
+    # Every bijection that keeps the labels: each label group of p onto the
+    # same label group of q in every order.
     gp, gq = p.graph, q.graph
     nv = gp.num_vertices
-    if nv != gq.num_vertices:
+    if sorted(gp.theta) != sorted(gq.theta):
         return
-    for perm in itertools.permutations(range(nv)):
-        if any(gq.theta[perm[v]] != gp.theta[v] for v in range(nv)):
-            continue
+    sources = [[v for v in range(nv) if gp.theta[v] == t] for t in (1, 2, 3, 4)]
+    targets = [[w for w in range(nv) if gq.theta[w] == t] for t in (1, 2, 3, 4)]
+    for images in itertools.product(*(itertools.permutations(t) for t in targets)):
+        perm = [0] * nv
+        for source, image in zip(sources, images):
+            for v, w in zip(source, image):
+                perm[v] = w
         if any(gq.genus[perm[v]] != gp.genus[v] for v in range(nv)):
             continue
         if any(perm[m] != mq for m, mq in zip(gp.marks_plus, gq.marks_plus)):
@@ -208,6 +215,24 @@ def _reference_aut_order(pair: AdmissiblePair) -> int:
 # Reference candidate generator: every edge multiset, every vertex involution
 # and every edge involution.  Redundant but simple, so it checks the
 # sigma-orbit generator inside enumerate_pairs.
+
+
+def _is_connected(nv: int, edges) -> bool:
+    if nv == 0:
+        return False
+    seen = {0}
+    frontier = [0]
+    adj: dict[int, set[int]] = {v: set() for v in range(nv)}
+    for a, b, _ in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    while frontier:
+        v = frontier.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == nv
 
 
 def _edge_multisets(theta: tuple[int, ...], total_degree: int):
@@ -345,6 +370,73 @@ def _reference_enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
     return tuple(found)
 
 
+def _reference_invariant_edges(orbits, total_degree: int):
+    """Every sigma-invariant edge multiset of the given total degree, with
+    one admissible edge involution per isomorphism type: a degree multiset
+    per orbit, connected or not, with no bound on the edge count."""
+    items = [
+        (pair, image, deg, deg if pair == image and deg % 2 else 2 * deg)
+        for pair, image in orbits
+        for deg in range(1, total_degree + 1)
+    ]
+
+    def extend(start: int, remaining: int, acc: list):
+        if remaining == 0:
+            yield acc
+            return
+        for idx in range(start, len(items)):
+            if items[idx][3] <= remaining:
+                acc.append(idx)
+                yield from extend(idx, remaining - items[idx][3], acc)
+                acc.pop()
+
+    for chosen in extend(0, total_degree, []):
+        edges: list[tuple[int, int, int]] = []
+        base: list[int] = []
+        blocks = []
+        for idx, m in Counter(chosen).items():
+            pair, image, deg, _ = items[idx]
+            start = len(edges)
+            if pair == image:
+                n = m if deg % 2 else 2 * m
+                edges += [(*pair, deg)] * n
+                base += range(start, start + n)
+                blocks.append((start, n, range(n, -1, -2) if deg % 2 else (0,)))
+            else:
+                edges += [(*pair, deg)] * m + [(*image, deg)] * m
+                base += [*range(start + m, start + 2 * m), *range(start, start + m)]
+        involutions = []
+        for counts in itertools.product(*(fixed for _, _, fixed in blocks)):
+            sigma_e = list(base)
+            for (start, n, _), f in zip(blocks, counts):
+                for i in range(start + f, start + n, 2):
+                    sigma_e[i], sigma_e[i + 1] = i + 1, i
+            involutions.append(tuple(sigma_e))
+        yield tuple(edges), involutions
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_invariant_edges_match_filtered_reference(d):
+    # The pruned generator yields exactly the reference's connected edge
+    # multisets with first Betti number at most g, with the same
+    # involutions, for every label tuple.
+    for nv in range(2, d + 2, 2):
+        for theta in _theta_tuples(nv):
+            _, orbits = _sigma_orbits(theta)
+            reference = [
+                (edges, tuple(involutions))
+                for edges, involutions in _reference_invariant_edges(orbits, d)
+                if _is_connected(nv, edges)
+            ]
+            for g in range(5):
+                expect = Counter(item for item in reference if len(item[0]) - nv + 1 <= g)
+                got = Counter(
+                    (edges, tuple(involutions))
+                    for edges, involutions in _invariant_edges(nv, orbits, d, g)
+                )
+                assert got == expect, (theta, g)
+
+
 @pytest.mark.parametrize(
     "g, d",
     [(g, d) for d in range(1, 5) for g in range(6)]
@@ -458,6 +550,36 @@ def test_isomorphism_stable_under_relabeling():
         assert automorphism_order(relabeled) == _reference_aut_order(relabeled)
 
 
+def test_refined_canonical_form_stable_under_relabeling():
+    # The refined cells are taken by every relabeling: a relabeled class has
+    # the same canonical form, and its |Aut| is the brute-force count and
+    # the order the genus-split orbits gave the class.  Every (0,7) class and
+    # a seeded sample of the (4,7) ones, whose loops, parallel edges and
+    # genus splits the (0,7) trees lack.
+    rng = random.Random(59)
+    loci = [p for p, _ in _unmarked_classes(0, 7)]
+    loci += rng.sample([p for p, _ in _unmarked_classes(4, 7)], 500)
+    for p in loci:
+        relabeled, _, _ = _relabel(p, rng)
+        form, aut, _ = _canonical_form(relabeled.graph, relabeled.involution)
+        assert form == _canonical_form(p.graph, p.involution)[0], p
+        assert aut == p.aut_order == _reference_aut_order(relabeled), p
+
+
+@pytest.mark.parametrize(
+    "g, d, count",
+    [
+        (0, 7, 242),
+        (4, 7, 2810),
+        pytest.param(5, 8, 9552, marks=pytest.mark.slow),
+        pytest.param(0, 9, 1724, marks=pytest.mark.slow),
+        pytest.param(2, 9, 10420, marks=pytest.mark.slow),
+    ],
+)
+def test_frontier_unmarked_class_counts(g, d, count):
+    assert len(_unmarked_classes(g, d)) == count
+
+
 def test_local_keys_stable_under_relabeling():
     # Relabeled vertices and edges keep their keys, so the factor caches see
     # one entry per local configuration whatever the vertex and edge order.
@@ -557,40 +679,40 @@ def _reference_lambda_product(genus, lambda_args, denominators):
     return lambda_product_integral(genus, lambda_args, list(denominators))
 
 
-def _reference_psi_edge_weight(graph: DecoratedGraph, edge_index: int, v: int):
-    a, b, deg = graph.edges[edge_index]
-    other = b if v == a else a
-    return (ALPHA[graph.theta[other]] - ALPHA[graph.theta[v]]) / deg
-
-
-def _reference_vertex_contribution(pair: AdmissiblePair, v: int) -> RationalFunction:
-    graph = pair.graph
-    label = graph.theta[v]
-    edge_ids = [i for i, (a, b, _) in enumerate(graph.edges) if v in (a, b)]
-    n_marks = sum(m == v for m in graph.marks_plus) + sum(
-        pair.involution.vertices[m] == v for m in graph.marks_plus
-    )
-    n_special = len(edge_ids) + n_marks
+def _reference_vertex_factor(label: int, genus: int, ends, n_marks: int) -> RationalFunction:
+    """The vertex factor from (other label, degree) per incident edge, in
+    the given order, by the general route: a weight product for an unstable
+    vertex and a Lambda-product integral otherwise, genus 0 included."""
+    n_special = len(ends) + n_marks
     e_t = RationalFunction.const(1)
     for j in (1, 2, 3, 4):
         if j != label:
             e_t = e_t * (ALPHA[label] - ALPHA[j])
-    psis = [_reference_psi_edge_weight(graph, i, v) for i in edge_ids]
-    if graph.genus[v] == 0 and n_special <= 2:
+    psis = [(ALPHA[other] - ALPHA[label]) / deg for other, deg in ends]
+    if genus == 0 and n_special <= 2:
         out = RationalFunction.const((-1) ** n_marks) * e_t ** (n_special - 1)
         total = RationalFunction.const(0)
         for w in psis:
             out = out / w
             total = total + w
-        return out * total ** (3 - n_special - len(edge_ids))
+        return out * total ** (3 - n_special - len(ends))
     lambda_args = tuple(ALPHA[label] - ALPHA[j] for j in (1, 2, 3, 4) if j != label)
     denominators = tuple(-w for w in psis) + (None,) * n_marks
-    integral = _reference_lambda_product(graph.genus[v], lambda_args, denominators)
-    out = RationalFunction.const(-((-1) ** (graph.genus[v] + len(edge_ids))))
+    integral = _reference_lambda_product(genus, lambda_args, denominators)
+    out = RationalFunction.const(-((-1) ** (genus + len(ends))))
     out = out * e_t ** (n_special - 1) * integral
     for w in psis:
         out = out / (-w)
     return out
+
+
+def _reference_vertex_contribution(pair: AdmissiblePair, v: int) -> RationalFunction:
+    graph = pair.graph
+    ends = [(graph.theta[a + b - v], deg) for a, b, deg in graph.edges if v in (a, b)]
+    n_marks = sum(m == v for m in graph.marks_plus) + sum(
+        pair.involution.vertices[m] == v for m in graph.marks_plus
+    )
+    return _reference_vertex_factor(graph.theta[v], graph.genus[v], ends, n_marks)
 
 
 def _reference_edge_contribution(pair: AdmissiblePair, i: int) -> RationalFunction:
@@ -628,6 +750,44 @@ def test_local_factors_match_per_pair_reference(g, d):
         for i in range(len(pair.graph.edges)):
             got = edge_contribution(*edge_key(pair, i)).rational_function()
             assert got == _reference_edge_contribution(pair, i), (pair, i)
+
+
+def _genus0_keys_met(max_degree: int):
+    """The genus-0 V+ vertex keys of every contributing class of degree at
+    most max_degree and genus at most 5, with every mark count up to the
+    plus points of the vertex's label."""
+    keys = set()
+    for d in range(1, max_degree + 1):
+        for g in range(d % 2 == 0, 6, 2):
+            for locus, _ in _unmarked_classes(g, d):
+                vplus, _ = locus.default_halves()
+                for v in vplus:
+                    label, genus, ends, _ = vertex_key(locus, v)
+                    if genus == 0:
+                        k = (d + 1) // 2 if label == 1 else d // 2
+                        keys.update((label, 0, ends, n) for n in range(k + 1))
+    return keys
+
+
+def test_genus0_vertex_factor_matches_lambda_route():
+    # The closed genus-0 factor equals the general route on every genus-0
+    # key met up to degree 6 (a Lambda-product integral for the stable ones)
+    # and on every unstable key with edge degrees at most 3 (a weight
+    # product): one edge with 0 or 1 marks, or two edges and no mark.
+    ends = [(other, deg) for other in (1, 2, 3, 4) for deg in (1, 2, 3)]
+    unstable = set()
+    for label in (1, 2, 3, 4):
+        mine = [end for end in ends if end[0] != label]
+        unstable.update((label, 0, (end,), n) for end in mine for n in (0, 1))
+        unstable.update(
+            (label, 0, pair, 0) for pair in itertools.combinations_with_replacement(mine, 2)
+        )
+    assert len(unstable) == 252
+    met = _genus0_keys_met(6)
+    assert len(met - unstable) > 100
+    for key in unstable | met:
+        got = vertex_contribution(*key).rational_function()
+        assert got == _reference_vertex_factor(*key), key
 
 
 def test_factor_caches_hold_one_entry_per_local_key():
@@ -681,7 +841,9 @@ def test_cold_enumeration_canonical_form_calls():
     # a fresh interpreter, with the marked and unmarked class counts.  The
     # reference generator sends 584 and 1,778 marked candidates; canonicalizing
     # each mark placement sent 296, 902 and 60,204 at (0,5), (2,5) and (0,7),
-    # where only the unmarked candidates are sent now.
+    # and each genus split of an unmarked candidate 56, 182 and 844.  Only the
+    # genus-free candidates are sent now; their genus splits are taken as
+    # orbits of the vertex group.
     probe = (
         "from realgw import localization\n"
         "calls = 0\n"
@@ -702,7 +864,48 @@ def test_cold_enumeration_canonical_form_calls():
     )
     assert marked == (152, 470, 13704)
     assert unmarked == (34, 112, 242)
-    assert calls[0] <= 56 and calls[1] <= 182 and calls[2] <= 844
+    assert calls[0] <= 56 and calls[1] <= 78 and calls[2] <= 844
+
+
+def _cold_enumeration_yields(target: str) -> tuple[int, ...]:
+    """Items yielded by the generator ``localization.<target>`` during a
+    cold _unmarked_classes at (0,5), (2,5) and (0,7), in a fresh
+    interpreter."""
+    probe = (
+        "from realgw import localization\n"
+        "count = 0\n"
+        f"generator = localization.{target}\n"
+        "def counted(*args):\n"
+        "    global count\n"
+        "    for item in generator(*args):\n"
+        "        count += 1\n"
+        "        yield item\n"
+        f"localization.{target} = counted\n"
+        "for g, d in ((0, 5), (2, 5), (0, 7)):\n"
+        "    count = 0\n"
+        "    localization._unmarked_classes(g, d)\n"
+        "    print(count)\n"
+    )
+    return tuple(map(int, _run_fresh(probe).stdout.split()))
+
+
+def test_cold_enumeration_edge_multisets():
+    # Edge multisets _invariant_edges yields to a cold enumeration.  Building
+    # every sigma-invariant multiset and dropping the disconnected ones and
+    # those of too large a Betti number afterwards yielded 392, 392 and
+    # 13,948; the edge-count and component bounds inside the generator yield
+    # only the connected ones with b1 <= g.
+    (c05, c25, c07) = _cold_enumeration_yields("_invariant_edges")
+    assert 0 < c05 <= 56 and 0 < c25 <= 70 and 0 < c07 <= 844
+
+
+def test_cold_enumeration_relabelings():
+    # Vertex orders _canonical_form tries in a cold enumeration.  Permuting
+    # whole (label, genus) cells of every genus split tried 200, 326 and
+    # 19,596; the refined cells of the genus-free candidates try 68, 90 and
+    # 1,224.
+    (c05, c25, c07) = _cold_enumeration_yields("_relabelings")
+    assert 0 < c05 <= 68 and 0 < c25 <= 90 and 0 < c07 <= 1224
 
 
 def _cold_memo_sizes(argv: list[str]) -> tuple[int, int, int, int]:
@@ -791,15 +994,15 @@ def test_memo_values_are_reduced_integer_pairs():
 
 
 @pytest.mark.parametrize(
-    "call, bound",
+    "call, low, high",
     [
-        ("cli.main(['gw', '--genus', '4', '--degree', '3'])", 18),
-        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 216),
-        ("localization.gw_real(0, 5)", 31),
+        ("cli.main(['gw', '--genus', '4', '--degree', '3'])", 1, 16),
+        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 1, 216),
+        ("localization.gw_real(0, 5)", 0, 0),
     ],
     ids=["gw-4-3", "verify-order6", "gw-real-0-5"],
 )
-def test_cold_run_normalization_count(call, bound):
+def test_cold_run_normalization_count(call, low, high):
     # poly_gcd calls (one per RationalFunction normalization) of a cold run,
     # counted in a fresh interpreter.  Storing const, z and negation without
     # a gcd took the first two from 785 and 957; summing the localization
@@ -807,8 +1010,21 @@ def test_cold_run_normalization_count(call, bound):
     # from 2,479.  Skipping the gcd for a constant side, for sums with a
     # constant denominator, for products with a constant member in each
     # cross pair and for powers took the three from 22, 695 and 62.  The
-    # bench's deg4-column heavy layer wraps poly_gcd, so there must be some.
-    assert 0 < _cold_call_count("exact_arith.poly_gcd", call) <= bound
+    # closed genus-0 vertex factor, with no Lambda integral to normalize,
+    # took gw-4-3 from 18 and gw_real(0,5), whose vertices all have genus 0,
+    # from 31 to none.
+    # The bench's deg4-column heavy layer wraps poly_gcd, so the other two
+    # runs must make some.
+    assert low <= _cold_call_count("exact_arith.poly_gcd", call) <= high
+
+
+def test_cold_genus0_run_makes_no_lambda_product_calls():
+    # Every vertex of a class of gw_real(0, 5) has genus 0 and takes the
+    # closed genus-0 factor; the parent made 62 Lambda integrals here,
+    # through localization's binding, which a vertex of positive genus still
+    # calls (test_unsplittable_vertex_integral_raises).
+    call = "localization.gw_real(0, 5)"
+    assert _cold_call_count("localization.lambda_product_integral", call) == 0
 
 
 def test_cold_verify_order6_lambda_product_calls():
@@ -833,7 +1049,8 @@ def test_cold_degree1_column_psi_value_calls():
 def test_cold_run_polynomial_products():
     # Polynomial.__mul__ calls of a cold gw_real(4, 5), counted in a fresh
     # interpreter.  Assembling the Lambda-product integrals over shared bases
-    # with one process-wide power table took them from 25,926.
+    # with one process-wide power table took them from 25,926; the closed
+    # genus-0 vertex factor, built on integer coefficient lists, from 1,486.
     probe = (
         "from realgw import exact_arith, localization\n"
         "calls = 0\n"
@@ -848,7 +1065,7 @@ def test_cold_run_polynomial_products():
     done = _run_fresh(probe)
     value, calls = done.stdout.split()
     assert value == "43/128"
-    assert 0 < int(calls) <= 1486
+    assert 0 < int(calls) <= 1385
 
 
 @pytest.mark.parametrize(
@@ -1062,6 +1279,14 @@ def test_degree5_best_effort_matches_bundled_data():
     # Degrees above 4 are outside the guaranteed range, but the enumerator is
     # generic; the rational-curve count through 5 conjugate point pairs is 5.
     assert gw_real(0, 5) == 5
+
+
+@pytest.mark.slow
+def test_degree9_rational_count_pin():
+    # Past the bundled table (d <= 8), so a regression pin from this code,
+    # not an independent oracle; gw_real's z-independence check still runs.
+    # The number of real rational curves through 9 conjugate point pairs.
+    assert gw_real(0, 9) == 1993
 
 
 @pytest.mark.parametrize(
