@@ -20,10 +20,15 @@ functions) is computed over this tower, so all values are exact:
   :func:`factored_sum` builds the form for a factored denominator without a
   gcd.
 * :class:`Factored` is a value whose denominator is a product of primitive
-  integer linear forms a*z + b: a Fraction times an optional Polynomial times
-  those forms with signed exponents.  Its products add exponents, and
-  :func:`factored_sum` adds many of them and builds one RationalFunction
-  normal form by integer synthetic division, with no polynomial gcd.
+  integer linear forms a*z + b: a reduced integer pair times an optional
+  Polynomial times those forms with signed exponents.  The exponents are
+  packed into one integer key, a 32-bit digit per form of a process-wide
+  registry, and ``*`` and ``**`` keep them within ``EXPONENT_BOUND`` =
+  2^31 - 1, so no key carries from one digit into the next.  Products add
+  keys and multiply integer pairs.  :func:`factored_sum` groups many values
+  on their keys as they stream in, adds the groups by Kronecker
+  substitution and builds one RationalFunction normal form by integer
+  synthetic division, with no polynomial gcd.
 * :class:`Series` is a truncated formal power series in ``t`` whose
   coefficients live either in the rationals or in rational functions of ``z``.
   Products pair only the nonzero coefficients, and :func:`series_pow`
@@ -40,13 +45,15 @@ and the exact division by it share one integer pseudo-division.  ``lcm_sum``
 and ``linear_combination`` sum scalar and polynomial terms as integer
 numerators over a running lcm denominator, and ``reduced`` brings an integer
 pair num/den to lowest terms.  Only this module reads a
-polynomial's stored numerators and denominator.
+polynomial's stored numerators and denominator, a Factored value's key and
+integer scalar, or the form registry.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -85,22 +92,31 @@ class Record:
 class Frozen(Record):
     """An immutable, hashable record.
 
-    The constructor takes the fields in ``__slots__`` order or by name; a
-    subclass that normalizes its input overrides it and sets the fields
-    through ``object.__setattr__``.  Assigning or deleting a field
+    The constructor takes the fields in ``__slots__`` order or by name and
+    sets them through the slot descriptors, which ``__setattr__`` does not
+    reach; a subclass that normalizes its input overrides it and sets the
+    fields through ``object.__setattr__``.  Assigning or deleting a field
     afterwards raises AttributeError.  The hash is that of the field tuple.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *args: object, **kwargs: object) -> None:
         names = self.__slots__
         # The positional fields come first, and the keywords name the rest.
-        rest = set(names[len(args) :])
-        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= rest:
+        if kwargs:
+            rest = names[len(args) :]
+            if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields {names} once each")
+            args += tuple(kwargs[name] for name in rest)
+        elif len(args) != len(names):
             raise TypeError(f"{type(self).__name__} takes the fields {names} once each")
-        for name, value in (*zip(names, args), *kwargs.items()):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
 
     def __hash__(self) -> int:
         return hash(self._fields(self))
@@ -110,6 +126,22 @@ class Frozen(Record):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _HashedOnce(Frozen):
+    """A Frozen record that keeps its hash, once computed, in a slot of its
+    own: a subclass lists only its fields in ``__slots__``, so equality and
+    repr do not see the cached hash."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._fields(self))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 def _scalar(c: Scalar) -> Fraction:
@@ -176,7 +208,7 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list, list, int]
     return quot, rem, s
 
 
-class Polynomial(Frozen):
+class Polynomial(_HashedOnce):
     """Dense univariate polynomial in ``z`` with rational coefficients.
 
     It is stored as integer numerators indexed by degree over one positive
@@ -293,22 +325,27 @@ _ONE = _poly((1,))
 def linear_combination(terms: Iterable[tuple[Scalar, Polynomial]]) -> Polynomial:
     """sum_i c_i * p_i over the (c_i, p_i) pairs, accumulated as integer
     numerators over a running lcm denominator and reduced once at the end."""
-    acc: list[int] = []
-    den = 1
+    total: list = [[], 1]
     for c, p in terms:
         if type(c) is not int:
             c = _scalar(c)
-        d = c.denominator * p._den
-        if den % d:
-            lcm = math.lcm(den, d)
-            acc = [x * (lcm // den) for x in acc]
-            den = lcm
-        f = c.numerator * (den // d)
-        if len(acc) < len(p._ints):
-            acc.extend([0] * (len(p._ints) - len(acc)))
-        for i, x in enumerate(p._ints):
-            acc[i] += f * x
-    return _poly(acc, den)
+        _accumulate(total, c.numerator, c.denominator * p._den, p._ints)
+    return _poly(*total)
+
+
+def _accumulate(total: list, c: int, d: int, ints: Sequence[int]) -> None:
+    """Add c/d * sum_i ints[i] z^i, d > 0, to total = [numerators, den] in
+    place, keeping den the lcm of the denominators added so far."""
+    acc, den = total
+    if den % d:
+        lcm = den // math.gcd(den, d) * d
+        acc[:] = [x * (lcm // den) for x in acc]
+        total[1] = den = lcm
+    f = c * (den // d)
+    if len(acc) < len(ints):
+        acc.extend([0] * (len(ints) - len(acc)))
+    for i, x in enumerate(ints):
+        acc[i] += f * x
 
 
 def lcm_sum(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int]:
@@ -347,7 +384,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return _poly(x, x[-1]) if x else Polynomial()
 
 
-class RationalFunction(Frozen):
+class RationalFunction(_HashedOnce):
     """Quotient of polynomials in ``z`` kept in a unique normal form.
 
     The normal form has coprime numerator/denominator and a monic denominator,
@@ -501,6 +538,52 @@ RatLike = Union[RationalFunction, Fraction, int]
 #: A primitive integer linear form a*z + b (a > 0, gcd(a, b) = 1) as (a, b).
 Form = tuple[int, int]
 
+#: Bits per form in a packed exponent key: the width of the C unsigned int
+#: ("I") through which keys are decoded.
+_DIGIT_BITS = 32
+_HALF = 1 << (_DIGIT_BITS - 1)
+#: The largest exponent, in absolute value, that a Factored value may carry.
+EXPONENT_BOUND = _HALF - 1
+
+#: The process-wide form registry: the key of each form to the first power,
+#: 2^(W i) for the form of digit i, the form of each digit, and the integer
+#: coefficient lists of each digit's powers built so far.
+_UNITS: dict[Form, int] = {}
+_FORMS: list[Form] = []
+_POWERS: list[list[list[int]]] = []
+
+
+def _unit(form: Form) -> int:
+    """The key of form^1, with the form given the next digit if it is new."""
+    unit = _UNITS.get(form)
+    if unit is None:
+        unit = _UNITS[form] = 1 << (_DIGIT_BITS * len(_FORMS))
+        _FORMS.append(form)
+        _POWERS.append([[1]])
+    return unit
+
+
+def _form_power(i: int, e: int) -> list[int]:
+    """The integer polynomial (a*z + b)^e, e >= 0, of the form of digit i,
+    built once per (form, exponent) and shared: callers do not mutate it."""
+    powers = _POWERS[i]
+    a, b = _FORMS[i]
+    while len(powers) <= e:
+        powers.append(_times_linear(powers[-1], a, b))
+    return powers[e]
+
+
+def _digits(x: int, n: int) -> list[int]:
+    """The n lowest base-2^W digits of x, 0 <= x < 2^(W n), lowest first."""
+    raw = x.to_bytes(n * _DIGIT_BITS // 8, sys.byteorder)
+    return memoryview(raw).cast("I").tolist()
+
+
+def _offset(n: int) -> int:
+    """The key with the digit 2^(W-1) at each of n digits: added to a key,
+    it turns the signed digits into the ordinary base-2^W ones, shifted."""
+    return _HALF * ((1 << (_DIGIT_BITS * n)) - 1) // ((1 << _DIGIT_BITS) - 1)
+
 
 def _times_linear(ints: Sequence[int], a: int, b: int) -> list[int]:
     """The integer polynomial ints times a*z + b."""
@@ -527,43 +610,80 @@ def _divide_linear(ints: Sequence[int], a: int, b: int) -> list[int] | None:
     return None if carry else quot
 
 
+def _bounded(height: int) -> int:
+    """height, or ArithmeticError when it passes EXPONENT_BOUND."""
+    if height > EXPONENT_BOUND:
+        raise ArithmeticError(
+            f"a factored value may carry exponents up to {EXPONENT_BOUND} only"
+        )
+    return height
+
+
 class Factored:
     """An exact value c * rest * prod_f f^e_f with a factored denominator.
 
-    ``scalar`` c is a Fraction, ``rest`` an optional Polynomial (None stands
-    for 1), and each f a primitive integer linear form a*z + b, a > 0, with a
-    signed exponent e.  ``*``, ``/`` and ``**`` add and scale exponents, so
-    they cancel forms without any polynomial gcd; only values with no rest
-    can be inverted.  Values are built by :meth:`const`, from a weight of
-    degree at most 1 by :meth:`weight`, and from a RationalFunction whose
-    denominator splits over given forms by :meth:`split`.  :func:`factored_sum`
-    adds them and returns the RationalFunction normal form; a single value
-    converts the same way.  Values are immutable and compare by identity:
-    compare their rational functions.
+    The scalar c is a reduced integer pair num/den, den > 0, read as a
+    Fraction through ``scalar``; ``rest`` is a Polynomial of positive degree
+    or None, which stands for 1 (a constant rest is folded into c); each f is
+    a primitive integer linear form a*z + b, a > 0, with a signed exponent e.
+    Zero is 0/1 with no rest and no forms.
+
+    The exponents are packed into one integer key.  A process-wide registry
+    gives each form a digit i, in the order forms are first met, and the key
+    is sum_f e_f 2^(W i_f), W = 32, with signed digits.  So ``*`` adds keys,
+    ``**`` multiplies a key and ``/`` subtracts one, and forms cancel with no
+    polynomial gcd; the scalars multiply with two integer gcds across the
+    pairs.  Only ``forms`` and :func:`factored_sum` decode a key.
+
+    The sum of two keys, or a key times an integer, is the key of the digit
+    sums or multiples as long as each of those stays within EXPONENT_BOUND =
+    2^(W-1) - 1: an integer has one representation by digits in
+    [-2^(W-1), 2^(W-1)), so nothing carries from one digit into the next.
+    Each value carries a height, a bound on the absolute value of each of
+    its exponents: 0 for a constant or a polynomial, 1 for a weight, the
+    largest multiplicity divided out by a split, the sum of the factors'
+    heights for a product and the height times |n| for a power.  ``*``,
+    ``**`` and ``split`` raise ArithmeticError when a height would pass
+    EXPONENT_BOUND, so no chain of products and powers reaches a carry.
+
+    Only values with no rest can be inverted.  Values are built by
+    :meth:`const`, :meth:`polynomial`, from a weight of degree at most 1 by
+    :meth:`weight`, and from a RationalFunction whose denominator splits over
+    given forms by :meth:`split`.  :func:`factored_sum` adds them and returns
+    the RationalFunction normal form; a single value converts the same way.
+    Values are immutable and compare by identity: compare their rational
+    functions.
     """
 
-    __slots__ = ("scalar", "rest", "_forms")
+    __slots__ = ("_num", "_den", "rest", "_key", "_height")
 
-    scalar: Fraction
+    _num: int
+    _den: int
     rest: Polynomial | None
-    _forms: dict[Form, int]
+    _key: int
+    _height: int
 
-    def __init__(self, scalar: Scalar, rest: Polynomial | None, forms: dict[Form, int]):
-        """Private: use const, weight or split.  Folds a constant rest into
-        the scalar, drops zero exponents and stores zero as a bare 0."""
-        scalar = _scalar(scalar)
-        if rest is not None and rest.degree <= 0:
-            scalar *= rest.eval_at(0)
-            rest = None
-        if scalar:
-            forms = {f: e for f, e in forms.items() if e}
-        else:
-            rest, forms = None, {}
-        self.scalar, self.rest, self._forms = scalar, rest, forms
+    def __init__(
+        self, num: int, den: int, rest: Polynomial | None, key: int, height: int
+    ) -> None:
+        """Private: use const, polynomial, weight or split.  The fields are
+        stored as given, so they must already be in the form above."""
+        self._num, self._den, self.rest = num, den, rest
+        self._key, self._height = key, height
 
     @staticmethod
-    def const(value: Scalar) -> "Factored":
-        return Factored(value, None, {})
+    def const(value: Scalar, den: int = 1) -> "Factored":
+        """value / den, den a nonzero integer; integers build no Fraction."""
+        if type(value) is not int:
+            value = _scalar(value)
+        if not den:
+            raise ZeroDivisionError("factored constant with zero denominator")
+        return _with_rest(value.numerator, value.denominator * den, _ONE, 0, 0)
+
+    @staticmethod
+    def polynomial(ints: Sequence[int]) -> "Factored":
+        """The integer polynomial sum_i ints[i] z^i."""
+        return _with_rest(1, 1, _poly(ints), 0, 0)
 
     @staticmethod
     def weight(value: Polynomial) -> "Factored":
@@ -572,108 +692,213 @@ class Factored:
         if value.degree > 1:
             raise ValueError(f"weight {value} is not of degree at most 1")
         if value.degree <= 0:
-            return Factored.const(value.eval_at(0))
-        content, form = value.primitive()
-        b, a = form._ints
-        return Factored(content, None, {(a, b): 1})
+            return Factored.const(value._ints[0] if value._ints else 0, value._den)
+        b, a = value._ints
+        g = math.gcd(a, b)
+        if a < 0:
+            g = -g
+        num, den = reduced(g, value._den)
+        return Factored(num, den, None, _unit((a // g, b // g)), 1)
 
     @staticmethod
     def split(value: RationalFunction, forms: Iterable[Form]) -> "Factored":
         """value with its denominator divided out over the given forms, each
         as often as it divides; ArithmeticError when something else is left."""
         den = value.den._ints
-        exponents: dict[Form, int] = {}
+        key = height = 0
         for a, b in dict.fromkeys(forms):
+            count = 0
             while (quot := _divide_linear(den, a, b)) is not None:
-                den = quot
-                exponents[(a, b)] = exponents.get((a, b), 0) - 1
+                den, count = quot, count + 1
+            if count:
+                key -= count * _unit((a, b))
+                height = max(height, _bounded(count))
         if len(den) != 1:
             raise ArithmeticError(
                 f"denominator {value.den} does not split over the linear forms"
             )
-        return Factored(Fraction(value.den._den, den[0]), value.num, exponents)
+        return _with_rest(value.den._den, den[0], value.num, key, height)
+
+    @property
+    def scalar(self) -> Fraction:
+        return Fraction(self._num, self._den)
 
     @property
     def forms(self) -> tuple[tuple[Form, int], ...]:
-        """The (form, exponent) pairs, exponents nonzero."""
-        return tuple(self._forms.items())
+        """The (form, exponent) pairs, exponents nonzero, by digit."""
+        n = len(_FORMS)
+        digits = _digits(self._key + _offset(n), n)
+        return tuple((_FORMS[i], d - _HALF) for i, d in enumerate(digits) if d != _HALF)
 
     def __mul__(self, other: "Factored") -> "Factored":
-        if not isinstance(other, Factored):
+        if other.__class__ is not Factored:
             return NotImplemented
-        forms = dict(self._forms)
-        for f, e in other._forms.items():
-            forms[f] = forms.get(f, 0) + e
+        a, b, c, d = self._num, self._den, other._num, other._den
+        if not a or not c:
+            return _ZERO
+        g, h = math.gcd(a, d), math.gcd(c, b)
         if self.rest is None or other.rest is None:
             rest = other.rest if self.rest is None else self.rest
         else:
             rest = self.rest * other.rest
-        return Factored(self.scalar * other.scalar, rest, forms)
+        return Factored(
+            (a // g) * (c // h),
+            (b // h) * (d // g),
+            rest,
+            self._key + other._key,
+            _bounded(self._height + other._height),
+        )
 
     def __neg__(self) -> "Factored":
-        return Factored(-self.scalar, self.rest, self._forms)
+        return Factored(-self._num, self._den, self.rest, self._key, self._height)
 
     def __truediv__(self, other: "Factored") -> "Factored":
-        return self * other ** -1
+        return self * other**-1
 
     def __pow__(self, n: int) -> "Factored":
         if n < 0 and self.rest is not None:
             raise ArithmeticError("only a product of linear forms can be inverted")
-        rest = None if self.rest is None else self.rest**n
-        # Fraction(0) ** -k raises ZeroDivisionError.
-        scalar = self.scalar**n
-        return Factored(scalar, rest, {f: e * n for f, e in self._forms.items()})
+        height = _bounded(self._height * abs(n))
+        num, den = self._num, self._den
+        if n >= 0:
+            num, den = num**n, den**n
+        elif not num:
+            raise ZeroDivisionError("zero has no negative powers")
+        else:
+            num, den = den**-n, num**-n
+            if den < 0:
+                num, den = -num, -den
+        rest = self.rest**n if self.rest is not None and n else None
+        return Factored(num, den, rest, self._key * n, height)
 
     def rational_function(self) -> RationalFunction:
         return factored_sum((self,))
 
     def __repr__(self) -> str:
-        return f"Factored({self.scalar}, {self.rest}, {self._forms})"
+        return f"Factored({self.scalar}, {self.rest}, {dict(self.forms)})"
+
+
+_ZERO = Factored(0, 1, None, 0, 0)
+
+
+def _with_rest(num: int, den: int, rest: Polynomial, key: int, height: int) -> Factored:
+    """num/den * rest * the forms of key, for integers num and den != 0: the
+    scalar reduced, a constant rest folded into it and zero stored bare."""
+    if rest.degree <= 0:
+        num *= rest._ints[0] if rest._ints else 0
+        den *= rest._den
+        rest = None
+    if not num:
+        return _ZERO
+    if den < 0:
+        num, den = -num, -den
+    num, den = reduced(num, den)
+    return Factored(num, den, rest, key, height)
 
 
 def factored_sum(values: Iterable[Factored]) -> RationalFunction:
     """sum of the values as a RationalFunction in normal form, with no
     polynomial gcd.
 
-    Each form is taken out at its least exponent over the values (0 where a
-    value lacks it).  The values that are left with the same exponents sum
-    their scalar-times-rest parts in one linear combination and are then
-    multiplied by their forms; one more linear combination adds those.  The
-    forms of negative least exponent make the denominator: each is divided
-    out of the numerator by synthetic division as often as it goes, so what
-    is left is coprime, and the leading integer of the denominator is folded
-    into both sides, as the RationalFunction constructor does.
+    The values stream in and are grouped on their packed keys: each group
+    keeps the sum of its scalar-times-rest parts as integer numerators over a
+    running lcm, as :func:`linear_combination` does, so memory follows the
+    distinct exponent vectors, not the values.  Only the distinct keys are
+    decoded: each form with a negative least exponent over them (0 where a
+    key lacks the form) is taken out at that exponent, and every group is
+    left with a polynomial times powers of forms.  :func:`_kronecker_sum` adds
+    those.  The forms taken out make the denominator: each is divided out of
+    the numerator by synthetic division as often as it goes, so what is left
+    is coprime, and the leading integer of the denominator is folded into
+    both sides, as the RationalFunction constructor does.
     """
-    terms = [v for v in values if v.scalar]
-    if not terms:
+    groups: dict[int, list] = {}
+    for v in values:
+        if v._num:
+            group = groups.get(v._key)
+            if group is None:
+                group = groups[v._key] = [[], 1]
+            if v.rest is None:
+                _accumulate(group, v._num, v._den, (1,))
+            else:
+                _accumulate(group, v._num, v._den * v.rest._den, v.rest._ints)
+    if not groups:
         return RationalFunction.const(0)
-    forms = sorted({f for v in terms for f in v._forms})
-    low = [min(v._forms.get(f, 0) for v in terms) for f in forms]
-    groups: dict[tuple[int, ...], list[tuple[Fraction, Polynomial]]] = {}
-    for v in terms:
-        key = tuple(v._forms.get(f, 0) - m for f, m in zip(forms, low))
-        groups.setdefault(key, []).append((v.scalar, _ONE if v.rest is None else v.rest))
-    parts = []
-    for key, group in groups.items():
-        part = linear_combination(group)
-        ints = part._ints
-        for (a, b), k in zip(forms, key):
-            for _ in range(k):
-                ints = _times_linear(ints, a, b)
-        parts.append((1, _poly(ints, part._den)))
-    total = linear_combination(parts)
+    n = len(_FORMS)
+    offset = _offset(n)
+    low: list[int] = []
+    for key in groups:
+        digits = _digits(key + offset, n)
+        low = list(map(min, low, digits)) if low else digits
+    low = [min(m - _HALF, 0) for m in low]
+    floor = sum(m << (_DIGIT_BITS * i) for i, m in enumerate(low))
+    total = _kronecker_sum(
+        [(_digits(key - floor, n), acc, den) for key, (acc, den) in groups.items()]
+    )
     if total.is_zero():
         return RationalFunction.const(0)
     num, den = total._ints, [1]
-    for (a, b), m in zip(forms, low):
-        for _ in range(m):
-            num = _times_linear(num, a, b)
-        while m < 0 and (quot := _divide_linear(num, a, b)) is not None:
-            num, m = quot, m + 1
-        for _ in range(-m):
-            den = _times_linear(den, a, b)
+    for i, m in enumerate(low):
+        if m:
+            a, b = _FORMS[i]
+            while m < 0 and (quot := _divide_linear(num, a, b)) is not None:
+                num, m = quot, m + 1
+            if m:
+                den = int_product(den, _form_power(i, -m))
     lead = den[-1]
     return _normal(_poly(num, total._den * lead), _poly(den, lead))
+
+
+def _kronecker_sum(parts: list[tuple[list[int], list[int], int]]) -> Polynomial:
+    """sum of acc/d * prod_i f_i^(e_i) over the parts (e, acc, d): e the
+    nonnegative exponent of each registered form f_i by digit, acc integer
+    coefficients and d > 0.
+
+    By Kronecker substitution: with D the lcm of the d, the integer
+    polynomial D times the sum is evaluated at z = 2^K, where each part
+    costs one product of integers with the cached values of its form powers,
+    and its coefficients are read back as the base-2^K digits of the value,
+    in [-2^(K-1), 2^(K-1)).  That is exact when no coefficient leaves that
+    range.  A coefficient of p * q is at most the sum of the absolute
+    coefficients of p (its 1-norm) times the largest of q, and 1-norms
+    multiply at most, so a part's coefficients are below (D/d) |acc|_1
+    prod_i (|a_i| + |b_i|)^(e_i) < 2^B, B the sum of the bit lengths, and
+    K = max B + bit length of the part count + 1 bounds the sum.
+    """
+    den = math.lcm(*(d for _, _, d in parts))
+    sizes = [(abs(a) + abs(b)).bit_length() for a, b in _FORMS]
+    width = degree = 0
+    for exponents, acc, d in parts:
+        size = sum(map(operator.mul, exponents, sizes))
+        size += (den // d).bit_length() + sum(map(abs, acc)).bit_length()
+        width = max(width, size)
+        degree = max(degree, len(acc) - 1 + sum(exponents))
+    width += len(parts).bit_length() + 1
+    powers: dict[tuple[int, int], int] = {}
+    value = 0
+    for exponents, acc, d in parts:
+        scale = den // d
+        for i, e in enumerate(exponents):
+            if e:
+                power = powers.get((i, e))
+                if power is None:
+                    a, b = _FORMS[i]
+                    power = powers[(i, e)] = ((a << width) + b) ** e
+                scale *= power
+        packed = 0
+        for c in reversed(acc):
+            packed = (packed << width) + c
+        value += packed * scale
+    # Shifted by 2^(K-1) at every digit, the digits are nonnegative.
+    half = 1 << (width - 1)
+    value += half * ((1 << (width * (degree + 1))) - 1) // ((1 << width) - 1)
+    mask = (1 << width) - 1
+    coeffs = []
+    for _ in range(degree + 1):
+        coeffs.append((value & mask) - half)
+        value >>= width
+    return _poly(coeffs, den)
+
 
 #: Coefficients of a Series: exact rationals or rational functions of z.
 Coefficient = Union[Fraction, RationalFunction]

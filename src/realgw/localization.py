@@ -71,12 +71,15 @@ of the edge covers.  So the factors are kept as ``exact_arith.Factored``
 values, a scalar times a product of forms with signed exponents (times a
 polynomial: the numerator of a Lambda integral, whose denominator is split
 over its vertex's psi forms, or a power of the psi-weight sum of a genus-0
-vertex).  A term's product adds exponents, so vertex and edge forms
-cancel without a polynomial gcd, and the terms of all classes are summed
-once by ``factored_sum``: each form comes out at its least exponent, the
-rest is one integer linear combination, and the normal form of the total is
-built by synthetic division.  The normal form is unique, so the total is the
-one any order of rational-function additions gives.
+vertex).  Each weight is built once.  A term's product adds the packed
+exponent keys and multiplies integer scalars, so vertex and edge forms
+cancel without a polynomial gcd.  The terms of all classes stream into
+``factored_sum``, which groups them on their keys, so memory follows the
+distinct exponent vectors, not the terms: each form comes out at its least
+exponent, each group is one integer linear combination, the groups are added
+by Kronecker substitution, and the normal form of the total is built by
+synthetic division.  The normal form is unique, so the total is the one any
+order of rational-function additions gives.
 """
 
 from __future__ import annotations
@@ -497,9 +500,11 @@ def enumerate_pairs(g: int, d: int) -> tuple[AdmissiblePair, ...]:
     return tuple(found)
 
 
+@lru_cache(maxsize=None)
 def _weight(*terms: tuple[Scalar, int]) -> Factored:
     """The weight sum_i c_i alpha_(j_i) over the (c_i, j_i) pairs, formed on
-    the polynomials of ALPHA with no rational-function arithmetic."""
+    the polynomials of ALPHA with no rational-function arithmetic, once per
+    distinct argument tuple."""
     return Factored.weight(linear_combination((c, ALPHA[j].num) for c, j in terms))
 
 
@@ -608,7 +613,7 @@ def vertex_contribution(
         power = [1]
         for _ in range(n_special - 3):
             power = int_product(power, spread)
-        return out * Factored.split(RationalFunction(Polynomial(power)), ())
+        return out * Factored.polynomial(power)
     weights = [psi_edge_weight(label, other, deg) for other, deg in neighbours]
     denominators: list[RationalFunction | None] = [
         _psi_denominator(label, *end) for end in neighbours
@@ -649,7 +654,7 @@ def _free_edge_contribution(t1: int, t2: int, deg: int) -> Factored:
             denom = denom * _weight(
                 (Fraction(deg - r, deg), t1), (Fraction(r, deg), t2), (-1, j)
             )
-    return Factored.const(Fraction((-1) ** deg, deg * math.factorial(deg) ** 2)) / denom
+    return Factored.const((-1) ** deg, deg * math.factorial(deg) ** 2) / denom
 
 
 def _fixed_edge_contribution(t1: int, t2: int, deg: int) -> Factored:
@@ -663,15 +668,13 @@ def _fixed_edge_contribution(t1: int, t2: int, deg: int) -> Factored:
             continue
         for r in range((deg - 1) // 2 + 1):
             denom = denom * _weight((Fraction(deg - 2 * r, deg), t1), (-1, j))
-    return Factored.const(
-        Fraction((-1) ** ((deg - 1) // 2), deg * math.factorial(deg))
-    ) / denom
+    return Factored.const((-1) ** ((deg - 1) // 2), deg * math.factorial(deg)) / denom
 
 
 def _edge_part(pair: AdmissiblePair) -> Factored:
     """1/|Aut| times the factors of the sigma-fixed edges and of E+."""
     _, eplus = pair.default_halves()
-    out = Factored.const(Fraction(1, pair.aut_order))
+    out = Factored.const(1, pair.aut_order)
     for i in pair.involution.fixed_edges() + list(eplus):
         out = out * edge_contribution(*edge_key(pair, i))
     return out

@@ -472,3 +472,24 @@ def test_frozen_records_take_each_field_once():
     ]:
         with pytest.raises(TypeError):
             GraphInvolution(*args, **kwargs)
+
+
+def test_cached_hash_stays_out_of_equality_and_repr():
+    # Polynomial and RationalFunction keep their hash once computed.  Equal
+    # values hash equal whether or not either was hashed before, the hash is
+    # that of the field tuple, and hashing changes neither equality nor the
+    # repr.
+    z = Polynomial.variable()
+    p, q = Polynomial((Fraction(1, 2), 1)), z + Polynomial.const(Fraction(1, 2))
+    r, s = RationalFunction(p, z * z), RationalFunction(q * q, q * z * z)
+    for a, b in ((p, q), (r, s)):
+        before = repr(a)
+        assert hash(a) == hash(a) == hash(a._fields(a))
+        assert a == b and b == a and repr(a) == before == repr(b)
+        assert hash(b) == hash(a)
+    assert repr(p) == "Polynomial(_ints=(1, 2), _den=2)"
+    assert repr(r) == (
+        "RationalFunction(num=Polynomial(_ints=(1, 2), _den=2), "
+        "den=Polynomial(_ints=(0, 0, 1), _den=1))"
+    )
+    assert {p: 1}[q] == 1 and {r: 1}[s] == 1

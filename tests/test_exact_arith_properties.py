@@ -20,9 +20,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from realgw.exact_arith import (
+    EXPONENT_BOUND,
     Factored,
     Polynomial,
     RationalFunction,
+    _FORMS,
+    _divide_linear,
+    _kronecker_sum,
     _pseudo_divmod,
     factored_sum,
     linear_combination,
@@ -443,3 +447,263 @@ def test_weight_takes_polynomials_of_degree_at_most_one(coeffs):
             Factored.weight(p)
     else:
         assert fields(Factored.weight(p).rational_function()) == fields(RationalFunction(p))
+
+
+# -- Packed keys against the dict-based Factored they replaced --------------
+
+
+class DictFactored:
+    """Reference: a Factored value stored as a Fraction scalar, an optional
+    Polynomial rest and a dict from forms to exponents, as it was before the
+    exponents were packed into one integer key.  Its products copy and merge
+    the dicts, and ``dict_factored_sum`` multiplies each group out by one
+    linear form per unit of exponent."""
+
+    def __init__(self, scalar, rest, forms):
+        scalar = Fraction(scalar)
+        if rest is not None and rest.degree <= 0:
+            scalar *= rest.eval_at(0)
+            rest = None
+        if scalar:
+            forms = {f: e for f, e in forms.items() if e}
+        else:
+            rest, forms = None, {}
+        self.scalar, self.rest, self._forms = scalar, rest, forms
+
+    @staticmethod
+    def const(value):
+        return DictFactored(value, None, {})
+
+    @staticmethod
+    def weight(value):
+        if value.degree <= 0:
+            return DictFactored.const(value.eval_at(0))
+        content, form = value.primitive()
+        b, a = form._ints
+        return DictFactored(content, None, {(a, b): 1})
+
+    @staticmethod
+    def split(value, forms):
+        den = value.den._ints
+        exponents = {}
+        for a, b in dict.fromkeys(forms):
+            while (quot := _divide_linear(den, a, b)) is not None:
+                den = quot
+                exponents[(a, b)] = exponents.get((a, b), 0) - 1
+        if len(den) != 1:
+            raise ArithmeticError("denominator does not split over the forms")
+        return DictFactored(Fraction(value.den._den, den[0]), value.num, exponents)
+
+    @property
+    def forms(self):
+        return tuple(self._forms.items())
+
+    def __mul__(self, other):
+        forms = dict(self._forms)
+        for f, e in other._forms.items():
+            forms[f] = forms.get(f, 0) + e
+        if self.rest is None or other.rest is None:
+            rest = other.rest if self.rest is None else self.rest
+        else:
+            rest = self.rest * other.rest
+        return DictFactored(self.scalar * other.scalar, rest, forms)
+
+    def __neg__(self):
+        return DictFactored(-self.scalar, self.rest, self._forms)
+
+    def __truediv__(self, other):
+        return self * other**-1
+
+    def __pow__(self, n):
+        if n < 0 and self.rest is not None:
+            raise ArithmeticError("only a product of linear forms can be inverted")
+        rest = None if self.rest is None else self.rest**n
+        return DictFactored(
+            self.scalar**n, rest, {f: e * n for f, e in self._forms.items()}
+        )
+
+    def rational_function(self):
+        return dict_factored_sum((self,))
+
+
+def _times_form(ints, a, b):
+    out = [b * c for c in ints] + [0]
+    for k, c in enumerate(ints):
+        out[k + 1] += a * c
+    return out
+
+
+def dict_factored_sum(values):
+    """Reference: the factored sum over dict exponents, one linear form
+    multiplied in per unit of exponent."""
+    terms = [v for v in values if v.scalar]
+    if not terms:
+        return RationalFunction.const(0)
+    forms = sorted({f for v in terms for f in v._forms})
+    low = [min(v._forms.get(f, 0) for v in terms) for f in forms]
+    groups = {}
+    for v in terms:
+        key = tuple(v._forms.get(f, 0) - m for f, m in zip(forms, low))
+        rest = Polynomial((1,)) if v.rest is None else v.rest
+        groups.setdefault(key, []).append((v.scalar, rest))
+    total = Polynomial()
+    for key, group in groups.items():
+        part = linear_combination(group)
+        for (a, b), k in zip(forms, key):
+            for _ in range(k):
+                part = part * Polynomial((b, a))
+        total = total + part
+    if total.is_zero():
+        return RationalFunction.const(0)
+    content, primitive = total.primitive()
+    num, den = [int(c) for c in primitive.coeffs], Polynomial((1,))
+    for (a, b), m in zip(forms, low):
+        for _ in range(m):
+            num = _times_form(num, a, b)
+        while m < 0 and (quot := _divide_linear(num, a, b)) is not None:
+            num, m = quot, m + 1
+        for _ in range(-m):
+            den = den * Polynomial((b, a))
+    return RationalFunction(Polynomial.const(content) * Polynomial(num), den)
+
+
+# Thirteen primitive forms (a, b), that is a*z + b.
+FORMS = [
+    (1, 0), (1, 1), (1, -1), (2, 1), (1, 2), (3, -1), (2, -3),
+    (1, -2), (3, 2), (4, 1), (5, -2), (1, 3), (2, 5),
+]
+
+
+@st.composite
+def factored_pairs(draw):
+    """A Factored value and the reference built by the same construction:
+    a constant (maybe zero), a weight c*(a*z + b), the integer polynomial
+    rest of a genus-0 vertex, or a split of a rational function whose
+    denominator is a product of the forms."""
+    kind = draw(st.sampled_from(["const", "zero", "weight", "polynomial", "split"]))
+    if kind in ("const", "zero"):
+        c = draw(fractions) if kind == "const" else 0
+        return Factored.const(c), DictFactored.const(c)
+    if kind == "weight":
+        (a, b), c = draw(st.sampled_from(FORMS)), draw(fractions.filter(bool))
+        w = Polynomial((c * b, c * a))
+        return Factored.weight(w), DictFactored.weight(w)
+    if kind == "polynomial":
+        ints = draw(st.lists(st.integers(-6, 6), max_size=4))
+        return Factored.polynomial(ints), DictFactored(1, Polynomial(ints), {})
+    picked = draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=4))
+    den = Polynomial((draw(fractions.filter(bool)),))
+    for a, b in picked:
+        den = den * Polynomial((b, a))
+    value = RationalFunction(draw(polys), den)
+    return Factored.split(value, FORMS), DictFactored.split(value, FORMS)
+
+
+def _agrees(value, reference):
+    assert value.scalar == reference.scalar
+    assert value.rest == reference.rest
+    assert dict(value.forms) == dict(reference.forms)
+    assert fields(value.rational_function()) == fields(reference.rational_function())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(factored_pairs(), st.data())
+def test_packed_factored_matches_dict_reference(start, data):
+    # Random chains of products, quotients, powers (negative ones included)
+    # and negations of values drawn over thirteen forms: the packed value
+    # and the dict-based reference agree on scalar, rest, forms and normal
+    # form after every step, and raise the same exception on the same step.
+    value, reference = start
+    for op in data.draw(st.lists(st.sampled_from(["mul", "div", "pow", "neg"]), max_size=6)):
+        other = data.draw(factored_pairs())
+        n = data.draw(st.integers(-3, 3))
+        steps = {
+            "mul": lambda x, y: x * y,
+            "div": lambda x, y: x / y,
+            "pow": lambda x, y: x * y**n,
+            "neg": lambda x, y: -x,
+        }
+        step = steps[op]
+        try:
+            expected = step(reference, other[1])
+        except (ArithmeticError, ZeroDivisionError) as error:
+            with pytest.raises(type(error)):
+                step(value, other[0])
+            continue
+        value, reference = step(value, other[0]), expected
+        _agrees(value, reference)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.lists(factored_pairs(), max_size=8))
+def test_packed_factored_sum_matches_dict_reference(values):
+    # The streamed sum on packed keys and the reference sum give the same
+    # normal form.
+    got = factored_sum(v for v, _ in values)
+    assert fields(got) == fields(dict_factored_sum(r for _, r in values))
+
+
+def test_exponents_past_the_bound_raise():
+    # Exponents up to EXPONENT_BOUND decode exactly; a power or a product
+    # that could pass it raises ArithmeticError instead of carrying into
+    # the next form's digit.
+    w, v = Factored.weight(Polynomial((1, 1))), Factored.weight(Polynomial((-3, 2)))
+    top = w**EXPONENT_BOUND
+    assert dict(top.forms) == {(1, 1): EXPONENT_BOUND}
+    assert dict((w**-EXPONENT_BOUND).forms) == {(1, 1): -EXPONENT_BOUND}
+    assert dict((v * w).forms) == {(1, 1): 1, (2, -3): 1}
+    for step in (
+        lambda: w ** (EXPONENT_BOUND + 1),
+        lambda: w ** -(EXPONENT_BOUND + 1),
+        lambda: top * w,
+        lambda: top / v,
+        lambda: (w * v) ** (EXPONENT_BOUND // 2 + 1),
+    ):
+        with pytest.raises(ArithmeticError):
+            step()
+
+
+def _kronecker_reference(parts):
+    """sum of acc/d * prod_i f_i^(e_i) by Polynomial arithmetic."""
+    total = Polynomial()
+    for exponents, acc, d in parts:
+        term = Polynomial(acc) * Polynomial.const(Fraction(1, d))
+        for (a, b), e in zip(_FORMS, exponents):
+            term = term * Polynomial((b, a)) ** e
+        total = total + term
+    return total
+
+
+def _registered_parts(parts):
+    """The parts with their exponents over FORMS spread to every digit of
+    the registry, in which FORMS are registered first if they are new."""
+    digit = {}
+    for form in FORMS:
+        Factored.weight(Polynomial((form[1], form[0])))
+        digit[form] = _FORMS.index(form)
+    out = []
+    for exponents, acc, d in parts:
+        spread = [0] * len(_FORMS)
+        for form, e in zip(FORMS, exponents):
+            spread[digit[form]] = e
+        out.append((spread, acc, d))
+    return out
+
+
+kronecker_parts = st.tuples(
+    st.lists(st.integers(0, 3), max_size=4),
+    st.lists(st.sampled_from([0, 1, -1, 7, 2**40 - 1, -(2**40) + 1]), max_size=4),
+    st.integers(1, 6),
+)
+
+
+@exact
+@given(st.lists(kronecker_parts, min_size=1, max_size=6))
+@example([((), [2**20 - 1], 1)] * 4)
+@example([((1, 2), [-(2**40) + 1, 2**40 - 1], 3)] * 5)
+def test_kronecker_sum_reads_back_every_coefficient(parts):
+    # The evaluation point 2^K must hold every coefficient of the sum, also
+    # when equal parts with the largest coefficients add up: the bit length
+    # of the part count is part of K.
+    parts = _registered_parts(parts)
+    assert _kronecker_sum(parts) == _kronecker_reference(parts)

@@ -1027,6 +1027,38 @@ def test_cold_genus0_run_makes_no_lambda_product_calls():
     assert _cold_call_count("localization.lambda_product_integral", call) == 0
 
 
+def test_cold_genus0_class_sum_makes_no_per_unit_form_products():
+    # _times_linear calls of a cold gw_real(0, 5), counted in a fresh
+    # interpreter.  The parent multiplied every group of the factored sum
+    # out by one linear form per unit of exponent, 711 calls.  The packed
+    # sum adds its groups by Kronecker substitution and builds each power of
+    # a denominator form once; this total is constant, so it needs none.
+    assert _cold_call_count("exact_arith._times_linear", "localization.gw_real(0, 5)") == 0
+
+
+def test_cold_genus0_run_linear_combinations():
+    # linear_combination calls of a cold gw_real(0, 5) through both
+    # bindings, localization's (the weights) and exact_arith's, counted in a
+    # fresh interpreter.  Building each weight once per argument tuple, and
+    # streaming the factored sum into integer groups, took them from 359.
+    probe = (
+        "from realgw import exact_arith, localization\n"
+        "calls = 0\n"
+        "def counting(f):\n"
+        "    def counted(*args):\n"
+        "        global calls\n"
+        "        calls += 1\n"
+        "        return f(*args)\n"
+        "    return counted\n"
+        "localization.linear_combination = counting(localization.linear_combination)\n"
+        "exact_arith.linear_combination = counting(exact_arith.linear_combination)\n"
+        "print(localization.gw_real(0, 5), calls)\n"
+    )
+    value, calls = _run_fresh(probe).stdout.split()
+    assert value == "5"
+    assert 0 < int(calls) <= 42
+
+
 def test_cold_verify_order6_lambda_product_calls():
     # lambda_product_integral calls of a cold `realgw verify --suite all
     # --order 6`, through hodge's binding.  One I2 cache entry per unordered

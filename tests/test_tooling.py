@@ -145,3 +145,31 @@ def test_import_loads_no_dataclasses_or_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_only_exact_arith_reads_factored_internals():
+    # A Factored value's packed key, integer scalar and height, a
+    # polynomial's stored numerators and denominator, and the form registry
+    # are exact_arith's own: every other module goes through the public
+    # methods, so the packing can change in one place.
+    fields = {"_key", "_num", "_den", "_height", "_ints"}
+    registry = {"_UNITS", "_FORMS", "_POWERS", "_unit", "_form_power", "_digits", "_offset"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "exact_arith.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            found += [
+                f"{path.name}:{node.lineno}:{name}"
+                for name in names
+                if name in fields or name in registry
+            ]
+    assert found == []
