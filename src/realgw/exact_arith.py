@@ -29,6 +29,12 @@ functions) is computed over this tower, so all values are exact:
   on their keys as they stream in, adds the groups by Kronecker
   substitution and builds one RationalFunction normal form by integer
   synthetic division, with no polynomial gcd.
+* :func:`power_quotient` sums integer multiples of products of powers,
+  with signed exponents, of given integer polynomials, and normalizes the
+  quotient with one polynomial gcd.  It and :func:`factored_sum` take the
+  factors out at their least exponents and build numerator and
+  denominator by one Kronecker substitution on integers,
+  :func:`_kronecker_sum`, so no table of polynomial powers is kept.
 * :class:`Series` is a truncated formal power series in ``t`` whose
   coefficients live either in the rationals or in rational functions of ``z``.
   Products pair only the nonzero coefficients, and :func:`series_pow`
@@ -546,11 +552,9 @@ _HALF = 1 << (_DIGIT_BITS - 1)
 EXPONENT_BOUND = _HALF - 1
 
 #: The process-wide form registry: the key of each form to the first power,
-#: 2^(W i) for the form of digit i, the form of each digit, and the integer
-#: coefficient lists of each digit's powers built so far.
+#: 2^(W i) for the form of digit i, and the form of each digit.
 _UNITS: dict[Form, int] = {}
 _FORMS: list[Form] = []
-_POWERS: list[list[list[int]]] = []
 
 
 def _unit(form: Form) -> int:
@@ -559,18 +563,7 @@ def _unit(form: Form) -> int:
     if unit is None:
         unit = _UNITS[form] = 1 << (_DIGIT_BITS * len(_FORMS))
         _FORMS.append(form)
-        _POWERS.append([[1]])
     return unit
-
-
-def _form_power(i: int, e: int) -> list[int]:
-    """The integer polynomial (a*z + b)^e, e >= 0, of the form of digit i,
-    built once per (form, exponent) and shared: callers do not mutate it."""
-    powers = _POWERS[i]
-    a, b = _FORMS[i]
-    while len(powers) <= e:
-        powers.append(_times_linear(powers[-1], a, b))
-    return powers[e]
 
 
 def _digits(x: int, n: int) -> list[int]:
@@ -583,14 +576,6 @@ def _offset(n: int) -> int:
     """The key with the digit 2^(W-1) at each of n digits: added to a key,
     it turns the signed digits into the ordinary base-2^W ones, shifted."""
     return _HALF * ((1 << (_DIGIT_BITS * n)) - 1) // ((1 << _DIGIT_BITS) - 1)
-
-
-def _times_linear(ints: Sequence[int], a: int, b: int) -> list[int]:
-    """The integer polynomial ints times a*z + b."""
-    out = [b * c for c in ints] + [0]
-    for k, c in enumerate(ints):
-        out[k + 1] += a * c
-    return out
 
 
 def _divide_linear(ints: Sequence[int], a: int, b: int) -> list[int] | None:
@@ -832,63 +817,90 @@ def factored_sum(values: Iterable[Factored]) -> RationalFunction:
         low = list(map(min, low, digits)) if low else digits
     low = [min(m - _HALF, 0) for m in low]
     floor = sum(m << (_DIGIT_BITS * i) for i, m in enumerate(low))
+    forms = [(b, a) for a, b in _FORMS]
     total = _kronecker_sum(
-        [(_digits(key - floor, n), acc, den) for key, (acc, den) in groups.items()]
+        forms,
+        [(_digits(key - floor, n), acc, den) for key, (acc, den) in groups.items()],
     )
     if total.is_zero():
         return RationalFunction.const(0)
-    num, den = total._ints, [1]
-    for i, m in enumerate(low):
-        if m:
-            a, b = _FORMS[i]
-            while m < 0 and (quot := _divide_linear(num, a, b)) is not None:
-                num, m = quot, m + 1
-            if m:
-                den = int_product(den, _form_power(i, -m))
+    num, left = total._ints, []
+    for (a, b), m in zip(_FORMS, low):
+        while m < 0 and (quot := _divide_linear(num, a, b)) is not None:
+            num, m = quot, m + 1
+        left.append(-m)
+    den = _kronecker_sum(forms, [(left, [1], 1)])._ints
     lead = den[-1]
     return _normal(_poly(num, total._den * lead), _poly(den, lead))
 
 
-def _kronecker_sum(parts: list[tuple[list[int], list[int], int]]) -> Polynomial:
-    """sum of acc/d * prod_i f_i^(e_i) over the parts (e, acc, d): e the
-    nonnegative exponent of each registered form f_i by digit, acc integer
-    coefficients and d > 0.
+def power_quotient(
+    factors: Sequence[Polynomial], terms: Iterable[tuple[Sequence[int], int]], den: int
+) -> RationalFunction:
+    """sum_t c_t / den * prod_k factors[k]^(e_(t,k)) over the terms (e_t, c_t)
+    as a RationalFunction in normal form, for integer polynomials as
+    factors, integer c_t, signed exponents and an integer den > 0.
+
+    Each factor is taken out at its least exponent low_k over the terms
+    with c_t != 0, or at 0 when that is positive, so the numerator
+    sum_t c_t prod_k f_k^(e_(t,k) - low_k) and the denominator
+    den * prod_k f_k^(-low_k) are integer polynomials.
+    :func:`_kronecker_sum` builds both, and the RationalFunction
+    constructor normalizes the quotient with one polynomial gcd.
+    """
+    if any(f._den != 1 for f in factors):
+        raise ValueError("power_quotient takes integer polynomials as factors")
+    ints = [f._ints for f in factors]
+    terms = [(e, c) for e, c in terms if c]
+    if not terms:
+        return RationalFunction.const(0)
+    low = [min(0, *column) for column in zip(*(e for e, _ in terms))]
+    num = _kronecker_sum(
+        ints, [([x - m for x, m in zip(e, low)], [c], 1) for e, c in terms]
+    )
+    return RationalFunction(num, _kronecker_sum(ints, [([-m for m in low], [den], 1)]))
+
+
+def _kronecker_sum(
+    factors: Sequence[Sequence[int]], parts: list[tuple[list[int], list[int], int]]
+) -> Polynomial:
+    """sum of acc/d * prod_k f_k^(e_k) over the parts (e, acc, d): f_k the
+    nonzero integer coefficient lists of ``factors``, indexed by degree, e a
+    nonnegative exponent per factor, acc integer coefficients and d > 0.
 
     By Kronecker substitution: with D the lcm of the d, the integer
     polynomial D times the sum is evaluated at z = 2^K, where each part
-    costs one product of integers with the cached values of its form powers,
-    and its coefficients are read back as the base-2^K digits of the value,
-    in [-2^(K-1), 2^(K-1)).  That is exact when no coefficient leaves that
-    range.  A coefficient of p * q is at most the sum of the absolute
-    coefficients of p (its 1-norm) times the largest of q, and 1-norms
-    multiply at most, so a part's coefficients are below (D/d) |acc|_1
-    prod_i (|a_i| + |b_i|)^(e_i) < 2^B, B the sum of the bit lengths, and
-    K = max B + bit length of the part count + 1 bounds the sum.
+    costs one product of integers with the values of its factor powers,
+    each built once per call, and its coefficients are read back as the
+    base-2^K digits of the value, in [-2^(K-1), 2^(K-1)).  That is exact
+    when no coefficient leaves that range.  A coefficient of p * q is at
+    most the sum of the absolute coefficients of p (its 1-norm) times the
+    largest of q, and 1-norms multiply at most, so a part's coefficients
+    are below (D/d) |acc|_1 prod_k |f_k|_1^(e_k) < 2^B, B the sum of the
+    bit lengths, and K = max B + bit length of the part count + 1 bounds
+    the sum.
     """
     den = math.lcm(*(d for _, _, d in parts))
-    sizes = [(abs(a) + abs(b)).bit_length() for a, b in _FORMS]
+    sizes = [sum(map(abs, f)).bit_length() for f in factors]
+    degrees = [len(f) - 1 for f in factors]
     width = degree = 0
     for exponents, acc, d in parts:
         size = sum(map(operator.mul, exponents, sizes))
         size += (den // d).bit_length() + sum(map(abs, acc)).bit_length()
         width = max(width, size)
-        degree = max(degree, len(acc) - 1 + sum(exponents))
+        degree = max(degree, len(acc) - 1 + sum(map(operator.mul, exponents, degrees)))
     width += len(parts).bit_length() + 1
     powers: dict[tuple[int, int], int] = {}
     value = 0
     for exponents, acc, d in parts:
         scale = den // d
-        for i, e in enumerate(exponents):
+        for k, e in enumerate(exponents):
             if e:
-                power = powers.get((i, e))
+                power = powers.get((k, e))
                 if power is None:
-                    a, b = _FORMS[i]
-                    power = powers[(i, e)] = ((a << width) + b) ** e
+                    power = powers[(k, e)] = _packed(factors[k], width) ** e
                 scale *= power
-        packed = 0
-        for c in reversed(acc):
-            packed = (packed << width) + c
-        value += packed * scale
+        value += _packed(acc, width) * scale
     # Shifted by 2^(K-1) at every digit, the digits are nonnegative.
     half = 1 << (width - 1)
     value += half * ((1 << (width * (degree + 1))) - 1) // ((1 << width) - 1)
@@ -898,6 +910,14 @@ def _kronecker_sum(parts: list[tuple[list[int], list[int], int]]) -> Polynomial:
         coeffs.append((value & mask) - half)
         value >>= width
     return _poly(coeffs, den)
+
+
+def _packed(ints: Sequence[int], width: int) -> int:
+    """The integer polynomial sum_i ints[i] z^i at z = 2^width."""
+    packed = 0
+    for c in reversed(ints):
+        packed = (packed << width) + c
+    return packed
 
 
 #: Coefficients of a Series: exact rationals or rational functions of z.

@@ -66,10 +66,11 @@ arguments enter through bases: each is a rational scalar times a quotient
 of primitive integer polynomials, and arguments proportional to each other
 share one base, as the Lambda arguments and edge weights of a localization
 vertex do.  A term is an integer times a product of base powers, so the
-terms are summed as integers per exponent vector over the bases, and each
-vector costs at most one product of powers from the process-wide table
-``_power``.  The polynomial sum over the common denominator of those
-powers is normalized once, so the integral costs one polynomial gcd.
+terms are summed as integers per exponent vector over the bases.  The
+sum over those vectors goes to ``exact_arith.power_quotient`` with the
+numerator and denominator of each base as two factors: it multiplies the
+powers out by Kronecker substitution, keeps no table of them, and
+normalizes once, so the integral costs one polynomial gcd.
 
 The boundary conventions (the global 1/2, ordered separating types, the sign
 (-psi')^a) are calibrated by the test suite against integral(lambda_1) = 1/24
@@ -88,12 +89,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact_arith import (
-    Polynomial,
     RatLike,
     Rational,
     RationalFunction,
     lcm_sum,
-    linear_combination,
+    power_quotient,
     reduced,
 )
 from .psi_kappa import (
@@ -335,13 +335,12 @@ def lambda_product_integral(
     between points of one base meet), then each ordering of the multiset
     onto those sums.
 
-    Cleared of negative exponents by the common denominator
-    prod_b P_b^(-lo_b) Q_b^(hi_b), lo_b and hi_b the least and greatest e_b
-    or 0, every term is a product of base powers, all taken from the
-    process-wide table ``_power``; ``_power_sum`` nests the sum by exponent,
-    so each distinct prefix of an exponent vector costs one product.  Only
-    the quotient by that denominator times K L is normalized, so the whole
-    integral costs one polynomial gcd.
+    The sums per exponent vector, over K L, go to
+    ``exact_arith.power_quotient`` with the factors P_b and Q_b of each base
+    and the exponents e_b and -e_b.  It clears the negative exponents by the
+    common denominator prod_b P_b^(-lo_b) Q_b^(hi_b), lo_b and hi_b the
+    least and greatest e_b or 0, and normalizes only the quotient, so the
+    whole integral costs one polynomial gcd.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -407,57 +406,17 @@ def lambda_product_integral(
                 c *= m
             for k, v in inner.items():
                 sums[key + k] = sums.get(key + k, 0) + c * v
-    totals = [(key, total) for key, total in sums.items() if total]
-    if not totals:
-        return RationalFunction.const(0)
-    exponents = []
-    for key, _ in totals:
-        digits = []
+    # Base b = P_b/Q_b enters as the two factors P_b and Q_b, with the
+    # exponents e_b and -e_b.
+    terms = []
+    for key, total in sums.items():
+        exponents = []
         for _ in bases:
             key, digit = divmod(key, radix)
-            digits.append(digit - shift)
-        exponents.append(digits)
-    # Cleared of negative exponents, a term carries P_b^(e_b - lo_b) and
-    # Q_b^(hi_b - e_b) per base b; the common denominator carries
-    # P_b^(-lo_b) Q_b^(hi_b).  A Q_b of 1 is left out.
-    factors, columns, cleared = [], [], []
-    for (p, q), column in zip(bases, zip(*exponents)):
-        lo, hi = min(0, *column), max(0, *column)
-        factors.append(p)
-        columns.append([e - lo for e in column])
-        cleared.append(-lo)
-        if q.degree > 0:
-            factors.append(q)
-            columns.append([hi - e for e in column])
-            cleared.append(hi)
-    terms = [
-        (tuple(column[t] for column in columns), total)
-        for t, (_, total) in enumerate(totals)
-    ]
-    denominator = _power_sum(factors, [(tuple(cleared), scale * den)])
-    return RationalFunction(_power_sum(factors, terms), denominator)
-
-
-def _power_sum(factors: list[Polynomial], terms: list) -> Polynomial:
-    """sum_t c_t * prod_k factors[k]^(a_(t,k)) over the terms (a_t, c_t),
-    integer c_t, nested by the exponent of the first factor: each distinct
-    prefix of exponents costs one product, and the powers of the last
-    factor enter a linear combination."""
-    if not factors:
-        return Polynomial.const(sum(c for _, c in terms))
-    base, rest = factors[0], factors[1:]
-    groups: dict[int, list] = {}
-    for vector, c in terms:
-        groups.setdefault(vector[0], []).append((vector[1:], c))
-    if not rest:
-        return linear_combination(
-            (c, _power(base, a)) for a, group in groups.items() for _, c in group
-        )
-    parts = []
-    for a, group in groups.items():
-        inner = _power_sum(rest, group)
-        parts.append((1, inner * _power(base, a) if a else inner))
-    return linear_combination(parts)
+            exponents += (digit - shift, shift - digit)
+        terms.append((exponents, total))
+    factors = [f for base in bases for f in base]
+    return power_quotient(factors, terms, scale * den)
 
 
 @lru_cache(maxsize=None)
@@ -470,16 +429,6 @@ def _scaled_base(value: RationalFunction) -> tuple[int, int, tuple | None]:
     c = c_num / c_den
     base = (p, q) if p.degree > 0 or q.degree > 0 else None
     return c.numerator, c.denominator, base
-
-
-@lru_cache(maxsize=None)
-def _power(base: Polynomial, k: int) -> Polynomial:
-    """base^k, every power of every base built once per process."""
-    if k == 0:
-        return Polynomial.const(1)
-    if k == 1:
-        return base
-    return _power(base, k - 1) * base
 
 
 @lru_cache(maxsize=None)
@@ -612,15 +561,15 @@ def alpha_coeff(gp: int) -> Rational:
 
 def clear_caches() -> None:
     """Drop all memoized values, the psi-kappa layer's included (used by
-    tests that measure determinism).  The memo dicts are cleared in place, so
-    references held elsewhere stay valid."""
+    tests that measure determinism): the memos, the shape rows, the scaled
+    bases, the alpha coefficients and the I1 and I2 caches.  The memo dicts
+    are cleared in place, so references held elsewhere stay valid."""
     _hodge_memo.clear()
     _ch_memo.clear()
     _psi_memo.clear()
     _kappa_memo.clear()
     _lambda_rows.cache_clear()
     _scaled_base.cache_clear()
-    _power.cache_clear()
     alpha_coeff.cache_clear()
     I1.cache_clear()
     I2.cache_clear()

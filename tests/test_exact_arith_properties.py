@@ -4,8 +4,10 @@ The ring and field axioms hold exactly, and the RationalFunction normal form
 is unique: equal values have equal ``num`` and ``den``.  Sums in any order
 therefore agree field by field, so the factored class sum of
 ``localization.gw_real`` can be compared with any rational-function sum.
-Products, powers, splits and sums of Factored values agree with the same
-RationalFunction arithmetic, and so does their gcd-free normal form.  The integer-backed Polynomial is checked
+Products, powers, splits and sums of Factored values, their gcd-free
+normal form and ``power_quotient`` agree with the same RationalFunction
+arithmetic, and the Kronecker substitution under the last two reads back
+every coefficient.  The integer-backed Polynomial is checked
 coefficient by coefficient against a reference kept here: a tuple of
 Fractions with schoolbook division and the plain Euclidean gcd.  Division
 itself is checked on the integer pseudo-division that the gcd and the
@@ -24,13 +26,13 @@ from realgw.exact_arith import (
     Factored,
     Polynomial,
     RationalFunction,
-    _FORMS,
     _divide_linear,
     _kronecker_sum,
     _pseudo_divmod,
     factored_sum,
     linear_combination,
     poly_gcd,
+    power_quotient,
 )
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
@@ -663,47 +665,85 @@ def test_exponents_past_the_bound_raise():
             step()
 
 
-def _kronecker_reference(parts):
-    """sum of acc/d * prod_i f_i^(e_i) by Polynomial arithmetic."""
+def _kronecker_reference(factors, parts):
+    """sum of acc/d * prod_k f_k^(e_k) by Polynomial arithmetic."""
     total = Polynomial()
     for exponents, acc, d in parts:
         term = Polynomial(acc) * Polynomial.const(Fraction(1, d))
-        for (a, b), e in zip(_FORMS, exponents):
-            term = term * Polynomial((b, a)) ** e
+        for f, e in zip(factors, exponents):
+            term = term * Polynomial(f) ** e
         total = total + term
     return total
 
 
-def _registered_parts(parts):
-    """The parts with their exponents over FORMS spread to every digit of
-    the registry, in which FORMS are registered first if they are new."""
-    digit = {}
-    for form in FORMS:
-        Factored.weight(Polynomial((form[1], form[0])))
-        digit[form] = _FORMS.index(form)
-    out = []
-    for exponents, acc, d in parts:
-        spread = [0] * len(_FORMS)
-        for form, e in zip(FORMS, exponents):
-            spread[digit[form]] = e
-        out.append((spread, acc, d))
-    return out
+def integer_factors(coefficients):
+    """Integer factors as coefficient lists indexed by degree: degree 0-3
+    with coefficients drawn from ``coefficients``, or a form a*z + b of
+    FORMS as (b, a)."""
+    return st.one_of(
+        st.lists(st.sampled_from(coefficients), min_size=1, max_size=4).filter(
+            lambda f: f[-1]
+        ),
+        st.sampled_from(FORMS).map(lambda form: [form[1], form[0]]),
+    )
 
 
-kronecker_parts = st.tuples(
-    st.lists(st.integers(0, 3), max_size=4),
-    st.lists(st.sampled_from([0, 1, -1, 7, 2**40 - 1, -(2**40) + 1]), max_size=4),
-    st.integers(1, 6),
-)
+LARGE = [0, 1, -1, 7, 2**40 - 1, -(2**40) + 1]
+
+
+@st.composite
+def kronecker_inputs(draw):
+    """Factors and parts (e, acc, d) with one exponent 0-3 per factor."""
+    factors = draw(st.lists(integer_factors(LARGE), max_size=4))
+    n = len(factors)
+    part = st.tuples(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.sampled_from(LARGE), max_size=4),
+        st.integers(1, 6),
+    )
+    return factors, draw(st.lists(part, min_size=1, max_size=6))
 
 
 @exact
-@given(st.lists(kronecker_parts, min_size=1, max_size=6))
-@example([((), [2**20 - 1], 1)] * 4)
-@example([((1, 2), [-(2**40) + 1, 2**40 - 1], 3)] * 5)
-def test_kronecker_sum_reads_back_every_coefficient(parts):
+@given(kronecker_inputs())
+@example(([], [([], [2**20 - 1], 1)] * 4))
+@example(([[0, 1], [1, 1]], [([1, 2], [-(2**40) + 1, 2**40 - 1], 3)] * 5))
+@example(([[2**40 - 1] * 4], [([3], [1], 1)]))
+def test_kronecker_sum_reads_back_every_coefficient(inputs):
     # The evaluation point 2^K must hold every coefficient of the sum, also
     # when equal parts with the largest coefficients add up: the bit length
-    # of the part count is part of K.
-    parts = _registered_parts(parts)
-    assert _kronecker_sum(parts) == _kronecker_reference(parts)
+    # of the part count is part of K.  A power of a dense factor has
+    # coefficients above the power of its largest one, so K takes the
+    # factor's 1-norm.
+    factors, parts = inputs
+    assert _kronecker_sum(factors, parts) == _kronecker_reference(factors, parts)
+
+
+@st.composite
+def power_quotient_inputs(draw):
+    """Integer polynomial factors and terms (e, c) with one signed exponent
+    per factor."""
+    factors = draw(st.lists(integer_factors(range(-6, 7)), max_size=3))
+    n = len(factors)
+    term = st.tuples(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), st.integers(-50, 50)
+    )
+    return [Polynomial(f) for f in factors], draw(st.lists(term, max_size=5))
+
+
+@exact
+@given(power_quotient_inputs(), st.integers(1, 12))
+def test_power_quotient_matches_rational_function_sum(inputs, den):
+    factors, terms = inputs
+    want = RationalFunction.const(0)
+    for exponents, c in terms:
+        term = RationalFunction.const(Fraction(c, den))
+        for f, e in zip(factors, exponents):
+            term = term * RationalFunction(f) ** e
+        want = want + term
+    assert fields(power_quotient(factors, terms, den)) == fields(want)
+
+
+def test_power_quotient_takes_integer_factors_only():
+    with pytest.raises(ValueError):
+        power_quotient([Polynomial((Fraction(1, 2), 1))], [((1,), 1)], 1)

@@ -1,5 +1,6 @@
 """Tests for the GW <-> enumerative transforms and table IO."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -233,6 +234,86 @@ def test_bundled_spot_values():
     assert t2e.entries[(5, 8)] == -40
     t2gw = bundled_table(2, "GW")
     assert t2gw.entries[(2, 3)] == Fraction(-5, 24)
+
+
+def _p3_genus0(max_degree):
+    """Genus-0 invariants N[d, b] = <(H^2)^a (H^3)^b>_(0,d) of P^3, lines
+    and points, a = 4d - 2b, for d <= max_degree, by the WDVV equations
+    (Kontsevich and Manin, 1994).
+
+    With T_e = H^e, the potential is the classical cubic, whose third
+    derivatives are Phi_ijk = [i + j + k = 3], plus
+    Gamma = sum N_d(a, b) t2^a t3^b / (a! b!) e^(d t1), so a derivative by t1
+    gives a factor d, by t2 or t3 shifts a or b, and one by t0 gives 0.
+    WDVV reads sum_e Phi_ije Phi_(3-e)kl = sum_e Phi_ike Phi_(3-e)jl with
+    the metric g^(ef) = [e + f = 3].  Its terms of one classical and one
+    Gamma factor are Gamma_((i+j)kl) + Gamma_(ij(k+l)), an index above 3
+    giving none, so the index tuples (1,1,2,2) and (1,1,2,3) read, at the
+    coefficient of e^(d t1) t2^A t3^B / (A! B!),
+
+        N_d(A+3, B) - 2d N_d(A+1, B+1) + w1 = 0,
+        N_d(A+2, B+1) - d N_d(A, B+2) + w2 = 0,
+
+    w1 and w2 the products of two Gamma factors, of lower degrees.  So with
+    x(b) = N_d(4d - 2b, b): x(b) - 2d x(b+1) = -w1 for b <= 2d - 2 and
+    x(b) - d x(b+1) = -w2 for 1 <= b <= 2d - 1.  Both together give
+    x(2) .. x(2d-1); then the second gives x(2d) from x(2d-1), seeded by
+    one line through two points at d = 1, and x(1), and the first x(0).
+    """
+    N = {}
+
+    def gamma(idx, d, a, b):
+        # The coefficient of e^(d t1) t2^a t3^b / (a! b!) in Gamma_idx.
+        a, b = a + idx.count(2), b + idx.count(3)
+        if 0 in idx or a < 0 or a + 2 * b != 4 * d:
+            return 0
+        return d ** idx.count(1) * N[d, b]
+
+    def products(i, j, k, l, d, a, b):
+        # sum_e Gamma_ije Gamma_(3-e)kl at (d, a, b), both degrees positive.
+        total = 0
+        for d1 in range(1, d):
+            for b1 in range(b + 1):
+                for e in range(4):
+                    left = (i, j, e)
+                    a1 = 4 * d1 - 2 * (b1 + left.count(3)) - left.count(2)
+                    if 0 <= a1 <= a:
+                        total += (
+                            math.comb(a, a1)
+                            * math.comb(b, b1)
+                            * gamma(left, d1, a1, b1)
+                            * gamma((3 - e, k, l), d - d1, a - a1, b - b1)
+                        )
+        return total
+
+    def w1(d, b):
+        a = 4 * d - 2 * b - 3
+        return products(1, 1, 2, 2, d, a, b) - products(1, 2, 1, 2, d, a, b)
+
+    def w2(d, b):
+        a = 4 * d - 2 * b - 2
+        return products(1, 1, 2, 3, d, a, b - 1) - products(1, 2, 1, 3, d, a, b - 1)
+
+    for d in range(1, max_degree + 1):
+        for b in range(1, 2 * d - 1):
+            N[d, b + 1] = Fraction(w1(d, b) - w2(d, b), d)
+        N[d, 2 * d] = 1 if d == 1 else (N[d, 2 * d - 1] + w2(d, 2 * d - 1)) / d
+        N[d, 1] = d * N[d, 2] - w2(d, 1)
+        N[d, 0] = 2 * d * N[d, 1] - w1(d, 0)
+    return N
+
+
+def test_bundled_complex_genus0_row_by_wdvv():
+    # An oracle that shares no code with the package: the bundled complex
+    # genus-0 row counts rational curves through 2d points, and WDVV gives
+    # it from one seed.  The counts of curves meeting 4d lines come out on
+    # the way: 2 lines, 92 conics, 80,160 twisted cubics.
+    N = _p3_genus0(8)
+    assert all(v.denominator == 1 for v in N.values())
+    row = [1, 0, 1, 4, 105, 2576, 122129, 7397760]
+    assert [N[d, 2 * d] for d in range(1, 9)] == row
+    assert [bundled_table(1, "GW").value(0, d) for d in range(1, 9)] == row
+    assert (N[1, 0], N[2, 0], N[3, 0]) == (2, 92, 80160)
 
 
 # -- encoding ---------------------------------------------------------------------

@@ -1027,13 +1027,23 @@ def test_cold_genus0_run_makes_no_lambda_product_calls():
     assert _cold_call_count("localization.lambda_product_integral", call) == 0
 
 
-def test_cold_genus0_class_sum_makes_no_per_unit_form_products():
-    # _times_linear calls of a cold gw_real(0, 5), counted in a fresh
-    # interpreter.  The parent multiplied every group of the factored sum
-    # out by one linear form per unit of exponent, 711 calls.  The packed
-    # sum adds its groups by Kronecker substitution and builds each power of
-    # a denominator form once; this total is constant, so it needs none.
-    assert _cold_call_count("exact_arith._times_linear", "localization.gw_real(0, 5)") == 0
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        ("cli.main(['gw', '--genus', '4', '--degree', '3'])", 6),
+        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 1187),
+        ("localization.gw_real(0, 5)", 10),
+    ],
+    ids=["gw-4-3", "verify-order6", "gw-real-0-5"],
+)
+def test_cold_run_polynomial_product_count(call, bound):
+    # Polynomial.__mul__ calls of a cold run, counted in a fresh interpreter.
+    # The Lambda integral and the factored class sum multiply their factor
+    # powers out by one Kronecker substitution on integers, with no power
+    # table of polynomials: that took the first two from 84 and 1,298.  The
+    # factored class sum of gw_real(0, 5) makes none; its 10 multiply the
+    # polynomial parts of two Factored count-vector terms.
+    assert 0 < _cold_call_count("exact_arith.Polynomial.__mul__", call) <= bound
 
 
 def test_cold_genus0_run_linear_combinations():
@@ -1082,7 +1092,8 @@ def test_cold_run_polynomial_products():
     # Polynomial.__mul__ calls of a cold gw_real(4, 5), counted in a fresh
     # interpreter.  Assembling the Lambda-product integrals over shared bases
     # with one process-wide power table took them from 25,926; the closed
-    # genus-0 vertex factor, built on integer coefficient lists, from 1,486.
+    # genus-0 vertex factor, built on integer coefficient lists, from 1,486;
+    # multiplying the base powers out by Kronecker substitution, from 1,385.
     probe = (
         "from realgw import exact_arith, localization\n"
         "calls = 0\n"
@@ -1097,7 +1108,7 @@ def test_cold_run_polynomial_products():
     done = _run_fresh(probe)
     value, calls = done.stdout.split()
     assert value == "43/128"
-    assert 0 < int(calls) <= 1385
+    assert 0 < int(calls) <= 412
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,26 @@ def test_one_expansion_step_for_the_memoized_layers():
     }
 
 
+def test_one_power_sum_for_the_lambda_integral_and_the_class_sum():
+    # Taking factors out at their least exponents and multiplying their
+    # powers out is written once, in exact_arith: the Lambda integral goes
+    # through power_quotient, and hodge keeps no polynomial arithmetic of
+    # its own.
+    assert _callers("_kronecker_sum") == {
+        ("exact_arith.py", "factored_sum"),
+        ("exact_arith.py", "power_quotient"),
+    }
+    tree = ast.parse((SRC / "hodge.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "power_quotient" in imported
+    assert imported & {"Polynomial", "linear_combination"} == set()
+
+
 def test_tracer_boundaries_resolve():
     # bench/tracer.py wraps these functions and reads these memos by name,
     # so deleting or renaming one breaks `bench/run.py --trace 1`.  The file
@@ -153,7 +173,7 @@ def test_only_exact_arith_reads_factored_internals():
     # are exact_arith's own: every other module goes through the public
     # methods, so the packing can change in one place.
     fields = {"_key", "_num", "_den", "_height", "_ints"}
-    registry = {"_UNITS", "_FORMS", "_POWERS", "_unit", "_form_power", "_digits", "_offset"}
+    registry = {"_UNITS", "_FORMS", "_unit", "_digits", "_offset"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "exact_arith.py":
