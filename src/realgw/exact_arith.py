@@ -27,8 +27,8 @@ functions) is computed over this tower, so all values are exact:
   2^31 - 1, so no key carries from one digit into the next.  Products add
   keys and multiply integer pairs.  :func:`factored_sum` groups many values
   on their keys as they stream in, adds the groups by Kronecker
-  substitution and builds one RationalFunction normal form by integer
-  synthetic division, with no polynomial gcd.
+  substitution and builds one RationalFunction normal form by exact
+  division, with no polynomial gcd.
 * :func:`power_quotient` sums integer multiples of products of powers,
   with signed exponents, of given integer polynomials, and normalizes the
   quotient with one polynomial gcd.  It and :func:`factored_sum` take the
@@ -46,11 +46,16 @@ functions) is computed over this tower, so all values are exact:
 Scalars are ``int`` or ``Fraction``; a float anywhere is a TypeError.  Degrees
 stay small in the target computations (below ~40), hence the dense
 representation.  Polynomial arithmetic runs on Python integers: sums and
-products work on the numerators and reduce by one integer gcd, and the gcd
-and the exact division by it share one integer pseudo-division.  ``lcm_sum``
-and ``linear_combination`` sum scalar and polynomial terms as integer
-numerators over a running lcm denominator, and ``reduced`` brings an integer
-pair num/den to lowest terms.  Only this module reads a
+products work on the numerators and reduce by one integer gcd.  The
+polynomial gcd and every exact division share one integer pseudo-division
+(Knuth, TAOCP vol. 2, 4.6.1): :func:`_divide_out` divides by a primitive
+integer polynomial, which by Gauss's lemma divides exactly when
+pseudo-division leaves no remainder, with an integer quotient.  It serves
+the RationalFunction constructor, ``Factored.split`` and
+:func:`factored_sum`.  ``lcm_sum`` and ``linear_combination``, which
+``Polynomial`` ``+`` and ``-`` call, sum scalar and polynomial terms as
+integer numerators over a running lcm denominator, and ``reduced`` brings
+an integer pair num/den to lowest terms.  Only this module reads a
 polynomial's stored numerators and denominator, a Factored value's key and
 integer scalar, or the form registry.
 """
@@ -214,6 +219,25 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list, list, int]
     return quot, rem, s
 
 
+def _divide_out(
+    ints: Sequence[int], divisor: Sequence[int], most: int
+) -> tuple[Sequence[int], int]:
+    """(quotient, times): the nonzero integer polynomial ints divided by the
+    primitive integer polynomial divisor as often as it divides exactly, at
+    most ``most`` times.  By Gauss's lemma a primitive divisor divides an
+    integer polynomial over the rationals exactly when pseudo-division leaves
+    no remainder, and then the quotient q has integer coefficients: each
+    step's leading coefficient is q_k times that of the divisor, so
+    pseudo-division never scales and its quotient is q."""
+    times = 0
+    while times < most:
+        quot, rem, _ = _pseudo_divmod(ints, divisor)
+        if rem:
+            break
+        ints, times = quot, times + 1
+    return ints, times
+
+
 class Polynomial(_HashedOnce):
     """Dense univariate polynomial in ``z`` with rational coefficients.
 
@@ -271,20 +295,13 @@ class Polynomial(_HashedOnce):
         return Fraction(g, self._den), _poly([c // g for c in ints])
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        den = math.lcm(self._den, other._den)
-        a = [c * (den // self._den) for c in self._ints]
-        b = [c * (den // other._den) for c in other._ints]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return _poly(a, den)
+        return linear_combination(((1, self), (1, other)))
 
     def __neg__(self) -> "Polynomial":
         return _poly((-c for c in self._ints), self._den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return linear_combination(((1, self), (-1, other)))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return _poly(int_product(self._ints, other._ints), self._den * other._den)
@@ -398,8 +415,9 @@ class RationalFunction(_HashedOnce):
     constructor takes polynomials or ``int``/``Fraction`` scalars and builds
     the form in one pass: num/den = (N d)/(D n) on the integer numerators N, D
     over n, d; the primitive gcd G from :func:`poly_gcd` divides N and D
-    exactly over the integers (Gauss's lemma); the leading integer of D/G is
-    folded into both sides.  A constant side skips the gcd: nothing can
+    exactly over the integers (Gauss's lemma), by :func:`_divide_out`, and a
+    remainder on either side raises ArithmeticError; the leading integer of
+    D/G is folded into both sides.  A constant side skips the gcd: nothing can
     cancel.  ``const``, ``z``, negation, ``**`` and the sums and products
     named in the module docstring are normal by construction and store their
     result without one.
@@ -426,9 +444,12 @@ class RationalFunction(_HashedOnce):
                 # Looked up as a module global, so a tracer can count the calls.
                 gcd = poly_gcd(num, den)._ints
                 if len(gcd) > 1:
-                    q, _, s = _pseudo_divmod(top, gcd)
-                    r, _, t = _pseudo_divmod(bottom, gcd)
-                    top, bottom = [c // s for c in q], [c // t for c in r]
+                    top, i = _divide_out(top, gcd, 1)
+                    bottom, j = _divide_out(bottom, gcd, 1)
+                    if i + j < 2:
+                        raise ArithmeticError(
+                            f"gcd {_poly(gcd)} leaves a remainder in ({num}) / ({den})"
+                        )
             num, den = _monic(top, num._den, bottom, den._den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -578,23 +599,6 @@ def _offset(n: int) -> int:
     return _HALF * ((1 << (_DIGIT_BITS * n)) - 1) // ((1 << _DIGIT_BITS) - 1)
 
 
-def _divide_linear(ints: Sequence[int], a: int, b: int) -> list[int] | None:
-    """ints / (a*z + b) by integer synthetic division, or None when the form
-    does not divide.  The form is primitive, so by Gauss's lemma a quotient
-    over the rationals has integer coefficients and every step is exact."""
-    n = len(ints) - 1
-    if n < 1:
-        return None
-    quot = [0] * n
-    carry = ints[n]
-    for k in range(n - 1, -1, -1):
-        quot[k], r = divmod(carry, a)
-        if r:
-            return None
-        carry = ints[k] - b * quot[k]
-    return None if carry else quot
-
-
 def _bounded(height: int) -> int:
     """height, or ArithmeticError when it passes EXPONENT_BOUND."""
     if height > EXPONENT_BOUND:
@@ -634,8 +638,11 @@ class Factored:
     Only values with no rest can be inverted.  Values are built by
     :meth:`const`, :meth:`polynomial`, from a weight of degree at most 1 by
     :meth:`weight`, and from a RationalFunction whose denominator splits over
-    given forms by :meth:`split`.  :func:`factored_sum` adds them and returns
-    the RationalFunction normal form; a single value converts the same way.
+    given forms by :meth:`split`, which divides the forms out by exact
+    pseudo-division: a primitive form leaves an integer quotient (Gauss's
+    lemma), see :func:`_divide_out`.  :func:`factored_sum` adds them and
+    returns the RationalFunction normal form; a single value converts the
+    same way.
     Values are immutable and compare by identity: compare their rational
     functions.
     """
@@ -678,23 +685,19 @@ class Factored:
             raise ValueError(f"weight {value} is not of degree at most 1")
         if value.degree <= 0:
             return Factored.const(value._ints[0] if value._ints else 0, value._den)
-        b, a = value._ints
-        g = math.gcd(a, b)
-        if a < 0:
-            g = -g
-        num, den = reduced(g, value._den)
-        return Factored(num, den, None, _unit((a // g, b // g)), 1)
+        content, form = value.primitive()
+        b, a = form._ints
+        return Factored(content.numerator, content.denominator, None, _unit((a, b)), 1)
 
     @staticmethod
     def split(value: RationalFunction, forms: Iterable[Form]) -> "Factored":
         """value with its denominator divided out over the given forms, each
-        as often as it divides; ArithmeticError when something else is left."""
+        as often as it divides exactly, at most its degree times, by
+        :func:`_divide_out`; ArithmeticError when something else is left."""
         den = value.den._ints
         key = height = 0
         for a, b in dict.fromkeys(forms):
-            count = 0
-            while (quot := _divide_linear(den, a, b)) is not None:
-                den, count = quot, count + 1
+            den, count = _divide_out(den, (b, a), len(den) - 1)
             if count:
                 key -= count * _unit((a, b))
                 height = max(height, _bounded(count))
@@ -793,9 +796,11 @@ def factored_sum(values: Iterable[Factored]) -> RationalFunction:
     key lacks the form) is taken out at that exponent, and every group is
     left with a polynomial times powers of forms.  :func:`_kronecker_sum` adds
     those.  The forms taken out make the denominator: each is divided out of
-    the numerator by synthetic division as often as it goes, so what is left
-    is coprime, and the leading integer of the denominator is folded into
-    both sides, as the RationalFunction constructor does.
+    the numerator as often as it divides exactly, at most its exponent in the
+    denominator times, by :func:`_divide_out`'s pseudo-division (a primitive
+    form leaves an integer quotient, by Gauss's lemma), so what is left is
+    coprime, and :func:`_monic` folds the leading integer of the denominator
+    into both sides, as the RationalFunction constructor does.
     """
     groups: dict[int, list] = {}
     for v in values:
@@ -825,13 +830,11 @@ def factored_sum(values: Iterable[Factored]) -> RationalFunction:
     if total.is_zero():
         return RationalFunction.const(0)
     num, left = total._ints, []
-    for (a, b), m in zip(_FORMS, low):
-        while m < 0 and (quot := _divide_linear(num, a, b)) is not None:
-            num, m = quot, m + 1
-        left.append(-m)
+    for form, m in zip(forms, low):
+        num, times = _divide_out(num, form, -m)
+        left.append(-m - times)
     den = _kronecker_sum(forms, [(left, [1], 1)])._ints
-    lead = den[-1]
-    return _normal(_poly(num, total._den * lead), _poly(den, lead))
+    return _normal(*_monic(num, total._den, den, 1))
 
 
 def power_quotient(

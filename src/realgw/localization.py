@@ -78,8 +78,9 @@ cancel without a polynomial gcd.  The terms of all classes stream into
 distinct exponent vectors, not the terms: each form comes out at its least
 exponent, each group is one integer linear combination, the groups are added
 by Kronecker substitution, and the normal form of the total is built by
-synthetic division.  The normal form is unique, so the total is the one any
-order of rational-function additions gives.
+exact pseudo-division, which a primitive form passes with an integer
+quotient (Gauss's lemma).  The normal form is unique, so the total is the
+one any order of rational-function additions gives.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from realgw import exact_arith
 from realgw.exact_arith import (
     Polynomial,
     RationalFunction,
@@ -313,6 +314,20 @@ def test_ratfunc_cancellation_to_normal_form():
     f = RationalFunction(z * z - one, z - one)
     assert f == RationalFunction(z + one)
     assert f.den.degree == 0
+
+
+@pytest.mark.parametrize(
+    "num_root, den_root", [(1, 1), (5, 1), (1, 5)], ids=["neither", "num", "den"]
+)
+def test_ratfunc_rejects_a_gcd_that_leaves_a_remainder(monkeypatch, num_root, den_root):
+    # The constructor divides both sides by the gcd exactly: a gcd that
+    # leaves a remainder on either side raises instead of being dropped.
+    z = Polynomial.variable()
+    num = (z + Polynomial.const(num_root)) * (z + Polynomial.const(2))
+    den = (z + Polynomial.const(den_root)) * (z + Polynomial.const(3))
+    monkeypatch.setattr(exact_arith, "poly_gcd", lambda a, b: z + Polynomial.const(5))
+    with pytest.raises(ArithmeticError, match="leaves a remainder"):
+        RationalFunction(num, den)
 
 
 def test_ratfunc_eval():

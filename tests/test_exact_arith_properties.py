@@ -10,9 +10,10 @@ arithmetic, and the Kronecker substitution under the last two reads back
 every coefficient.  The integer-backed Polynomial is checked
 coefficient by coefficient against a reference kept here: a tuple of
 Fractions with schoolbook division and the plain Euclidean gcd.  Division
-itself is checked on the integer pseudo-division that the gcd and the
-RationalFunction constructor share.  Degrees and example counts are kept
-small so the whole module runs in a few seconds.
+itself is checked on the integer pseudo-division that the gcd and every
+exact division share, and ``_divide_out`` against repeated synthetic
+division by a linear form, kept here as a reference.  Degrees and example
+counts are kept small so the whole module runs in a few seconds.
 """
 
 import math
@@ -26,7 +27,7 @@ from realgw.exact_arith import (
     Factored,
     Polynomial,
     RationalFunction,
-    _divide_linear,
+    _divide_out,
     _kronecker_sum,
     _pseudo_divmod,
     factored_sum,
@@ -164,6 +165,18 @@ def test_division_and_gcd_match_fraction_reference(a, b, common):
     assert (scaled(q, s).coeffs, scaled(r, s).coeffs) == (rq.coeffs, rr.coeffs)
     assert poly_gcd(pa, pb).coeffs == fraction_gcd(ra, rb).coeffs
     assert poly_gcd(pb, pa).coeffs == fraction_gcd(rb, ra).coeffs
+
+
+@exact
+@given(polys, polys, polys)
+def test_gcd_numerators_are_primitive_with_positive_lead(a, b, common):
+    # The RationalFunction constructor divides by these numerators with
+    # _divide_out, which is exact only for a primitive divisor.
+    a, b = a * common, b * common
+    if a.degree < 1 or b.degree < 1:
+        return
+    ints = poly_gcd(a, b)._ints
+    assert math.gcd(*ints) == 1 and ints[-1] > 0
 
 
 @exact
@@ -454,6 +467,22 @@ def test_weight_takes_polynomials_of_degree_at_most_one(coeffs):
 # -- Packed keys against the dict-based Factored they replaced --------------
 
 
+def synthetic_divide(ints, a, b):
+    """Reference: ints / (a*z + b) by integer synthetic division, or None
+    when the primitive form does not divide."""
+    n = len(ints) - 1
+    if n < 1:
+        return None
+    quot = [0] * n
+    carry = ints[n]
+    for k in range(n - 1, -1, -1):
+        quot[k], r = divmod(carry, a)
+        if r:
+            return None
+        carry = ints[k] - b * quot[k]
+    return None if carry else quot
+
+
 class DictFactored:
     """Reference: a Factored value stored as a Fraction scalar, an optional
     Polynomial rest and a dict from forms to exponents, as it was before the
@@ -489,7 +518,7 @@ class DictFactored:
         den = value.den._ints
         exponents = {}
         for a, b in dict.fromkeys(forms):
-            while (quot := _divide_linear(den, a, b)) is not None:
+            while (quot := synthetic_divide(den, a, b)) is not None:
                 den = quot
                 exponents[(a, b)] = exponents.get((a, b), 0) - 1
         if len(den) != 1:
@@ -562,7 +591,7 @@ def dict_factored_sum(values):
     for (a, b), m in zip(forms, low):
         for _ in range(m):
             num = _times_form(num, a, b)
-        while m < 0 and (quot := _divide_linear(num, a, b)) is not None:
+        while m < 0 and (quot := synthetic_divide(num, a, b)) is not None:
             num, m = quot, m + 1
         for _ in range(-m):
             den = den * Polynomial((b, a))
@@ -574,6 +603,34 @@ FORMS = [
     (1, 0), (1, 1), (1, -1), (2, 1), (1, 2), (3, -1), (2, -3),
     (1, -2), (3, 2), (4, 1), (5, -2), (1, 3), (2, 5),
 ]
+
+
+@exact
+@example([1, 1], (1, 1), 0, 3)
+@example([5, 0, 0, 1], (2, 5), 3, 1)
+@given(
+    st.lists(st.integers(-6, 6), max_size=3).map(lambda c: c + [1])
+    | st.lists(st.integers(-6, 6), max_size=3).flatmap(
+        lambda c: st.integers(-5, 5).filter(bool).map(lambda lead: c + [lead])
+    ),
+    st.sampled_from(FORMS),
+    st.integers(0, 3),
+    st.integers(0, 4),
+)
+def test_divide_out_matches_repeated_synthetic_division(base, form, power, most):
+    # base * form^power is divisible at least power times; base itself may
+    # or may not be divisible.  _divide_out stops at the first remainder or
+    # after ``most`` divisions, as repeated synthetic division does.
+    a, b = form
+    ints = base
+    for _ in range(power):
+        ints = _times_form(ints, a, b)
+    quot, times = list(ints), 0
+    while times < most and (step := synthetic_divide(quot, a, b)) is not None:
+        quot, times = step, times + 1
+    got, got_times = _divide_out(ints, (b, a), most)
+    assert (list(got), got_times) == (quot, times)
+    assert got_times >= min(power, most)
 
 
 @st.composite

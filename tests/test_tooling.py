@@ -116,6 +116,26 @@ def test_one_power_sum_for_the_lambda_integral_and_the_class_sum():
     assert imported & {"Polynomial", "linear_combination"} == set()
 
 
+def test_one_exact_division_in_exact_arith():
+    # Dividing a polynomial exactly is written once, in _divide_out on the
+    # pseudo-division that the gcd also uses; no other division is left.
+    assert _callers("_pseudo_divmod") == {
+        ("exact_arith.py", "poly_gcd"),
+        ("exact_arith.py", "_divide_out"),
+    }
+    assert _callers("_divide_out") == {
+        ("exact_arith.py", "__init__"),
+        ("exact_arith.py", "split"),
+        ("exact_arith.py", "factored_sum"),
+    }
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "_divide_linear" in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
+
+
 def test_tracer_boundaries_resolve():
     # bench/tracer.py wraps these functions and reads these memos by name,
     # so deleting or renaming one breaks `bench/run.py --trace 1`.  The file
