@@ -14,7 +14,6 @@ from .exact_arith import (
     Series,
     poly_gcd,
     series_exp,
-    series_log,
     series_pow,
     series_sinc,
 )

@@ -13,84 +13,39 @@ Subcommands:
 All rationals print in lowest terms as ``p/q`` (or a bare integer), matching
 the bundled table encoding; identical invocations produce identical bytes.
 
+``COMMANDS`` is the one table of commands and options; ``parse_args`` reads
+``argv`` against it and the help text is built from it.  The grammar is
+``realgw COMMAND [--opt VALUE | --opt=VALUE ...]``:
+
+* the token after an option is its value, even when it starts with ``-``
+  (so ``--genus -1`` reaches the range check), and a repeated option keeps
+  its last value;
+* ``--psi`` and ``--lambda`` take comma-separated integers; with no value
+  (at the end of ``argv`` or before a token starting with ``--``) or with
+  an empty one they give the empty list;
+* ``-h`` or ``--help``, alone or after a command, prints the usage on
+  stdout and exits 0;
+* options are spelled out in full: a prefix such as ``--deg`` is unknown.
+
 The commands and the library raise on bad input and bad state; ``main`` is
-the one place that reports it.  A ``ValueError`` (a malformed or non-UTF-8
-table, a real entry that breaks the parity rule, a non-integer count in
-``enum``), a ``KeyError`` (a missing lower-genus entry, a query outside the
-bundled data), an ``OSError``, an ``ArithmeticError`` or a ``RecursionError``
-becomes one line on stderr and exit status 2; argparse usage errors also
-exit 2.  Exit status 1 is a failed non-conjecture identity in ``verify``; 0
-otherwise.
+the one place that reports it.  A ``ValueError`` (a usage error, a
+malformed or non-UTF-8 table, a real entry that breaks the parity rule, a
+non-integer count in ``enum``), a ``KeyError`` (a missing lower-genus entry,
+a query outside the bundled data), an ``OSError``, an ``ArithmeticError`` or
+a ``RecursionError`` becomes one line on stderr and exit status 2.  Exit
+status 1 is a failed non-conjecture identity in ``verify``; 0 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import gw_convert, localization, series_ids
 from .hodge import hodge_integral
 
 MAX_LOCALIZATION_DEGREE = 4
-
-
-def _parse_int_list(text: str) -> list[int]:
-    if not text:
-        return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="realgw",
-        description=(
-            "Exact real GW- and enumerative invariants of projective 3-space "
-            "with conjugate point-pair constraints."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gw = sub.add_parser("gw", help="one real GW-invariant")
-    p_gw.add_argument("--genus", type=int, required=True)
-    p_gw.add_argument("--degree", type=int, required=True)
-
-    p_enum = sub.add_parser("enum", help="enumerative counts of one degree")
-    p_enum.add_argument("--degree", type=int, required=True)
-    p_enum.add_argument("--max-genus", type=int, required=True)
-
-    p_conv = sub.add_parser("convert", help="transform a CSV table file")
-    p_conv.add_argument("--input", required=True)
-    p_conv.add_argument(
-        "--direction", choices=("e-from-gw", "gw-from-e"), required=True
-    )
-    p_conv.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p_conv.add_argument("--output", default=None, help="write here instead of stdout")
-
-    p_hodge = sub.add_parser("hodge", help="one psi-lambda Hodge integral")
-    p_hodge.add_argument("--g", type=int, required=True, help="genus")
-    p_hodge.add_argument("--n", type=int, required=True, help="number of points")
-    p_hodge.add_argument("--psi", type=_parse_int_list, default=[],
-                         nargs="?", const=[],
-                         help="comma-separated psi exponents (rest are 0)")
-    p_hodge.add_argument("--lambda", dest="lam", type=_parse_int_list, default=[],
-                         nargs="?", const=[],
-                         help="comma-separated lambda indices")
-
-    p_verify = sub.add_parser("verify", help="run identity suites")
-    p_verify.add_argument(
-        "--suite", choices=("identities", "conjectures", "all"), default="all"
-    )
-    p_verify.add_argument("--order", type=int, default=6)
-
-    p_tables = sub.add_parser("tables", help="emit a bundled invariant table")
-    p_tables.add_argument("--which", type=int, choices=(1, 2), required=True)
-    p_tables.add_argument("--format", choices=("csv", "markdown"), default="csv")
-
-    return parser
 
 
 def _gw_value(genus: int, degree: int) -> tuple[Fraction, str]:
@@ -200,20 +155,168 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gw": _cmd_gw,
-    "enum": _cmd_enum,
-    "convert": _cmd_convert,
-    "hodge": _cmd_hodge,
-    "verify": _cmd_verify,
-    "tables": _cmd_tables,
+def _int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",")] if text else []
+
+
+# Metavariable and expected-value phrase of each converter that is a
+# function; a tuple converter lists its choices.  Only a list option may
+# go without a value.
+_KINDS = {
+    int: ("N", "an integer"),
+    _int_list: ("[N,N,...]", "comma-separated integers"),
+    str: ("PATH", "a path"),
 }
+_REQUIRED = object()
+_FORMAT = ("--format", "format", ("csv", "markdown"), "csv", "output format")
+
+# command -> (handler, help, options); an option is
+# (flag, attribute, converter, default or _REQUIRED, help).
+COMMANDS = {
+    "gw": (_cmd_gw, "one real GW-invariant", (
+        ("--genus", "genus", int, _REQUIRED, "genus g >= 0"),
+        ("--degree", "degree", int, _REQUIRED, "degree d >= 1"),
+    )),
+    "enum": (_cmd_enum, "enumerative counts of one degree", (
+        ("--degree", "degree", int, _REQUIRED, "degree d >= 1"),
+        ("--max-genus", "max_genus", int, _REQUIRED, "last genus of the column"),
+    )),
+    "convert": (_cmd_convert, "transform a CSV table file", (
+        ("--input", "input", str, _REQUIRED, "CSV table file to read"),
+        ("--direction", "direction", ("e-from-gw", "gw-from-e"), _REQUIRED,
+         "which transform, and so which sections of the input"),
+        _FORMAT,
+        ("--output", "output", str, None, "write here instead of stdout"),
+    )),
+    "hodge": (_cmd_hodge, "one psi-lambda Hodge integral", (
+        ("--g", "g", int, _REQUIRED, "genus"),
+        ("--n", "n", int, _REQUIRED, "number of points"),
+        ("--psi", "psi", _int_list, [], "comma-separated psi exponents (rest are 0)"),
+        ("--lambda", "lam", _int_list, [], "comma-separated lambda indices"),
+    )),
+    "verify": (_cmd_verify, "run identity suites", (
+        ("--suite", "suite", ("identities", "conjectures", "all"), "all",
+         "which suites to run"),
+        ("--order", "order", int, 6, "even truncation order in t"),
+    )),
+    "tables": (_cmd_tables, "emit a bundled invariant table", (
+        ("--which", "which", (1, 2), _REQUIRED, "table 1 (complex) or 2 (real)"),
+        _FORMAT,
+    )),
+}
+
+_DESCRIPTION = (
+    "Exact real GW- and enumerative invariants of projective 3-space\n"
+    "with conjugate point-pair constraints."
+)
+_HELP = ("-h", "--help")
+
+
+def _metavar(convert) -> str:
+    if isinstance(convert, tuple):
+        return "{" + ",".join(map(str, convert)) + "}"
+    return _KINDS[convert][0]
+
+
+def _usage(command: str | None = None) -> str:
+    """The help text of one command, or of the program when ``command`` is
+    None."""
+    if command is None:
+        lines = [
+            "usage: realgw COMMAND [--OPTION VALUE ...]",
+            "       realgw COMMAND --help",
+            "",
+            _DESCRIPTION,
+            "",
+            "commands:",
+        ]
+        lines += [f"  {name:<9}{row[1]}" for name, row in COMMANDS.items()]
+        return "\n".join(lines) + "\n"
+    _, summary, options = COMMANDS[command]
+    words = []
+    rows = []
+    for flag, _, convert, default, text in options:
+        spec = f"{flag} {_metavar(convert)}"
+        words.append(spec if default is _REQUIRED else f"[{spec}]")
+        if default is _REQUIRED:
+            text += " (required)"
+        elif default not in (None, []):
+            text += f" (default: {default})"
+        rows.append((spec, text))
+    width = max(len(spec) for spec, _ in rows) + 2
+    lines = [f"usage: realgw {command} " + " ".join(words), "", summary, "", "options:"]
+    lines += [f"  {spec:<{width}}{text}" for spec, text in rows]
+    lines.append(f"  {'-h, --help':<{width}}show this help and exit")
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_help(args) -> int:
+    sys.stdout.write(_usage(args.command))
+    return 0
+
+
+def _convert(flag: str, convert, text: str):
+    if isinstance(convert, tuple):
+        for choice in convert:
+            if text == str(choice):
+                return choice
+        expected = "one of " + ", ".join(map(str, convert))
+    else:
+        try:
+            return convert(text)
+        except ValueError:
+            expected = _KINDS[convert][1]
+    raise ValueError(f"{flag} expects {expected}, not {text!r}")
+
+
+def parse_args(argv: list[str]):
+    """(handler, args) for one command line; raises ValueError on a usage
+    error.  ``args`` has one attribute per option of the command, plus
+    ``command``."""
+    names = ", ".join(COMMANDS)
+    if not argv:
+        raise ValueError(f"no command given; expected one of {names}")
+    command, tokens = argv[0], argv[1:]
+    if command in _HELP:
+        return _cmd_help, SimpleNamespace(command=None)
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}; expected one of {names}")
+    handler, _, options = COMMANDS[command]
+    by_flag = {option[0]: option for option in options}
+    values = {}
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token in _HELP:
+            return _cmd_help, SimpleNamespace(command=command)
+        flag, eq, text = token.partition("=")
+        if flag not in by_flag:
+            known = ", ".join(by_flag)
+            raise ValueError(f"{command} has no option {token!r}; it takes {known}")
+        _, dest, convert, _, _ = by_flag[flag]
+        bare = convert is _int_list and (i == len(tokens) or tokens[i].startswith("--"))
+        if not eq and not bare:
+            if i == len(tokens):
+                raise ValueError(f"{flag} needs a value")
+            text = tokens[i]
+            i += 1
+        values[dest] = _convert(flag, convert, text)
+    missing = [
+        flag for flag, dest, _, default, _ in options
+        if default is _REQUIRED and dest not in values
+    ]
+    if missing:
+        raise ValueError(f"{command} needs {', '.join(missing)}")
+    for _, dest, _, default, _ in options:
+        values.setdefault(dest, default)
+    return handler, SimpleNamespace(command=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except UnicodeDecodeError as exc:
         message = f"not UTF-8 text (byte {exc.start})"
     except KeyError as exc:

@@ -39,9 +39,8 @@ functions) is computed over this tower, so all values are exact:
   coefficients live either in the rationals or in rational functions of ``z``.
   Products pair only the nonzero coefficients, and :func:`series_pow`
   raises to any integer power in one pass by J. C. P. Miller's recurrence
-  (TAOCP vol. 2, 4.7); :func:`series_exp` and :func:`series_log` are one
-  pass each of the recurrences their derivatives give, and all three share
-  one recurrence step.
+  (TAOCP vol. 2, 4.7); :func:`series_exp` is one pass of the recurrence
+  its derivative gives, and both share one recurrence step.
 
 Scalars are ``int`` or ``Fraction``; a float anywhere is a TypeError.  Degrees
 stay small in the target computations (below ~40), hence the dense
@@ -1052,7 +1051,7 @@ def _recurrence_sum(
 ) -> Coefficient | None:
     """sum of weight(j) * c * out[m - j] over the (j, c) of ``terms``, sorted
     by j, with j <= m, skipping zero weights and zero entries of ``out``;
-    None when nothing is summed.  The one step of the power, exp and log
+    None when nothing is summed.  The one step of the power and exp
     recurrences."""
     acc: Coefficient | None = None
     for j, c in terms:
@@ -1112,24 +1111,6 @@ def series_exp(s: Series) -> Series:
         acc = _recurrence_sum(terms, out, m, lambda k: k)
         out.append(Fraction(0) if acc is None else acc * Fraction(1, m))
     return Series(out, n, "even" if n == 0 or s.parity == "even" else None)
-
-
-def series_log(s: Series) -> Series:
-    """log of a series with constant term 1, truncated to the same order.
-
-    In one pass: with s = 1 + u, b = log(s) satisfies s b' = u', so b_0 = 0
-    and m b_m = m u_m - sum_(k=1..m-1) k b_k u_(m-k).
-    """
-    if not _coeff_eq(s.coeffs[0], Fraction(1)):
-        raise ValueError("series_log requires constant term 1")
-    n = s.truncation_order
-    terms = s._nonzero(n)[1:]
-    out: list[Coefficient] = [Fraction(0)]
-    for m in range(1, n + 1):
-        acc = _recurrence_sum(terms, out, m, lambda j: m - j)
-        um = s.coeffs[m]
-        out.append(um if acc is None else um - acc * Fraction(1, m))
-    return Series(out, n)
 
 
 def series_sinc(kind: str, order: int) -> Series:

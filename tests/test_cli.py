@@ -362,22 +362,90 @@ def test_convert_accepts_bundled_real_table(tmp_path, capsys, direction):
     assert (code, err) == (0, "") and out
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["gw", "--genus", "two", "--degree", "1"])
-    assert err.value.code == 2
-    # Conjectures are reported, never asserted: no option makes them gate.
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--strict-conjectures"])
-    assert err.value.code == 2
-    # convert has no --kind: the direction picks the section.
-    with pytest.raises(SystemExit) as err:
-        main(["convert", "--input", "t.csv", "--direction", "e-from-gw", "--kind", "GW"])
-    assert err.value.code == 2
-    # A psi list that is not comma-separated integers is a usage error.
-    with pytest.raises(SystemExit) as err:
-        main(["hodge", "--g", "1", "--n", "1", "--psi", "x"])
-    assert err.value.code == 2
+def test_usage_error_exit_code(capsys):
+    for argv in (
+        ["gw", "--genus", "two", "--degree", "1"],
+        # Conjectures are reported, never asserted: no option makes them gate.
+        ["verify", "--strict-conjectures"],
+        # convert has no --kind: the direction picks the section.
+        ["convert", "--input", "t.csv", "--direction", "e-from-gw", "--kind", "GW"],
+        # A psi list that is not comma-separated integers is a usage error.
+        ["hodge", "--g", "1", "--n", "1", "--psi", "x"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve"], "unknown command 'solve'"),
+        ([], "no command"),
+        (["gw", "--genus", "1", "--degree", "1", "--color", "red"], "no option '--color'"),
+        # Options are spelled out in full: a prefix is unknown.
+        (["gw", "--genus", "1", "--deg", "1"], "no option '--deg'"),
+        (["gw", "--degree", "1", "--genus"], "--genus needs a value"),
+        (["enum", "--degree", "4"], "enum needs --max-genus"),
+        (["gw", "--genus=1.5", "--degree", "1"], "--genus expects an integer, not '1.5'"),
+        (["tables", "--which", "3"], "--which expects one of 1, 2, not '3'"),
+        (["hodge", "--g", "1", "--n", "1", "--psi", "1,"], "comma-separated integers"),
+    ],
+    ids=[
+        "unknown-command", "no-command", "unknown-option", "prefix", "missing-value",
+        "missing-required", "non-integer", "bad-choice", "malformed-list",
+    ],
+)
+def test_usage_errors_are_one_error_line(capsys, argv, message):
+    # Usage errors go through main's one boundary like every other error.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, attrs",
+    [
+        # The token after an option is its value, even with a leading "-".
+        (["gw", "--genus", "-1", "--degree=2"], {"genus": -1, "degree": 2}),
+        # A repeated option keeps its last value.
+        (["gw", "--genus", "1", "--degree", "3", "--genus", "2"], {"genus": 2}),
+        # A bare list option, or an empty one, is the empty list.
+        (["hodge", "--g", "1", "--n", "1", "--psi", "--lambda"], {"psi": [], "lam": []}),
+        (["hodge", "--g", "1", "--n", "1", "--psi=", "--lambda", ""], {"psi": [], "lam": []}),
+        (["hodge", "--g", "1", "--n", "2", "--psi", "-1,2"], {"psi": [-1, 2], "lam": []}),
+        (["tables", "--which", "2"], {"which": 2, "format": "csv"}),
+        (["convert", "--input", "t.csv", "--direction", "gw-from-e"], {"output": None}),
+        (["verify"], {"suite": "all", "order": 6}),
+    ],
+)
+def test_parse_args_grammar(argv, attrs):
+    handler, args = cli.parse_args(argv)
+    assert handler is cli.COMMANDS[argv[0]][0] and args.command == argv[0]
+    assert {name: getattr(args, name) for name in attrs} == attrs
+
+
+def _help_argvs():
+    yield ["-h"]
+    yield ["--help"]
+    for command in cli.COMMANDS:
+        yield [command, "--help"]
+        # Help wins over the missing required options.
+        yield [command, "-h"]
+
+
+@pytest.mark.parametrize("argv", list(_help_argvs()), ids=" ".join)
+def test_help_names_every_command_and_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: realgw ")
+    if argv[0] in cli.COMMANDS:
+        for flag, *_ in cli.COMMANDS[argv[0]][2]:
+            assert flag in out
+    else:
+        for command, (_, summary, _) in cli.COMMANDS.items():
+            assert f"  {command} " in out and summary in out
 
 
 def test_cache_dir_is_ignored(tmp_path, capsys, monkeypatch):

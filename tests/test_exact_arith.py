@@ -14,12 +14,13 @@ from realgw.exact_arith import (
     lcm_sum,
     poly_gcd,
     series_exp,
-    series_log,
     series_pow,
     series_sinc,
 )
 from realgw.hodge import i1
 from realgw.localization import AdmissiblePair, DecoratedGraph, GraphInvolution
+
+from series_reference import series_log
 
 
 def rand_fraction(rng):

@@ -20,7 +20,6 @@ from realgw.cli import main
 from realgw.exact_arith import (
     Polynomial,
     RationalFunction,
-    series_log,
     series_pow,
     series_sinc,
 )
@@ -37,6 +36,8 @@ from realgw.hodge import (
     lambda_to_ch,
 )
 from realgw.psi_kappa import _kappa_value, _subsets_of_multiset
+
+from series_reference import series_log
 
 
 def test_bernoulli_values():

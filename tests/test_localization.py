@@ -20,7 +20,7 @@ import pytest
 
 from realgw import localization
 from realgw.exact_arith import Factored, RationalFunction, factored_sum
-from realgw.gw_convert import bundled_table
+from realgw.gw_convert import InvariantTable, bundled_table, e_from_gw
 from realgw.hodge import _compositions, i1, i2, lambda_product_integral
 from realgw.localization import (
     ALPHA,
@@ -574,6 +574,8 @@ def test_refined_canonical_form_stable_under_relabeling():
         pytest.param(5, 8, 9552, marks=pytest.mark.slow),
         pytest.param(0, 9, 1724, marks=pytest.mark.slow),
         pytest.param(2, 9, 10420, marks=pytest.mark.slow),
+        # A regression pin from this code, not an independent count.
+        pytest.param(1, 10, 7542, marks=pytest.mark.slow),
     ],
 )
 def test_frontier_unmarked_class_counts(g, d, count):
@@ -1330,6 +1332,18 @@ def test_degree9_rational_count_pin():
     # not an independent oracle; gw_real's z-independence check still runs.
     # The number of real rational curves through 9 conjugate point pairs.
     assert gw_real(0, 9) == 1993
+
+
+@pytest.mark.slow
+def test_degree10_genus1_pin():
+    # Past the bundled table, so regression pins from this code, not
+    # independent oracles.  GW(0,10) vanishes by the parity rule (d - g
+    # even), so the only lower-genus term of the transform drops out.
+    gw = InvariantTable("real", "GW")
+    gw.entries[(0, 10)] = Fraction(0)
+    gw.entries[(1, 10)] = gw_real(1, 10)
+    assert gw.entries[(1, 10)] == -65216
+    assert e_from_gw(gw).entries[(1, 10)] == -65216
 
 
 @pytest.mark.parametrize(

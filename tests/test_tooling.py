@@ -187,6 +187,27 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert done.stdout == "[]\n"
 
 
+def test_cli_loads_no_argparse_gettext_or_locale():
+    # One command through the CLI, in a fresh interpreter without ``site``:
+    # the option table parser loads none of argparse's start-up imports.
+    probe = (
+        "import sys\n"
+        "import realgw.cli\n"
+        "code = realgw.cli.main(['gw', '--genus', '4', '--degree', '3'])\n"
+        "print(code, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "-23/1152\n0 []\n"
+
+
 def test_only_exact_arith_reads_factored_internals():
     # A Factored value's packed key, integer scalar and height, a
     # polynomial's stored numerators and denominator, and the form registry
