@@ -46,7 +46,7 @@ from .localization import (
     pair_contribution,
     pair_contributions,
 )
-from .psi_kappa import kappa_psi, witten_psi
+from .psi_kappa import witten_psi
 from .series_ids import (
     F1_series,
     F2_series,

@@ -51,7 +51,7 @@ The evaluation pipeline:
    only when the lowerings run out (the psi exponents sum to less than
    the number of removable psi^0 points).
 6. With no ch factors left, the integral is a psi correlator, read from
-   the psi-kappa layer through ``_kappa_value`` with no kappa index.
+   the psi-kappa layer through ``_kappa_value``.
 
 On top of this the module exposes the products Lambda(u_1)Lambda(u_2)
 Lambda(u_3) integrated against geometric-series denominators 1/(u - psi),
@@ -101,10 +101,8 @@ from .psi_kappa import (
     _boundary_terms,
     _dilaton,
     _expand,
-    _kappa_memo,
     _kappa_value,
     _pad_to_stable,
-    _psi_memo,
 )
 
 _hodge_memo: dict[tuple, tuple[int, int]] = {}
@@ -251,10 +249,9 @@ def hodge_integral(genus: int, psi_exponents, lambda_indices) -> Rational:
     genus g >= 1 (Mumford's relation c(E)c(E^dual) = 1 gives lambda_g^2 = 0;
     at genus 0, lambda_0 = 1), in each case without expansion.  A query
     with too few points for a stable space is interpreted on the minimal
-    stable space with extra psi^0 points, so a genus-1 query with no points
-    integrates over the 1-pointed space (same convention as the kappa
-    layer).  A negative genus, psi exponent or lambda index raises
-    ``ValueError``.
+    stable space with extra psi^0 points (``_pad_to_stable``), so a genus-1
+    query with no points integrates over the 1-pointed space.  A negative
+    genus, psi exponent or lambda index raises ``ValueError``.
 
     The psi^1 points go by the dilaton equation (``_dilaton``) before the
     memo read, and a miss goes to ``_expand`` with ``_lambda_expand``, so
@@ -558,18 +555,3 @@ def alpha_coeff(gp: int) -> Rational:
         )
     return total
 
-
-def clear_caches() -> None:
-    """Drop all memoized values, the psi-kappa layer's included (used by
-    tests that measure determinism): the memos, the shape rows, the scaled
-    bases, the alpha coefficients and the I1 and I2 caches.  The memo dicts
-    are cleared in place, so references held elsewhere stay valid."""
-    _hodge_memo.clear()
-    _ch_memo.clear()
-    _psi_memo.clear()
-    _kappa_memo.clear()
-    _lambda_rows.cache_clear()
-    _scaled_base.cache_clear()
-    alpha_coeff.cache_clear()
-    I1.cache_clear()
-    I2.cache_clear()

@@ -1,4 +1,4 @@
-"""Intersection numbers of psi and kappa classes on moduli of stable curves.
+"""Intersection numbers of psi classes on moduli of stable curves.
 
 ``witten_psi`` evaluates the correlators <tau_{a_1} ... tau_{a_n}>_g, i.e. the
 integrals of psi-class monomials over the Deligne-Mumford space of genus-g
@@ -17,23 +17,20 @@ term degenerates to an unstable two-pointed rational correlator); it is pinned
 here and re-validated downstream against the generating-function identities of
 the Hodge layer.
 
-``kappa_psi`` additionally accepts kappa classes and eliminates them one at a
-time through the forgetful-map relation kappa_b = pi_*(psi^(b+1)), trading the
-last kappa index for a new marked point minus merge corrections.  The Hodge
-layer uses the single-kappa step of the same identity: its GRR expansion
-turns each kappa_m term into a marked point with psi exponent m+1 at once,
-so it reads only psi correlators from here.
+The Hodge layer turns each kappa_m term of its GRR expansion into a marked
+point with psi exponent m+1 by the pushforward kappa_m = pi_*(psi^(m+1)), so
+it reads only psi correlators from here, through ``_kappa_value``.
 
 The boundary terms of DVV, irreducible and separating, come from
 ``_boundary_terms``, which the GRR recursion of the Hodge layer shares: it
 reads the genus of each separating side off its dimension.
 
-The string, DVV and kappa sums are accumulated as integer numerators over
+The string and DVV sums are accumulated as integer numerators over
 one running lcm denominator (``exact_arith.lcm_sum``), with the DVV weights
 doubled to integers.  The memos hold each value as a reduced integer pair
 (num, den) with den > 0, zero as (0, 1), reduced by one gcd
 (``exact_arith.reduced``); the recursions read and sum the pairs as
-integers, and only ``witten_psi`` and ``kappa_psi`` build a Fraction.
+integers, and only ``witten_psi`` builds a Fraction.
 
 All queries are memoized on canonical sorted keys with no psi^1 point the
 dilaton equation can remove, and a memo hit returns before any stability or
@@ -51,6 +48,7 @@ from functools import lru_cache
 from .exact_arith import Rational, lcm_sum, reduced
 
 _psi_memo: dict[tuple, tuple[int, int]] = {}
+# Always empty; bench/tracer.py reports its size as the kappa memo's.
 _kappa_memo: dict[tuple, tuple[int, int]] = {}
 
 _ZERO = (0, 1)
@@ -257,48 +255,6 @@ def witten_psi(genus: int, exponents) -> Rational:
     return Fraction(*_psi_value(genus, exps))
 
 
-def kappa_psi(genus: int, psi_exponents, kappa_indices) -> Rational:
-    """Exact value of the integral of a psi-kappa monomial, in any order of
-    the psi exponents and kappa indices.
-
-    Kappa indices are eliminated from the largest down through the forgetful
-    map: trading kappa_b for a new marked point with psi-power b+1 requires
-    inclusion-exclusion over the subsets T of the remaining kappa indices
-    that merge into the new point,
-
-        <psi^A kappa_b prod kappa_c> =
-            sum_T (-1)^|T| <psi^(A + {1 + b + sum T}) prod_(c not in T) kappa_c>,
-
-    evaluated on the space with one extra point.  (Pairwise merge corrections
-    alone would drop the simultaneous merges that appear from three kappa
-    classes on; the subset form is calibrated by kappa_1^3 = 43/2880 on the
-    unpointed genus-2 space.)
-
-    A query whose nominal base space is unstable (genus 1 with no marked
-    points) is interpreted on the minimal stable space with extra psi^0
-    points, so e.g. the genus-1 kappa_1 query evaluates kappa_1 on the
-    1-pointed space.  A negative genus or psi exponent, or a kappa index
-    below 1, raises ``ValueError``.
-    """
-    psi = tuple(sorted(psi_exponents))
-    kappa = tuple(sorted(kappa_indices))
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    # Replacing every kappa index by a marked point must give a stable space;
-    # this also admits closed-surface queries such as kappa_1 on the
-    # unpointed genus-1 moduli.
-    if 2 * genus - 2 + len(psi) + len(kappa) <= 0:
-        raise ValueError(
-            f"unstable query: genus {genus}, {len(psi)} points, "
-            f"{len(kappa)} kappa classes"
-        )
-    if any(a < 0 for a in psi):
-        raise ValueError("psi exponents must be nonnegative")
-    if any(b <= 0 for b in kappa):
-        raise ValueError("kappa indices must be positive")
-    return Fraction(*_kappa_value(genus, _pad_to_stable(genus, psi), kappa))
-
-
 @lru_cache(maxsize=None)
 def _subsets_of_multiset(
     ms: tuple[int, ...],
@@ -318,25 +274,9 @@ def _subsets_of_multiset(
     return tuple(splits)
 
 
-def _kappa_value(
-    genus: int, psi: tuple[int, ...], kappa: tuple[int, ...]
-) -> tuple[int, int]:
-    if not kappa:
-        return _psi_value(genus, psi)
-    key = (genus, psi, kappa)
-    cached = _kappa_memo.get(key)
-    if cached is not None:
-        return cached
-    b = kappa[-1]
-    rest = kappa[:-1]
-    terms = []
-    for merged, remaining, count in _subsets_of_multiset(rest):
-        exponent = 1 + b + sum(merged)
-        v = _kappa_value(genus, tuple(sorted(psi + (exponent,))), remaining)
-        terms.append((-count if len(merged) % 2 else count, *v))
-    value = reduced(*lcm_sum(terms))
-    _kappa_memo[key] = value
-    return value
+# A psi read; bench/tracer.py wraps hodge's binding as the psi_kappa layer.
+def _kappa_value(genus: int, psi: tuple[int, ...], classes: tuple) -> tuple[int, int]:
+    return _psi_value(genus, psi)
 
 
 def self_validate() -> None:

@@ -28,15 +28,14 @@ from realgw.hodge import (
     alpha_coeff,
     _ch_integral,
     bernoulli,
-    clear_caches,
     hodge_integral,
     i1,
     i2,
     lambda_product_integral,
     lambda_to_ch,
 )
-from realgw.psi_kappa import _kappa_value, _subsets_of_multiset
 
+from hodge_reference import ch_with_kappa, clear_caches
 from series_reference import series_log
 
 
@@ -149,7 +148,7 @@ def _reference_ch_integral(genus, psi, kappa, ch, memo):
     if sum(psi) + sum(kappa) + sum(ch) != 3 * genus - 3 + n:
         return Fraction(0)
     if not ch:
-        return Fraction(*_kappa_value(genus, psi, kappa))
+        return ch_with_kappa(genus, psi, kappa, ())
     key = (genus, psi, kappa, ch)
     if key in memo:
         return memo[key]
@@ -183,31 +182,14 @@ def _reference_ch_integral(genus, psi, kappa, ch, memo):
             right.remove(v)
         psi1 = tuple(sorted(left + (a,)))
         psi2 = tuple(sorted(right + [b]))
-        for k1, k2, wk in _subsets_of_multiset(kappa):
-            for c1, c2, wc in _subsets_of_multiset(rest_ch):
+        for k1, k2, wk in psi_kappa._subsets_of_multiset(kappa):
+            for c1, c2, wc in psi_kappa._subsets_of_multiset(rest_ch):
                 v1 = _reference_ch_integral(h, psi1, k1, c1, memo)
                 if v1 == 0:
                     continue
                 v2 = _reference_ch_integral(genus - h, psi2, k2, c2, memo)
                 total += coeff * wk * wc * v1 * v2
     memo[key] = total
-    return total
-
-
-def _ch_with_kappa(genus, psi, kappa, ch):
-    """``_ch_integral`` with kappa factors, pushed into marked points by the
-    inclusion-exclusion of ``kappa_psi``: the last kappa_b becomes a point
-    with psi exponent 1 + b + sum T, over the subsets T of the other kappa
-    indices that merge into it, with sign (-1)^|T|.  ch(E) pulls back under
-    the forgetful map, so the identity holds with ch factors too."""
-    if not kappa:
-        return Fraction(*_ch_integral(genus, psi, ch))
-    b, rest = kappa[-1], kappa[:-1]
-    total = Fraction(0)
-    for merged, remaining, count in _subsets_of_multiset(rest):
-        point = tuple(sorted(psi + (1 + b + sum(merged),)))
-        sign = -count if len(merged) % 2 else count
-        total += sign * _ch_with_kappa(genus, point, remaining, ch)
     return total
 
 
@@ -250,7 +232,7 @@ def test_ch_integral_matches_per_subset_reference():
                         hodge_cases.append((g, psi, lam))
     # Direct keys with several ch factors, which no lambda monomial reaches
     # at the top level: with kappa classes, pushed into marked points by
-    # _ch_with_kappa while the reference restricts them to boundary pieces,
+    # ch_with_kappa while the reference restricts them to boundary pieces,
     # and without, with psi^0 and psi^1 points that the string and dilaton
     # steps remove first.
     ch_cases = []
@@ -279,7 +261,7 @@ def test_ch_integral_matches_per_subset_reference():
     want_three = [_reference_hodge_integral(*case, memo) for case in three_cases]
     clear_caches()
     got_hodge = [hodge_integral(*case) for case in hodge_cases]
-    got_ch = [_ch_with_kappa(*case) for case in ch_cases]
+    got_ch = [ch_with_kappa(*case) for case in ch_cases]
     got_three = [hodge_integral(*case) for case in three_cases]
     assert got_hodge == want_hodge
     assert got_ch == want_ch
@@ -564,7 +546,7 @@ def test_genus0_chern_characters_vanish():
     ]
     memo = {}
     for case in cases:
-        assert _ch_with_kappa(*case) == 0, case
+        assert ch_with_kappa(*case) == 0, case
         assert _reference_ch_integral(*case, memo) == 0, case
 
 
@@ -582,7 +564,7 @@ def test_genus1_higher_chern_characters_vanish():
     ]
     memo = {}
     for case in cases:
-        assert _ch_with_kappa(*case) == 0, case
+        assert ch_with_kappa(*case) == 0, case
         assert _reference_ch_integral(*case, memo) == 0, case
     assert Fraction(*_ch_integral(1, (0,), (1,))) == Fraction(1, 24)
 

@@ -963,18 +963,16 @@ def test_cold_verify_order6_memo_sizes():
 
 
 def test_memo_values_are_reduced_integer_pairs():
-    # After a cold `realgw enum --degree 1 --max-genus 10` and one kappa_psi
-    # query, which fills the kappa memo the Hodge layer no longer uses,
-    # every memo value of the Hodge and psi-kappa layers is a reduced pair of
-    # ints with a positive denominator, and zero is stored as (0, 1).  No key
-    # of the psi, ch or Hodge memo keeps a psi^1 point that the dilaton
-    # equation removes: each is read after the dilaton step.
+    # After a cold `realgw enum --degree 1 --max-genus 10` the kappa memo is
+    # still empty, and every memo value of the Hodge and psi-kappa layers is
+    # a reduced pair of ints with a positive denominator, and zero is stored
+    # as (0, 1).  No key of the psi, ch or Hodge memo keeps a psi^1 point
+    # that the dilaton equation removes: each is read after the dilaton step.
     probe = (
         "import contextlib, io, math\n"
         "from realgw import cli, hodge, psi_kappa\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    cli.main(['enum', '--degree', '1', '--max-genus', '10'])\n"
-        "psi_kappa.kappa_psi(2, (), (1, 1, 1))\n"
         "memos = (hodge._hodge_memo, hodge._ch_memo, psi_kappa._kappa_memo, "
         "psi_kappa._psi_memo)\n"
         "values = [v for memo in memos for v in memo.values()]\n"
@@ -990,7 +988,7 @@ def test_memo_values_are_reduced_integer_pairs():
     )
     out = _run_fresh(probe).stdout.split(maxsplit=5)
     count, kappa, dilatable, bad, zeros, zeros_ok = out
-    assert int(count) > 1000 and int(kappa) > 0 and bad == "[]"
+    assert int(count) > 1000 and int(kappa) == 0 and bad == "[]"
     assert dilatable == "0"
     assert int(zeros) > 0 and zeros_ok == "True\n"
 
@@ -1332,6 +1330,17 @@ def test_degree9_rational_count_pin():
     # not an independent oracle; gw_real's z-independence check still runs.
     # The number of real rational curves through 9 conjugate point pairs.
     assert gw_real(0, 9) == 1993
+
+
+@pytest.mark.slow
+def test_degree9_genus2_pin():
+    # Past the bundled table, so regression pins from this code, not
+    # independent oracles.  GW(0,9) = 1993 is pinned above, and the table
+    # implies GW(1,9) = 0 by the parity rule (d - g even).
+    value = gw_real(2, 9)
+    assert value == Fraction(26393, 24)
+    gw = InvariantTable("real", "GW", {(0, 9): Fraction(1993), (2, 9): value})
+    assert e_from_gw(gw).entries[(2, 9)] == -312
 
 
 @pytest.mark.slow

@@ -18,11 +18,13 @@ import pytest
 
 from realgw import psi_kappa
 from realgw.psi_kappa import (
-    kappa_psi,
     self_validate,
     witten_psi,
+    _pad_to_stable,
     _subsets_of_multiset,
 )
+
+from hodge_reference import ch_with_kappa
 
 # Classical correlator values (Witten-Kontsevich theory).
 KNOWN_CORRELATORS = {
@@ -111,8 +113,6 @@ def test_dimension_vanishing():
 def test_unstable_query_raises():
     with pytest.raises(ValueError):
         witten_psi(0, (0, 0))
-    with pytest.raises(ValueError):
-        kappa_psi(0, (0,), ())
 
 
 def test_unstable_internal_key_is_zero():
@@ -156,27 +156,6 @@ def test_symmetry_under_shuffling():
         shuffled = list(exps)
         rng.shuffle(shuffled)
         assert witten_psi(g, shuffled) == witten_psi(g, sorted(exps))
-
-
-def test_kappa_symmetry_under_shuffling():
-    # Both argument lists are read as multisets: the order of the psi
-    # exponents and of the kappa indices must not matter.
-    rng = random.Random(29)
-    cases = [
-        (2, (0,), (2, 1, 1)),
-        (0, (0, 0, 0, 0, 0, 0, 0), (2, 1, 1)),
-        (1, (1, 0, 0), (1, 1)),
-        (2, (2, 0, 1), (2, 1)),
-        (1, (1, 0), (1,)),
-    ]
-    for g, psi, kappa in cases:
-        want = kappa_psi(g, sorted(psi), sorted(kappa))
-        assert want != 0, (g, psi, kappa)
-        for _ in range(4):
-            shuffled_psi, shuffled_kappa = list(psi), list(kappa)
-            rng.shuffle(shuffled_psi)
-            rng.shuffle(shuffled_kappa)
-            assert kappa_psi(g, shuffled_psi, shuffled_kappa) == want, (g, psi, kappa)
 
 
 def _dfact(k):
@@ -274,60 +253,75 @@ def test_self_validation_runs():
     self_validate()
 
 
-# -- kappa classes -----------------------------------------------------------
+# -- kappa classes, through the test-side pushforward ------------------------
+
+
+def _kappa(genus, psi, kappa):
+    # A query with too few points is read on the minimal stable space.
+    return ch_with_kappa(genus, _pad_to_stable(genus, tuple(psi)), tuple(kappa), ())
 
 
 def test_kappa_free_delegates():
-    assert kappa_psi(0, (0, 0, 0), ()) == 1
+    assert _kappa(0, (0, 0, 0), ()) == 1
 
 
 def test_kappa1_on_one_pointed_torus():
     # The nominal unpointed genus-1 space is unstable; the query lands on the
     # 1-pointed space, where kappa_1 integrates to 1/24.
-    assert kappa_psi(1, (), (1,)) == Fraction(1, 24)
+    assert _kappa(1, (), (1,)) == Fraction(1, 24)
 
 
 def test_kappa1_on_rational_4_pointed_space():
     # kappa_1 = pushforward of psi^2, so the integral must match the
     # 4-pointed psi integral <tau_1 tau_0^3>_0.
-    lhs = kappa_psi(0, (0, 0, 0, 0), (1,))
-    assert lhs == witten_psi(0, (1, 0, 0, 0)) == 1
+    assert _kappa(0, (0, 0, 0, 0), (1,)) == witten_psi(0, (1, 0, 0, 0)) == 1
 
 
 def test_kappa_powers_on_rational_spaces():
     # integral of kappa_1^2 over the 5-pointed rational space:
     # <tau_2 tau_2 tau_0^5>_0 - <tau_3 tau_0^5>_0 = 6 - 1.
-    assert kappa_psi(0, (0,) * 5, (1, 1)) == 5
-    assert kappa_psi(0, (0,) * 5, (2,)) == 1
+    assert _kappa(0, (0,) * 5, (1, 1)) == 5
+    assert _kappa(0, (0,) * 5, (2,)) == 1
 
 
 def test_kappa1_cubed_genus2_weil_petersson_value():
     # Weil-Petersson volume of the genus-2 space: kappa_1^3 = 43/2880; this
-    # exercises the simultaneous-merge terms of the kappa elimination.
-    assert kappa_psi(2, (), (1, 1, 1)) == Fraction(43, 2880)
+    # exercises the simultaneous-merge terms of the kappa elimination and
+    # the genus-2 psi correlators they land on.
+    assert _kappa(2, (), (1, 1, 1)) == Fraction(43, 2880)
 
 
-def test_kappa_rejects_nonpositive_indices():
-    with pytest.raises(ValueError):
-        kappa_psi(1, (1,), (0,))
+def test_kappa_symmetry_under_shuffling():
+    # The kappa classes may be pushed into points in any order: each order
+    # of elimination gives the same value from the psi correlators.
+    rng = random.Random(29)
+    cases = [
+        (2, (0,), (2, 1, 1)),
+        (0, (0, 0, 0, 0, 0, 0, 0), (2, 1, 1)),
+        (1, (1, 0, 0), (1, 1)),
+        (2, (2, 0, 1), (2, 1)),
+        (1, (1, 0), (1,)),
+    ]
+    for g, psi, kappa in cases:
+        want = _kappa(g, sorted(psi), sorted(kappa))
+        assert want != 0, (g, psi, kappa)
+        for _ in range(4):
+            p, k = rng.sample(psi, len(psi)), rng.sample(kappa, len(kappa))
+            assert _kappa(g, p, k) == want, (g, p, k)
 
 
 def test_negative_psi_exponent_rejected():
-    # Both queries have exponents summing to the dimension, so the negative
-    # entry is the only thing wrong with them.
+    # The exponents sum to the dimension, so the negative entry is the only
+    # thing wrong with the query.
     with pytest.raises(ValueError, match="nonnegative"):
         witten_psi(0, (-1, 2, 0, 0))
-    with pytest.raises(ValueError, match="nonnegative"):
-        kappa_psi(1, (-1, 2), (1,))
 
 
 def test_negative_genus_rejected():
-    # Both queries are stable and miss the dimension, so they used to give 0;
+    # The query is stable and misses the dimension, so it used to give 0;
     # the internal recursion still reaches genus -1 and must keep giving 0.
     with pytest.raises(ValueError, match="genus must be nonnegative"):
         witten_psi(-1, (0,) * 5)
-    with pytest.raises(ValueError, match="genus must be nonnegative"):
-        kappa_psi(-1, (0,) * 4, (1,))
     assert witten_psi(1, (0, 2)) == Fraction(1, 24)
 
 

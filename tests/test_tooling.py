@@ -68,6 +68,20 @@ def test_psi_kappa_imports_no_higher_layer():
     assert names & higher == set()
 
 
+def test_hodge_reads_psi_through_kappa_value_only():
+    # hodge takes six names from psi_kappa: psi correlators come only through
+    # _kappa_value, the binding the bench tracer wraps.  The kappa
+    # pushforward and the cache reset are test references
+    # (tests/hodge_reference.py), which no module defines or exports.
+    tree = ast.parse((SRC / "hodge.py").read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if getattr(n, "module", "") == "psi_kappa"]
+    want = "_ZERO _boundary_terms _dilaton _expand _kappa_value _pad_to_stable"
+    assert [alias.name for node in imports for alias in node.names] == want.split()
+    for name in ["realgw"] + [f"realgw.{p.stem}" for p in SRC.glob("[!_]*.py")]:
+        module = importlib.import_module(name)
+        assert not hasattr(module, "kappa_psi") and not hasattr(module, "clear_caches")
+
+
 def _callers(name):
     # (module file, enclosing function) of every call to ``name`` in src.
     found = set()
