@@ -64,12 +64,12 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
 
 Rational = Fraction
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class Record:
@@ -535,6 +535,40 @@ class RationalFunction(_HashedOnce):
             raise ZeroDivisionError(f"denominator vanishes at z = {q}")
         return self.num.eval_at(q) / d
 
+    def substitute(self, sign: int, invert: bool = False) -> "RationalFunction":
+        """The image under z -> sign*z, or z -> sign/z when ``invert`` is
+        set, for sign = 1 or -1, in normal form with no gcd.
+
+        Both maps are Moebius substitutions: a common root r of the images of
+        coprime num and den would make sign*r, or sign/r, a common root of
+        num and den, so the images are coprime.  Under invert, p of degree n
+        goes to z^-n times its reversed coefficient list P, which is nonzero
+        at 0; so num/den goes to z^(deg den - deg num) P_num/P_den, the power
+        of z joins the side where its exponent is positive, and z divides
+        neither P, which keeps both sides coprime.  The leading coefficient
+        of the new denominator is divided out of both sides (``_monic``).
+        """
+        top, bottom = self.num._ints, self.den._ints
+        if sign == -1:
+            top = [-c if i % 2 else c for i, c in enumerate(top)]
+            bottom = [-c if i % 2 else c for i, c in enumerate(bottom)]
+        elif sign != 1:
+            raise ValueError(f"sign must be 1 or -1, not {sign}")
+        if invert and top:
+            shift = len(bottom) - len(top)
+            top, bottom = list(reversed(top)), list(reversed(bottom))
+            while not top[-1]:
+                top.pop()
+            while not bottom[-1]:
+                bottom.pop()
+            if shift > 0:
+                top = [0] * shift + top
+            else:
+                bottom = [0] * -shift + bottom
+        elif top is self.num._ints:
+            return self
+        return _normal(*_monic(top, self.num._den, bottom, self.den._den))
+
     def __str__(self) -> str:
         if self.den.degree == 0:
             return str(self.num)
@@ -559,7 +593,7 @@ def _normal(num: Polynomial, den: Polynomial) -> RationalFunction:
     return r
 
 
-RatLike = Union[RationalFunction, Fraction, int]
+RatLike = RationalFunction | Fraction | int
 
 #: A primitive integer linear form a*z + b (a > 0, gcd(a, b) = 1) as (a, b).
 Form = tuple[int, int]
@@ -923,7 +957,7 @@ def _packed(ints: Sequence[int], width: int) -> int:
 
 
 #: Coefficients of a Series: exact rationals or rational functions of z.
-Coefficient = Union[Fraction, RationalFunction]
+Coefficient = Fraction | RationalFunction
 
 
 def _coeff_is_zero(c: Coefficient) -> bool:

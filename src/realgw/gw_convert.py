@@ -26,9 +26,8 @@ data, not recomputed here.
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 
-from .exact_arith import Record, Series
+from .exact_arith import Record
 from .series_ids import _kernel
 
 FLAVORS = ("real", "complex")
@@ -79,13 +78,11 @@ def _lower_terms(table: InvariantTable):
     # (h, 4d), or the t^(2(g-h)) coefficient of the complex one.
     step, width = (2, 1) if table.flavor == "real" else (1, 2)
     top = max((g for g, _ in table.entries), default=0)
-    kernels: dict[tuple[int, int], Series] = {}
     for g, d in sorted(table.entries):
         terms = []
         for h in range(g - step, -1, -step):
-            if (h, d) not in kernels:
-                kernels[(h, d)] = _kernel(table.flavor, h, 4 * d, width * (top - h))
-            terms.append((h, kernels[(h, d)][width * (g - h)]))
+            kernel = _kernel(table.flavor, h, 4 * d, width * (top - h))
+            terms.append((h, kernel[width * (g - h)]))
         yield g, d, terms
 
 
@@ -272,6 +269,10 @@ _BUNDLED = {1: "table1_complex.csv", 2: "table2_real.csv"}
 
 def bundled_text(which: int) -> str:
     """Raw text of a bundled invariant table file (1 complex, 2 real)."""
+    # Imported here: importlib.resources is a large share of the package's
+    # cold import time, and only the bundled tables need it.
+    from importlib import resources
+
     name = _BUNDLED[which]
     return (resources.files("realgw.data") / name).read_text(encoding="utf-8")
 

@@ -7,9 +7,11 @@ therefore agree field by field, so the factored class sum of
 Products, powers, splits and sums of Factored values, their gcd-free
 normal form and ``power_quotient`` agree with the same RationalFunction
 arithmetic, and the Kronecker substitution under the last two reads back
-every coefficient.  The integer-backed Polynomial is checked
-coefficient by coefficient against a reference kept here: a tuple of
-Fractions with schoolbook division and the plain Euclidean gcd.  Division
+every coefficient.  The images under z -> -z, 1/z and -1/z that
+``substitute`` stores with no gcd equal the gcd-built ones.  The
+integer-backed Polynomial is checked coefficient by coefficient against a
+reference kept here: a tuple of Fractions with schoolbook division and the
+plain Euclidean gcd.  Division
 itself is checked on the integer pseudo-division that the gcd and every
 exact division share, and ``_divide_out`` against repeated synthetic
 division by a linear form, kept here as a reference.  Degrees and example
@@ -333,6 +335,46 @@ def test_values_normal_by_construction_match_the_constructor(c, r, p, q, k):
     for stored, built in pairs:
         assert (stored.num, stored.den) == (built.num, built.den)
         assert hash(stored) == hash(built)
+
+
+def _at_image(p, sign, invert, top):
+    """p(sign z), or z^top p(sign/z) under invert, as a Polynomial."""
+    coeffs = [a * sign**i for i, a in enumerate(p.coeffs)]
+    if invert:
+        coeffs = [Fraction(0)] * (top + 1 - len(coeffs)) + coeffs[::-1]
+    return Polynomial(coeffs)
+
+
+@exact
+@given(ratfuncs, st.sampled_from((1, -1)), st.booleans())
+@example(ZERO_R, -1, True)
+@example(RationalFunction.const(Fraction(-3, 2)), -1, True)
+@example(RationalFunction(1, Polynomial((0, 0, 0, 2))), -1, True)
+@example(RationalFunction(Polynomial((1, 1)), Polynomial((0, 0, 3))), -1, False)
+@example(RationalFunction(Polynomial((0, 3, 1)), Polynomial((1, 0, 5))), 1, True)
+@example(RationalFunction(Polynomial((0, 0, 1)), Polynomial((2, 1))), -1, True)
+def test_substitute_is_the_gcd_built_image(r, sign, invert):
+    # z -> sign*z, or z -> sign/z under invert, stores what the constructor
+    # builds with a gcd from num and den at the image point, cleared of the
+    # power of z; applying it twice gives r back; and the image takes at q
+    # the value r takes at the image point.  The examples are the zero and a
+    # constant value, z^k denominators and numerators with no constant term.
+    image = r.substitute(sign, invert)
+    top = max(r.num.degree, r.den.degree, 0)
+    num, den = (_at_image(p, sign, invert, top) for p in (r.num, r.den))
+    built = RationalFunction(num, den)
+    assert (image.num, image.den) == (built.num, built.den)
+    back = image.substitute(sign, invert)
+    assert (back.num, back.den) == (r.num, r.den)
+    for q in (Fraction(2, 3), Fraction(-5, 7), Fraction(3)):
+        point = sign / q if invert else sign * q
+        if r.den.eval_at(point):
+            assert image.eval_at(q) == r.eval_at(point)
+
+
+def test_substitute_rejects_other_signs():
+    with pytest.raises(ValueError, match="sign must be 1 or -1"):
+        RationalFunction.z().substitute(2)
 
 
 def left_to_right(values):

@@ -997,7 +997,7 @@ def test_memo_values_are_reduced_integer_pairs():
     "call, low, high",
     [
         ("cli.main(['gw', '--genus', '4', '--degree', '3'])", 1, 16),
-        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 1, 216),
+        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 1, 90),
         ("localization.gw_real(0, 5)", 0, 0),
     ],
     ids=["gw-4-3", "verify-order6", "gw-real-0-5"],
@@ -1012,7 +1012,9 @@ def test_cold_run_normalization_count(call, low, high):
     # cross pair and for powers took the three from 22, 695 and 62.  The
     # closed genus-0 vertex factor, with no Lambda integral to normalize,
     # took gw-4-3 from 18 and gw_real(0,5), whose vertices all have genus 0,
-    # from 31 to none.
+    # from 31 to none.  Reading the identity suite's two-partition series
+    # off three base series by exact images, and forming each symmetric
+    # product once, took verify-order6 from 216.
     # The bench's deg4-column heavy layer wraps poly_gcd, so the other two
     # runs must make some.
     assert low <= _cold_call_count("exact_arith.poly_gcd", call) <= high
@@ -1031,7 +1033,7 @@ def test_cold_genus0_run_makes_no_lambda_product_calls():
     "call, bound",
     [
         ("cli.main(['gw', '--genus', '4', '--degree', '3'])", 6),
-        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 1187),
+        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 703),
         ("localization.gw_real(0, 5)", 10),
     ],
     ids=["gw-4-3", "verify-order6", "gw-real-0-5"],
@@ -1041,8 +1043,9 @@ def test_cold_run_polynomial_product_count(call, bound):
     # The Lambda integral and the factored class sum multiply their factor
     # powers out by one Kronecker substitution on integers, with no power
     # table of polynomials: that took the first two from 84 and 1,298.  The
-    # factored class sum of gw_real(0, 5) makes none; its 10 multiply the
-    # polynomial parts of two Factored count-vector terms.
+    # identity suite's base series and images took verify-order6 from
+    # 1,187.  The factored class sum of gw_real(0, 5) makes none; its 10
+    # multiply the polynomial parts of two Factored count-vector terms.
     assert 0 < _cold_call_count("exact_arith.Polynomial.__mul__", call) <= bound
 
 
@@ -1072,10 +1075,12 @@ def test_cold_genus0_run_linear_combinations():
 def test_cold_verify_order6_lambda_product_calls():
     # lambda_product_integral calls of a cold `realgw verify --suite all
     # --order 6`, through hodge's binding.  One I2 cache entry per unordered
-    # pair (u1, u2) took them from 75.  The bench's verify-order6 heavy layer
-    # wraps this function, so there must be some.
+    # pair (u1, u2) took them from 75; computing only the base series f, h,
+    # k and the F1 check's series, and reading the seven other symbolic
+    # series off them as exact images, from 63.  The bench's verify-order6
+    # heavy layer wraps this function, so there must be some.
     call = "cli.main(['verify', '--suite', 'all', '--order', '6'])"
-    assert 0 < _cold_call_count("hodge.lambda_product_integral", call) <= 63
+    assert 0 < _cold_call_count("hodge.lambda_product_integral", call) <= 42
 
 
 def test_cold_degree1_column_psi_value_calls():
@@ -1114,7 +1119,7 @@ def test_cold_run_polynomial_products():
 @pytest.mark.parametrize(
     "call, bound",
     [
-        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 16),
+        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 12),
         ("cli.main(['enum', '--degree', '1', '--max-genus', '8'])", 7),
         ("gw_convert.e_from_gw(gw_convert.bundled_table(2, 'GW'))", 32),
     ],
@@ -1126,6 +1131,9 @@ def test_cold_run_series_pow_calls(call, bound):
     # as a whole series and reading every coefficient off it took them from
     # 52, 16 and 48: the identity check raises 12 kernels plus four sine
     # kernel powers, and each table transform one kernel per (h, d).
+    # Memoizing each power on its kind, exponent and order took verify-order6
+    # from 16: the 12 kernels have 9 distinct exponents, and the sine powers
+    # 3 (2, 5 and 8, shared by F2 and F2_prod).
     assert 0 < _cold_call_count("series_ids.series_pow", call) <= bound
 
 

@@ -245,6 +245,98 @@ def test_F1_dep_failure_names_the_pair(monkeypatch):
     assert report.residual == ["(u2,u3)=(1/3,2/3): t^2: 1"]
 
 
+def test_F1sq_failure_names_each_triple(monkeypatch):
+    # Perturbing F1 at two of the three weight triples must name both, in
+    # order, each with its own nonzero coefficients.
+    exact = series_ids.F1_series
+    bad = {
+        (Fraction(7, 8), Fraction(25, 8), Fraction(1, 8)): Fraction(1, 5),
+        (Fraction(-43, 8), Fraction(27, 8), Fraction(-17, 4)): Fraction(2),
+    }
+
+    def perturbed(u1, u2, u3, order):
+        s = exact(u1, u2, u3, order)
+        if (u1, u2, u3) not in bad:
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[4] = coeffs[4] + bad[u1, u2, u3]
+        return Series(coeffs, order, parity="even")
+
+    monkeypatch.setattr(series_ids, "F1_series", perturbed)
+    report = verify_identity("F1sq", 4)
+    assert report.passed is False
+    assert report.residual == [
+        "(u,a,b)=(7/8,25/8,1/8): t^4: 1/5",
+        "(u,a,b)=(-43/8,27/8,-17/4): t^4: 2",
+    ]
+    assert str(report) == "FAIL  F1sq  to t^4  3 rational weight triples"
+
+
+def test_F1sq_pass_line_is_unchanged():
+    assert str(verify_identity("F1sq", 4)) == "PASS  F1sq  to t^4  3 rational weight triples"
+
+
+# (series, (u1, u2, u3), base, sign, invert) with x = 1 and y = z: each
+# argument triple the two-partition checks read, other than the base triples
+# themselves, and the base series whose image at z -> sign*z, or
+# z -> sign/z under invert, it is.
+_X = RationalFunction.const(1)
+_Y = RationalFunction.z()
+_IMAGES = (
+    ("F1", (_X, _X - _Y, -_Y), 0, -1, False),
+    ("F1", (_Y, _X + _Y, _X), 0, 1, True),
+    ("F1", (-_Y, _X - _Y, _X), 0, -1, True),
+    ("F2", (_X, _X - _Y, -_Y), 1, -1, False),
+    ("F2", (_Y, _X + _Y, _X), 1, 1, True),
+    ("F2", (-_Y, _X - _Y, _X), 1, -1, True),
+    ("F2", (_X + _Y, _X, _Y), 1, 1, False),
+    ("F2", (_X - _Y, _X, -_Y), 1, -1, False),
+    ("F2", (_X + _Y, _Y, _X), 1, 1, True),
+    ("F2", (_X - _Y, -_Y, _X), 1, -1, True),
+    ("F2", (_X, -_Y, _X - _Y), 2, -1, False),
+)
+
+
+@pytest.mark.parametrize("order", [6, 8])
+def test_two_partition_series_are_images_of_the_base_series(order):
+    # Each series computed from its own Lambda integrals equals the exact
+    # image of f, h or k, stored form included: the same numerator and
+    # denominator in every coefficient.
+    base = series_ids._z_series(order)
+    series = {"F1": F1_series, "F2": F2_series}
+    for name, args, which, sign, invert in _IMAGES:
+        direct = series[name](*args, order)
+        image = series_ids._image(base[which], sign, invert)
+        assert direct.parity == image.parity == "even"
+        got = [(c.num, c.den) for c in image.coeffs]
+        assert got == [(c.num, c.den) for c in direct.coeffs], (name, args)
+
+
+def test_two_partition_checks_see_a_perturbed_base_series(monkeypatch):
+    # F12 and F2 read h and its images only through the base series: adding
+    # z t^2 to h must make both checks fail, and F1 still pass.
+    exact = series_ids.F2_series
+
+    def perturbed(u1, u2, u3, order):
+        s = exact(u1, u2, u3, order)
+        if (u1, u2, u3) != (_X, _X + _Y, _Y):
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[2] = coeffs[2] + _Y
+        return Series(coeffs, order, parity="even")
+
+    monkeypatch.setattr(series_ids, "F2_series", perturbed)
+    series_ids._z_series.cache_clear()
+    series_ids._k_product.cache_clear()
+    try:
+        assert not verify_identity("F12", 4).passed
+        assert not verify_identity("F2", 4).passed
+        assert verify_identity("F1", 4).passed
+    finally:
+        series_ids._z_series.cache_clear()
+        series_ids._k_product.cache_clear()
+
+
 def test_conjecture_reports_order_4():
     for name in ("F1_dep", "F2_prod"):
         report = check_conjecture(name, 4)

@@ -182,12 +182,16 @@ def test_tracer_boundaries_resolve():
 def test_import_loads_no_dataclasses_or_inspect():
     # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
     # most of the package's cold import time, so the value classes are plain
-    # __slots__ classes.  Checked in a fresh interpreter without ``site``,
-    # so only the package's own imports count.
+    # __slots__ classes.  ``typing`` and ``importlib.resources`` are the
+    # next largest: the annotations use ``collections.abc`` and ``|`` unions,
+    # and only reading a bundled table imports ``importlib.resources``.
+    # Checked in a fresh interpreter without ``site``, so only the package's
+    # own imports count.
     probe = (
         "import sys\n"
         "import realgw, realgw.cli\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+        "heavy = ('dataclasses', 'inspect', 'typing', 'importlib.resources')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(
