@@ -37,6 +37,10 @@ functions) is computed over this tower, so all values are exact:
   :func:`_kronecker_sum`, so no table of polynomial powers is kept.
 * :class:`Series` is a truncated formal power series in ``t`` whose
   coefficients live either in the rationals or in rational functions of ``z``.
+  A RationalFunction is false exactly when it is zero, so ``not c`` is the
+  zero test for both coefficient types.  Only the public constructor pads
+  and type-checks coefficients; sums, products, scalings, powers and
+  exponentials store theirs as given, by :func:`_series`.
   Products pair only the nonzero coefficients, and :func:`series_pow`
   raises to any integer power in one pass by J. C. P. Miller's recurrence
   (TAOCP vol. 2, 4.7); :func:`series_exp` is one pass of the recurrence
@@ -469,6 +473,9 @@ class RationalFunction(_HashedOnce):
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
@@ -960,32 +967,24 @@ def _packed(ints: Sequence[int], width: int) -> int:
 Coefficient = Fraction | RationalFunction
 
 
-def _coeff_is_zero(c: Coefficient) -> bool:
-    return c.is_zero() if isinstance(c, RationalFunction) else c == 0
-
-
-def _coeff_eq(a: Coefficient, b: Coefficient) -> bool:
-    if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
-        return (RationalFunction.coerce(a) - RationalFunction.coerce(b)).is_zero()
-    return a == b
-
-
 class Series:
     """Truncated formal power series in ``t``.
 
     ``coeffs[k]`` is the coefficient of ``t**k``; arithmetic never reads past
     ``truncation_order`` and mixing two series truncates to the smaller order.
-    A series may carry a parity flag (``"even"`` or ``"odd"``), which asserts
-    that the complementary coefficients vanish.
+    The constructor pads the coefficients with zeros through
+    ``truncation_order`` and takes each as a Fraction or RationalFunction,
+    an int becoming a Fraction.  ``not c`` is the zero test for both
+    coefficient types.  Sums, products, scalings, powers and exponentials
+    store their exact coefficients as given, by :func:`_series`.
     """
 
-    __slots__ = ("truncation_order", "coeffs", "parity")
+    __slots__ = ("truncation_order", "coeffs")
 
     def __init__(
         self,
         coeffs: Sequence[Coefficient | int],
         truncation_order: int | None = None,
-        parity: str | None = None,
     ) -> None:
         if truncation_order is None:
             truncation_order = len(coeffs) - 1
@@ -993,24 +992,15 @@ class Series:
             raise ValueError("truncation order must be nonnegative")
         padded = list(coeffs[: truncation_order + 1])
         padded += [Fraction(0)] * (truncation_order + 1 - len(padded))
-        norm = [
+        self.truncation_order = truncation_order
+        self.coeffs = tuple(
             c if isinstance(c, (Fraction, RationalFunction)) else _scalar(c)
             for c in padded
-        ]
-        if parity not in (None, "even", "odd"):
-            raise ValueError(f"unknown parity flag {parity!r}")
-        if parity is not None:
-            bad = 1 if parity == "even" else 0
-            for k in range(bad, truncation_order + 1, 2):
-                if not _coeff_is_zero(norm[k]):
-                    raise ValueError(f"coefficient of t^{k} violates {parity} parity")
-        self.truncation_order = truncation_order
-        self.coeffs = tuple(norm)
-        self.parity = parity
+        )
 
     @staticmethod
     def one(order: int) -> "Series":
-        return Series([Fraction(1)], order, parity="even")
+        return Series([Fraction(1)], order)
 
     def __getitem__(self, k: int) -> Coefficient:
         if k < 0 or k > self.truncation_order:
@@ -1018,33 +1008,18 @@ class Series:
         return self.coeffs[k]
 
     def is_zero(self) -> bool:
-        return all(_coeff_is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.truncation_order, other.truncation_order)
-        return all(_coeff_eq(self.coeffs[k], other.coeffs[k]) for k in range(n + 1))
-
-    @staticmethod
-    def _join_parity(a: str | None, b: str | None, mode: str) -> str | None:
-        if a is None or b is None:
-            return None
-        if mode == "add":
-            return a if a == b else None
-        # multiplication: even*even=even, even*odd=odd, odd*odd=even
-        return "even" if a == b else "odd"
+        return not any(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __add__(self, other: "Series") -> "Series":
-        n = min(self.truncation_order, other.truncation_order)
-        return Series(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)],
-            n,
-            parity=self._join_parity(self.parity, other.parity, "add"),
-        )
+        return _series([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs], self.truncation_order, self.parity)
+        return _series([-c for c in self.coeffs])
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
@@ -1060,21 +1035,25 @@ class Series:
                 # A slot starts from its first product, not from a zero.
                 p = a * b
                 out[i + j] = p if out[i + j] is None else out[i + j] + p
-        return Series(
-            [Fraction(0) if c is None else c for c in out],
-            n,
-            parity=self._join_parity(self.parity, other.parity, "mul"),
-        )
+        return _series([Fraction(0) if c is None else c for c in out])
 
     def _nonzero(self, n: int) -> list[tuple[int, Coefficient]]:
         """The (k, coefficient) pairs with k <= n and a nonzero coefficient."""
-        coeffs = enumerate(self.coeffs[: n + 1])
-        return [(k, c) for k, c in coeffs if not _coeff_is_zero(c)]
+        return [(k, c) for k, c in enumerate(self.coeffs[: n + 1]) if c]
 
     def scale(self, c: Coefficient | int) -> "Series":
-        return Series(
-            [a * c for a in self.coeffs], self.truncation_order, self.parity
-        )
+        if not isinstance(c, RationalFunction):
+            c = _scalar(c)
+        return _series([a * c for a in self.coeffs])
+
+
+def _series(coeffs: list[Coefficient]) -> Series:
+    """The series with these exact coefficients, through t^(len - 1), stored
+    as given."""
+    s = object.__new__(Series)
+    s.truncation_order = len(coeffs) - 1
+    s.coeffs = tuple(coeffs)
+    return s
 
 
 def _recurrence_sum(
@@ -1092,7 +1071,7 @@ def _recurrence_sum(
         if j > m:
             break
         w, a = weight(j), out[m - j]
-        if w and not _coeff_is_zero(a):
+        if w and a:
             p = w * c * a
             acc = p if acc is None else acc + p
     return acc
@@ -1104,21 +1083,17 @@ def series_pow(base: Series, exponent: int) -> Series:
     With base = t^v g and g_0 != 0, base^k = t^(vk) g^k, and the
     coefficients a_m of g^k follow from J. C. P. Miller's recurrence
     m g_0 a_m = sum_(j=1..m) ((k+1) j - m) g_j a_(m-j), for any integer k.
-    A negative exponent needs v = 0 and raises ZeroDivisionError otherwise.
-    An even base gives an even power, an odd one a power of the parity of
-    k, and k = 0 gives ``Series.one``.
+    A negative exponent needs v = 0 and raises ZeroDivisionError otherwise,
+    and k = 0 gives ``Series.one``.
     """
     n = base.truncation_order
     if exponent == 0:
         return Series.one(n)
-    parity = base.parity
-    if parity == "odd" and exponent % 2 == 0:
-        parity = "even"
     terms = base._nonzero(n)
     if not terms or (exponent < 0 and terms[0][0] > 0):
         if exponent < 0:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        return Series([], n, parity)
+        return _series([Fraction(0)] * (n + 1))
     v, g0 = terms[0]
     shift = v * exponent
     g = [(j - v, c) for j, c in terms[1:]]
@@ -1127,16 +1102,16 @@ def series_pow(base: Series, exponent: int) -> Series:
     for m in range(1, n - shift + 1):
         acc = _recurrence_sum(g, out, m, lambda j: (exponent + 1) * j - m)
         out.append(Fraction(0) if acc is None else acc * (inverse * Fraction(1, m)))
-    return Series([Fraction(0)] * shift + out, n, parity)
+    return _series(([Fraction(0)] * shift + out)[: n + 1])
 
 
 def series_exp(s: Series) -> Series:
     """exp of a series with zero constant term, truncated to the same order.
 
     In one pass: a = exp(s) satisfies t a' = (t s') a, so a_0 = 1 and
-    m a_m = sum_(k=1..m) k s_k a_(m-k).  An even s gives an even series.
+    m a_m = sum_(k=1..m) k s_k a_(m-k).
     """
-    if not _coeff_is_zero(s.coeffs[0]):
+    if s.coeffs[0]:
         raise ValueError("series_exp requires a zero constant term")
     n = s.truncation_order
     terms = s._nonzero(n)
@@ -1144,7 +1119,7 @@ def series_exp(s: Series) -> Series:
     for m in range(1, n + 1):
         acc = _recurrence_sum(terms, out, m, lambda k: k)
         out.append(Fraction(0) if acc is None else acc * Fraction(1, m))
-    return Series(out, n, "even" if n == 0 or s.parity == "even" else None)
+    return _series(out)
 
 
 def series_sinc(kind: str, order: int) -> Series:
@@ -1161,4 +1136,4 @@ def series_sinc(kind: str, order: int) -> Series:
     coeffs = [Fraction(0)] * (order + 1)
     for g in range(order // 2 + 1):
         coeffs[2 * g] = Fraction(sign**g, 4**g * math.factorial(2 * g + 1))
-    return Series(coeffs, order, parity="even")
+    return Series(coeffs, order)

@@ -74,7 +74,6 @@ from .exact_arith import (
     RationalFunction,
     Record,
     Series,
-    _coeff_is_zero,
     series_exp,
     series_pow,
     series_sinc,
@@ -157,7 +156,7 @@ def _alpha_series(sign: int, order: int) -> Series:
     coeffs = [Fraction(0)] * (order + 1)
     for g in range(1, order // 2 + 1):
         coeffs[2 * g] = sign**g * alpha_coeff(g)
-    return Series(coeffs, order, parity="even")
+    return Series(coeffs, order)
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +185,7 @@ def _partition_series(integral, u1, u2, u3, order: int) -> Series:
     coeffs = [RationalFunction.const(0)] * (order + 1)
     for g in range(order // 2 + 1):
         coeffs[2 * g] = integral(g, u1, u2, u3)
-    return Series(coeffs, order, parity="even")
+    return Series(coeffs, order)
 
 
 def F1_series(u1: RatLike, u2: RatLike, u3: RatLike, order: int) -> Series:
@@ -206,7 +205,7 @@ def _image(series: Series, sign: int, invert: bool = False) -> Series:
         c.substitute(sign, invert) if isinstance(c, RationalFunction) else c
         for c in series.coeffs
     ]
-    return Series(coeffs, series.truncation_order, series.parity)
+    return Series(coeffs, series.truncation_order)
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +227,7 @@ def _k_product(order: int) -> Series:
 
 def _nonzero_terms(diff: Series) -> list[str]:
     """The nonzero coefficients of a difference series, as ``t^k: c``."""
-    return [f"t^{k}: {c}" for k, c in enumerate(diff.coeffs) if not _coeff_is_zero(c)]
+    return [f"t^{k}: {c}" for k, c in enumerate(diff.coeffs) if c]
 
 
 def _report(name: str, order: int, diff: Series, conjecture: bool = False) -> IdentityReport:

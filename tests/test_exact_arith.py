@@ -124,8 +124,7 @@ def test_power_additivity_on_random_series():
 
 def _binary_power(base, k):
     """Reference: base^k by binary powering, for k < 0 after inverting base
-    by the triangular recurrence of 1/base, with the parity flags series
-    products give."""
+    by the triangular recurrence of 1/base."""
     n = base.truncation_order
     if k < 0:
         c0 = RationalFunction.coerce(base.coeffs[0])
@@ -135,7 +134,7 @@ def _binary_power(base, k):
         for m in range(1, n + 1):
             acc = sum((base.coeffs[i] * out[m - i] for i in range(1, m + 1)), Fraction(0))
             out.append(-acc / c0)
-        base = Series(out, n, parity="even" if base.parity == "even" else None)
+        base = Series(out, n)
         k = -k
     out = Series.one(n)
     while k:
@@ -146,10 +145,6 @@ def _binary_power(base, k):
     return out
 
 
-def _coeff_zero(c):
-    return RationalFunction.coerce(c).is_zero()
-
-
 def _rand_ratfunc(rng):
     num = Polynomial([rand_fraction(rng) for _ in range(rng.randint(1, 2))])
     den = Polynomial([rand_fraction(rng), Fraction(rng.randint(0, 2))])
@@ -158,22 +153,22 @@ def _rand_ratfunc(rng):
 
 @pytest.mark.parametrize("kind", ["fraction", "ratfunc"])
 def test_power_matches_binary_powering_reference(kind):
-    # series_pow against binary powering on random series of valuation 0-3
-    # with each parity flag: the same coefficients, as normal forms, and the
-    # same flag for k from -4 to 6; a negative power of a series with zero
-    # constant term raises, the zero series included.
+    # series_pow against binary powering on random even, odd and mixed series
+    # of valuation 0-3: the same coefficients, as normal forms, for k from -4
+    # to 6; a negative power of a series with zero constant term raises, the
+    # zero series included.
     rng = random.Random(11)
     coeff = rand_fraction if kind == "fraction" else _rand_ratfunc
     order = 6 if kind == "fraction" else 4
-    for parity, valuations in (("even", (0, 2)), ("odd", (1, 3)), (None, (0, 1, 2, 3))):
+    for shape, valuations in (("even", (0, 2)), ("odd", (1, 3)), ("mixed", (0, 1, 2, 3))):
         for v in valuations:
             coeffs = [Fraction(0)] * (order + 1)
             for j in range(v, order + 1):
-                if parity is None or j % 2 == v % 2:
+                if shape == "mixed" or j % 2 == v % 2:
                     coeffs[j] = coeff(rng)
-            if _coeff_zero(coeffs[v]):
+            if not coeffs[v]:
                 coeffs[v] = Fraction(1)
-            base = Series(coeffs, order, parity)
+            base = Series(coeffs, order)
             for k in range(-4, 7):
                 if k < 0 and v > 0:
                     with pytest.raises(ZeroDivisionError):
@@ -181,10 +176,9 @@ def test_power_matches_binary_powering_reference(kind):
                     continue
                 got, want = series_pow(base, k), _binary_power(base, k)
                 assert got.truncation_order == want.truncation_order == order
-                assert got.parity == want.parity, (parity, v, k)
                 assert [RationalFunction.coerce(c) for c in got.coeffs] == [
                     RationalFunction.coerce(c) for c in want.coeffs
-                ], (parity, v, k)
+                ], (shape, v, k)
     zero = Series([], order)
     assert series_pow(zero, 0) == Series.one(order) and series_pow(zero, 3).is_zero()
     with pytest.raises(ZeroDivisionError):
@@ -221,27 +215,26 @@ def _product_log(s):
 
 @pytest.mark.parametrize("kind", ["fraction", "ratfunc"])
 def test_exp_log_match_product_reference(kind):
-    # series_exp and series_log against the sums of truncated products: the
-    # same coefficients, as normal forms, and the same parity flag, for
-    # every parity flag and every order through 12.
+    # series_exp and series_log against the sums of truncated products on
+    # random even, odd and mixed series: the same coefficients, as normal
+    # forms, for every order through 12.
     rng = random.Random(5)
     coeff = rand_fraction if kind == "fraction" else _rand_ratfunc
     for order in range(13):
-        for parity, start in (("even", 2), ("odd", 1), (None, 1)):
+        for shape, start in (("even", 2), ("odd", 1), ("mixed", 1)):
             coeffs = [Fraction(0)] * (order + 1)
-            for j in range(start, order + 1, 1 if parity is None else 2):
+            for j in range(start, order + 1, 1 if shape == "mixed" else 2):
                 coeffs[j] = coeff(rng)
-            s = Series(coeffs, order, parity)
-            one_plus = Series([Fraction(1)] + coeffs[1:], order, "even" if parity == "even" else None)
+            s = Series(coeffs, order)
+            one_plus = Series([Fraction(1)] + coeffs[1:], order)
             for got, want in (
                 (series_exp(s), _product_exp(s)),
                 (series_log(one_plus), _product_log(one_plus)),
             ):
                 assert got.truncation_order == want.truncation_order == order
-                assert got.parity == want.parity, (parity, order)
                 assert [RationalFunction.coerce(c) for c in got.coeffs] == [
                     RationalFunction.coerce(c) for c in want.coeffs
-                ], (parity, order)
+                ], (shape, order)
 
 
 def test_log_of_inverse_sin_kernel_is_alpha_generating_series():
@@ -259,17 +252,11 @@ def test_exp_log_preconditions():
         series_log(Series([0, 1], 2))
 
 
-def test_series_parity_flag_enforced():
-    with pytest.raises(ValueError):
-        Series([1, 1], 2, parity="even")
-    with pytest.raises(ValueError, match="unknown parity flag"):
-        Series([1], 0, parity="sym")
+def test_series_order_and_index_checks():
     with pytest.raises(ValueError, match="nonnegative"):
         Series([1], -1)
     with pytest.raises(IndexError):
         Series.one(2)[3]
-    even = Series([1, 0, 2], 2, parity="even")
-    assert (even * even).parity == "even"
 
 
 def test_series_truncation_minimum_order():

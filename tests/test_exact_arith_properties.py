@@ -8,7 +8,9 @@ Products, powers, splits and sums of Factored values, their gcd-free
 normal form and ``power_quotient`` agree with the same RationalFunction
 arithmetic, and the Kronecker substitution under the last two reads back
 every coefficient.  The images under z -> -z, 1/z and -1/z that
-``substitute`` stores with no gcd equal the gcd-built ones.  The
+``substitute`` stores with no gcd equal the gcd-built ones.  A
+RationalFunction is false exactly when it is zero, so ``Series`` equality
+compares Fraction and RationalFunction coefficients by value.  The
 integer-backed Polynomial is checked coefficient by coefficient against a
 reference kept here: a tuple of Fractions with schoolbook division and the
 plain Euclidean gcd.  Division
@@ -29,6 +31,7 @@ from realgw.exact_arith import (
     Factored,
     Polynomial,
     RationalFunction,
+    Series,
     _divide_out,
     _kronecker_sum,
     _pseudo_divmod,
@@ -297,6 +300,26 @@ def test_equal_values_have_equal_normal_forms(num, den, common, scale):
     s = RationalFunction(k * num * common, k * den * common)
     assert (r.num, r.den) == (s.num, s.den)
     assert r == s and hash(r) == hash(s)
+
+
+@exact
+@given(ratfuncs, st.lists(st.tuples(fractions, st.booleans()), min_size=1, max_size=4),
+       fractions)
+@example(ZERO_R, [(Fraction(0), True), (Fraction(1, 2), False)], Fraction(0))
+@example(ONE_R, [(Fraction(0), False), (Fraction(-2), True)], Fraction(1, 3))
+def test_not_is_the_zero_test_of_both_coefficient_types(r, entries, delta):
+    # bool(r) is false exactly for the zero rational function, as for a zero
+    # Fraction, so Series equality compares a Fraction coefficient with a
+    # RationalFunction one by value, equal or not.
+    assert bool(r) == (not r.is_zero())
+    assert Series([r]).is_zero() == r.is_zero()
+    fracs = [c for c, _ in entries]
+    mixed = [RationalFunction.const(c) if lift else c for c, lift in entries]
+    assert Series(fracs) == Series(mixed) and Series(mixed) == Series(fracs)
+    moved = fracs[:-1] + [fracs[-1] + delta]
+    assert (Series(moved) == Series(mixed)) == (delta == 0)
+    same = r == RationalFunction.const(fracs[0])
+    assert (Series(mixed + [r]) == Series(fracs + [fracs[0]])) == same
 
 
 def _product(factors):

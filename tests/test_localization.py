@@ -1138,6 +1138,21 @@ def test_cold_run_series_pow_calls(call, bound):
 
 
 @pytest.mark.parametrize(
+    "call, bound",
+    [("cli.main(['verify', '--suite', 'all', '--order', '6'])", 45)],
+    ids=["verify-order6"],
+)
+def test_cold_run_series_constructions(call, bound):
+    # Public Series constructions of a cold run, counted in a fresh
+    # interpreter.  Storing sums, products, scalings, powers and
+    # exponentials through exact_arith._series, with no padding, type check
+    # or parity flag, took them from 137.  The 45 left are built from
+    # coefficient lists: 14 sinc kernels, 10 alpha series, 14 partition
+    # series, 6 images of the base series and one Series.one.
+    assert 0 < _cold_call_count("exact_arith.Series.__init__", call) <= bound
+
+
+@pytest.mark.parametrize(
     "argv, bound",
     [
         (["gw", "--genus", "4", "--degree", "3"], 196),

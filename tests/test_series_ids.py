@@ -174,8 +174,8 @@ def test_F2_constant_term():
 
 
 def test_series_have_even_parity():
-    assert F1_series(3, 1, 2, 4).parity == "even"
-    assert F2_series(3, 1, 2, 4).parity == "even"
+    for s in (F1_series(3, 1, 2, 4), F2_series(3, 1, 2, 4)):
+        assert all(not s[k] for k in (1, 3))
 
 
 # -- identity suite -------------------------------------------------------------
@@ -206,6 +206,10 @@ def test_report_lists_only_nonzero_coefficients():
     assert report.passed is False
     assert report.residual == ["t^2: 1/3"]
     assert series_ids._report("x", 4, Series([0] * 5, 4)).residual == []
+    # An odd coefficient is named like an even one; a zero rational function
+    # is not named.
+    odd = Series([0, RationalFunction.const(0), Fraction(1, 3), RationalFunction.z(), 0], 4)
+    assert series_ids._report("x", 4, odd).residual == ["t^2: 1/3", "t^3: z"]
 
 
 def test_hat_eq_tilde_failure_names_the_case(monkeypatch):
@@ -220,7 +224,7 @@ def test_hat_eq_tilde_failure_names_the_case(monkeypatch):
             return s
         coeffs = list(s.coeffs)
         coeffs[4] += Fraction(1, 7)
-        return Series(coeffs, order, parity="even")
+        return Series(coeffs, order)
 
     monkeypatch.setattr(series_ids, "_hat_series", perturbed)
     report = verify_identity("hat_eq_tilde", 6)
@@ -237,7 +241,7 @@ def test_F1_dep_failure_names_the_pair(monkeypatch):
             return s
         coeffs = list(s.coeffs)
         coeffs[2] = coeffs[2] + 1
-        return Series(coeffs, order, parity="even")
+        return Series(coeffs, order)
 
     monkeypatch.setattr(series_ids, "F1_series", perturbed)
     report = check_conjecture("F1_dep", 4)
@@ -260,7 +264,7 @@ def test_F1sq_failure_names_each_triple(monkeypatch):
             return s
         coeffs = list(s.coeffs)
         coeffs[4] = coeffs[4] + bad[u1, u2, u3]
-        return Series(coeffs, order, parity="even")
+        return Series(coeffs, order)
 
     monkeypatch.setattr(series_ids, "F1_series", perturbed)
     report = verify_identity("F1sq", 4)
@@ -307,7 +311,8 @@ def test_two_partition_series_are_images_of_the_base_series(order):
     for name, args, which, sign, invert in _IMAGES:
         direct = series[name](*args, order)
         image = series_ids._image(base[which], sign, invert)
-        assert direct.parity == image.parity == "even"
+        for s in (direct, image):
+            assert all(not s[k] for k in range(1, order + 1, 2)), (name, args)
         got = [(c.num, c.den) for c in image.coeffs]
         assert got == [(c.num, c.den) for c in direct.coeffs], (name, args)
 
@@ -323,7 +328,7 @@ def test_two_partition_checks_see_a_perturbed_base_series(monkeypatch):
             return s
         coeffs = list(s.coeffs)
         coeffs[2] = coeffs[2] + _Y
-        return Series(coeffs, order, parity="even")
+        return Series(coeffs, order)
 
     monkeypatch.setattr(series_ids, "F2_series", perturbed)
     series_ids._z_series.cache_clear()

@@ -150,6 +150,25 @@ def test_one_exact_division_in_exact_arith():
     assert found == []
 
 
+def test_series_has_no_parity_flag_and_one_derived_constructor():
+    # A Series is its order and coefficients.  ``not c`` is the zero test of
+    # both coefficient types, and the derived series of exact_arith are
+    # stored by _series without the public constructor's padding and checks.
+    from realgw import exact_arith
+
+    assert exact_arith.Series.__slots__ == ("truncation_order", "coeffs")
+    for name in ("_coeff_is_zero", "_coeff_eq", "_join_parity"):
+        assert not hasattr(exact_arith, name) and not hasattr(exact_arith.Series, name)
+    assert _callers("_series") == {
+        ("exact_arith.py", "__add__"),
+        ("exact_arith.py", "__neg__"),
+        ("exact_arith.py", "__mul__"),
+        ("exact_arith.py", "scale"),
+        ("exact_arith.py", "series_pow"),
+        ("exact_arith.py", "series_exp"),
+    }
+
+
 def test_tracer_boundaries_resolve():
     # bench/tracer.py wraps these functions and reads these memos by name,
     # so deleting or renaming one breaks `bench/run.py --trace 1`.  The file
