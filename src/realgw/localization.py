@@ -52,26 +52,26 @@ canonical form of their own either.
 
 Vertex and edge factors depend only on local data, and many classes share it,
 so they are cached on it: a vertex on (label, genus, sorted (other-end label,
-edge degree) pairs, mark count), an edge on (sorted labels, degree, fixed by
-sigma?).
+edge degree) pairs), an edge on (sorted labels, degree, fixed by sigma?).
 
-A class contributes through its marks only by the mark count at each V+
-vertex, and edge factors do not see marks at all.  So the sum runs over the
-unmarked classes and their mark count vectors: the k1 = ceil(d/2) plus
-points of label 1 spread over the label-1 vertices and the k3 = floor(d/2)
-of label 3 over the label-3 ones, and a count vector stands for the
-k1!/prod n_v! * k3!/prod n_w! placements that have it.  Summing over all
-placements with 1/|Aut U| equals summing over the marked classes with
-1/|Aut| (the usual graph-sum bookkeeping, as in Graber-Pandharipande,
-"Localization of virtual classes", 1999).
+Marks enter by the string equation: at a vertex of label l with S_v =
+sum_e d_e / (alpha_l - alpha_other(e)) over its edges, the factor with m
+plain marks is the mark-free one times (e_T(l) S_v)^m (``string_factor``),
+and edge factors do not see marks.  Summing over all placements of the k1 =
+ceil(d/2) plus points of label 1 and the k3 = floor(d/2) of label 3 with
+1/|Aut U| equals summing over the marked classes with 1/|Aut| (the usual
+graph-sum bookkeeping, as in Graber-Pandharipande, "Localization of virtual
+classes", 1999).  All label-1 and label-3 vertices are in V+, so by the
+multinomial theorem a label's placements sum to (prod_v A_v) (e_T(l) sum_v
+S_v)^k, A_v the mark-free factors: one term per unmarked class.
 
 Every denominator in the sum is a product of linear forms in z: the weight
 differences alpha_i - alpha_j, the psi weights and the interpolation points
 of the edge covers.  So the factors are kept as ``exact_arith.Factored``
 values, a scalar times a product of forms with signed exponents (times a
 polynomial: the numerator of a Lambda integral, whose denominator is split
-over its vertex's psi forms, or a power of the psi-weight sum of a genus-0
-vertex).  Each weight is built once.  A term's product adds the packed
+over its vertex's psi forms, or a power of the numerator of a psi-weight
+sum S of degree 2).  Each weight is built once.  A term's product adds the packed
 exponent keys and multiplies integer scalars, so vertex and edge forms
 cancel without a polynomial gcd.  The terms of all classes stream into
 ``factored_sum``, which groups them on their keys, so memory follows the
@@ -89,7 +89,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .exact_arith import (
     Factored,
@@ -553,76 +553,76 @@ def _psi_denominator(label: int, other: int, deg: int) -> RationalFunction:
 
 
 def vertex_key(pair: AdmissiblePair, v: int):
-    """(label, genus, sorted (other label, degree) per edge, mark count)."""
+    """(label, genus, sorted (other label, degree) per edge)."""
     graph = pair.graph
     ends = [(graph.theta[a + b - v], deg) for a, b, deg in graph.edges if v in (a, b)]
-    n_marks = graph.markings_at(v, pair.involution.vertices)
-    return graph.theta[v], graph.genus[v], tuple(sorted(ends)), n_marks
+    return graph.theta[v], graph.genus[v], tuple(sorted(ends))
+
+
+def _reached(ends) -> tuple[tuple[int, int], ...]:
+    """The sorted (j, D_j) of (other label, degree) ends, D_j the degree sum
+    of the ends at label j."""
+    total: Counter[int] = Counter()
+    for other, deg in ends:
+        total[other] += deg
+    return tuple(sorted(total.items()))
+
+
+@lru_cache(maxsize=None)
+def string_factor(label: int, reached: tuple[tuple[int, int], ...], m: int) -> Factored:
+    """(e_T(label) S)^m, S = sum_j D_j / p_j over the (j, D_j) of ``reached``
+    and p_j = alpha_label - alpha_j: what m plain marks add to a vertex
+    whose edges reach those labels with those degree sums.  It is e_T^m
+    spread^m / prod_j p_j^m over the reached j, where spread = sum_j D_j
+    prod_(k != j) p_k is formed on integer lists.  A spread of at most two
+    coefficients is a weight, so m may be negative; a longer one has degree
+    2 and is kept as a polynomial."""
+    out, spread = euler_tangent(label) ** m, []
+    for j, total in reached:
+        out = out / _weight((1, label), (-1, j)) ** m
+        term = [total]
+        for k, _ in reached:
+            if k != j:
+                term = int_product(term, _difference(label, k))
+        spread = [a + b for a, b in itertools.zip_longest(spread, term, fillvalue=0)]
+    if len(spread) <= 2:
+        return out * Factored.weight(Polynomial(spread)) ** m
+    return out * Factored.polynomial(reduce(int_product, [spread] * m, [1]))
 
 
 @lru_cache(maxsize=None)
 def vertex_contribution(
-    label: int, genus: int, neighbours: tuple[tuple[int, int], ...], n_marks: int
+    label: int, genus: int, neighbours: tuple[tuple[int, int], ...]
 ) -> Factored:
-    """Signed fixed-locus factor of one vertex, from its local data.
+    """Signed fixed-locus factor of one vertex with no marks, from its local
+    data; ``string_factor`` gives what marks add.
 
-    With n special points and W_e = (alpha_label - alpha_other) / d_e per
-    incident edge, the factor is -(-1)^(genus + |E_v|) e_T^(n-1) prod_e
-    W_e^-1 times the triple-Lambda Hodge integral of prod_e 1/(W_e - psi_e)
-    over the moduli of the vertex curve.  A vertex of positive genus takes
-    that integral from ``lambda_product_integral``; its denominator is a
-    product of the psi weights' forms and is split over them.
+    With n = |E_v| and W_e = (alpha_label - alpha_other) / d_e per incident
+    edge, the factor is -(-1)^(genus + n) e_T^(n-1) prod_e W_e^-1 times the
+    triple-Lambda Hodge integral of prod_e 1/(W_e - psi_e) over the moduli
+    of the vertex curve.  A vertex of positive genus takes that integral
+    from ``lambda_product_integral``; its denominator is a product of the
+    psi weights' forms and is split over them.
 
     At genus 0, Lambda = 1 and the integral is prod_e W_e^-1 (sum_e
     W_e^-1)^(n-3) (the genus-0 psi integrals, as in Graber-Pandharipande
-    1999), so the factor is -(-1)^|E_v| e_T^(n-1) (sum_e W_e^-1)^(n-3)
-    prod_e W_e^-2.  The same closed form gives the unstable vertices (n <= 2)
-    their weight products.  With p_j = alpha_label - alpha_j and D_j the
-    degree sum of the edges to label j, sum_e W_e^-1 = S / prod_j p_j over
-    the labels j the edges reach, where S = sum_j D_j prod_(k != j) p_k is
-    formed on integer coefficient lists.  With m_j edges to label j, the
-    factor is -(-1)^|E_v| prod_e d_e^2 S^(n-3) prod_j p_j^(n-1-2 m_j), the
-    exponent lowered by n - 3 for each reached j.  For n >= 3, S^(n-3) is
-    kept as a polynomial, as the numerator of the integral it replaces was,
-    so the class sum groups its terms on the same forms; for n <= 2, S is a
-    weight (at most two edges) and its power is negative.
+    1999), so the factor is -(-1)^n e_T^2 prod_e W_e^-2 times the string
+    factor of n - 3 marks, a negative power for the unstable vertices
+    (n <= 2).
     """
-    n_special = len(neighbours) + n_marks
-    sign = -((-1) ** (genus + len(neighbours)))
+    n = len(neighbours)
+    sign = -((-1) ** (genus + n))
     if genus == 0:
-        edge_counts: Counter[int] = Counter()  # m_j
-        reached: Counter[int] = Counter()  # D_j
-        for other, deg in neighbours:
-            edge_counts[other] += 1
-            reached[other] += deg
-        spread: list[int] = []  # S
-        for j, total in reached.items():
-            term = [total]
-            for k in reached:
-                if k != j:
-                    term = int_product(term, _difference(label, k))
-            spread = [a + b for a, b in itertools.zip_longest(spread, term, fillvalue=0)]
         out = Factored.const(sign * math.prod(deg * deg for _, deg in neighbours))
-        for j in (1, 2, 3, 4):
-            if j != label:
-                exponent = n_special - 1 - 2 * edge_counts[j]
-                if j in reached:
-                    exponent -= n_special - 3
-                out = out * _weight((1, label), (-1, j)) ** exponent
-        if n_special < 3:
-            return out * Factored.weight(Polynomial(spread)) ** (n_special - 3)
-        power = [1]
-        for _ in range(n_special - 3):
-            power = int_product(power, spread)
-        return out * Factored.polynomial(power)
+        out = out * euler_tangent(label) ** 2
+        for other, _ in neighbours:
+            out = out / _weight((1, label), (-1, other)) ** 2
+        return out * string_factor(label, _reached(neighbours), n - 3)
     weights = [psi_edge_weight(label, other, deg) for other, deg in neighbours]
-    denominators: list[RationalFunction | None] = [
-        _psi_denominator(label, *end) for end in neighbours
-    ]
-    denominators += [None] * n_marks
+    denominators = [_psi_denominator(label, *end) for end in neighbours]
     integral = lambda_product_integral(genus, _lambda_args(label), denominators)
     forms = [f for w in weights for f, _ in w.forms]
-    out = Factored.const(sign) * euler_tangent(label) ** (n_special - 1)
+    out = Factored.const(sign) * euler_tangent(label) ** (n - 1)
     out = out * Factored.split(integral, forms)
     for w in weights:
         out = out / (-w)
@@ -686,7 +686,10 @@ def _class_value(pair: AdmissiblePair) -> Factored:
     vplus, _ = pair.default_halves()
     out = _edge_part(pair)
     for v in vplus:
-        out = out * vertex_contribution(*vertex_key(pair, v))
+        label, genus, ends = vertex_key(pair, v)
+        marks = pair.graph.markings_at(v, pair.involution.vertices)
+        out = out * vertex_contribution(label, genus, ends)
+        out = out * string_factor(label, _reached(ends), marks)
     return out
 
 
@@ -700,33 +703,27 @@ def pair_contributions(g: int, d: int) -> list[tuple[AdmissiblePair, RationalFun
     return [(p, pair_contribution(p)) for p in enumerate_pairs(g, d)]
 
 
-def _locus_terms(locus: AdmissiblePair, d: int) -> list[Factored]:
-    """The count-vector terms of one unmarked class U: per count vector, the
-    multinomials k1!/prod n_v! and k3!/prod n_w!, the V+ vertex factors with
-    those mark counts, the edge factors and 1/|Aut U|."""
+def _locus_value(locus: AdmissiblePair, d: int) -> Factored:
+    """The sum over the plus-point placements on an unmarked class: its edge
+    part, its mark-free V+ factors and, for label 1 with k1 = ceil(d/2) marks
+    and label 3 with k3 = floor(d/2), the string factor of its edges there."""
     vplus, _ = locus.default_halves()
-    terms = [_edge_part(locus)]
+    out = _edge_part(locus)
+    ends: dict[int, list] = {1: [], 3: []}
+    for v in vplus:
+        label, genus, mine = vertex_key(locus, v)
+        out = out * vertex_contribution(label, genus, mine)
+        ends[label] += mine
     for label, k in ((1, (d + 1) // 2), (3, d // 2)):
-        local = [vertex_key(locus, v)[:3] for v in vplus if locus.graph.theta[v] == label]
-        side = []
-        for counts in _compositions(k, len(local)):
-            out = Factored.const(
-                math.factorial(k) // math.prod(math.factorial(n) for n in counts)
-            )
-            for key, n in zip(local, counts):
-                out = out * vertex_contribution(*key, n)
-            side.append(out)
-        terms = [term * part for term in terms for part in side]
-    return terms
+        out = out * string_factor(label, _reached(ends[label]), k)
+    return out
 
 
 def class_total(g: int, d: int) -> RationalFunction:
-    """Sum of the class contributions as a rational function in z: the
-    count-vector terms of every unmarked class, summed once in factored
-    form (see the module docstring)."""
-    return factored_sum(
-        term for locus, _ in _unmarked_classes(g, d) for term in _locus_terms(locus, d)
-    )
+    """Sum of the class contributions as a rational function in z: one term
+    per unmarked class, summed once in factored form (see the module
+    docstring)."""
+    return factored_sum(_locus_value(locus, d) for locus, _ in _unmarked_classes(g, d))
 
 
 @lru_cache(maxsize=None)

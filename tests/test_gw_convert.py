@@ -236,6 +236,22 @@ def test_bundled_spot_values():
     assert t2gw.entries[(2, 3)] == Fraction(-5, 24)
 
 
+def test_real_counts_against_complex_counts():
+    # Where both are actual counts of the same curves, the non-real complex
+    # curves come in conjugate pairs and each real one counts +-1, so
+    # E_R = E_C (mod 2) and |E_R| <= E_C.  At positive genus E_C is not
+    # known to be enumerative, so this checks what the bundled data shows
+    # and asserts no theorem.  The complex table has no genus-5 row, so the
+    # real genus-5 entries have nothing to be compared with.
+    real, cx = bundled_table(2, "E").entries, bundled_table(1, "E").entries
+    pairs = [key for key in real if key in cx and (real[key] or cx[key])]
+    assert len(pairs) == 20
+    assert not any(g == 5 for g, _ in cx)
+    for key in pairs:
+        assert (real[key] - cx[key]) % 2 == 0, key
+        assert abs(real[key]) <= cx[key], key
+
+
 def _p3_genus0(max_degree):
     """Genus-0 invariants N[d, b] = <(H^2)^a (H^3)^b>_(0,d) of P^3, lines
     and points, a = 4d - 2b, for d <= max_degree, by the WDVV equations

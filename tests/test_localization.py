@@ -38,6 +38,7 @@ from realgw.localization import (
     pair_contribution,
     pair_contributions,
     psi_edge_weight,
+    string_factor,
     vertex_contribution,
     vertex_key,
     _canonical_form,
@@ -45,6 +46,7 @@ from realgw.localization import (
     _fixed_edge_contribution,
     _free_edge_contribution,
     _invariant_edges,
+    _reached,
     _sigma_orbits,
     _theta_tuples,
     _unmarked_classes,
@@ -607,11 +609,23 @@ def test_psi_edge_weights():
     assert (weight(1, 2, 3) - RationalFunction.const(Fraction(-2, 3))).is_zero()
 
 
+def _marked_vertex_factor(label, genus, ends, n_marks) -> Factored:
+    """The mark-free vertex factor times the string factor of n_marks plain
+    marks, the split the class values use."""
+    value = vertex_contribution(label, genus, ends)
+    return value * string_factor(label, _reached(ends), n_marks)
+
+
+def _marked_pair_vertex_factor(pair: AdmissiblePair, v: int) -> Factored:
+    n_marks = pair.graph.markings_at(v, pair.involution.vertices)
+    return _marked_vertex_factor(*vertex_key(pair, v), n_marks)
+
+
 def test_degree1_vertex_contributions():
     p0 = degree1_pair(0)
-    assert vertex_key(p0, 0) == (1, 0, ((2, 1),), 1)
+    assert vertex_key(p0, 0) == (1, 0, ((2, 1),))
     expect0 = A1 * A1 - A3 * A3
-    assert vertex_contribution(*vertex_key(p0, 0)).rational_function() == expect0
+    assert _marked_pair_vertex_factor(p0, 0).rational_function() == expect0
     for gp in (1, 2):
         p = degree1_pair(gp)
         expect = (
@@ -619,7 +633,7 @@ def test_degree1_vertex_contributions():
             * (A1**2 - A3**2)
             * i1(gp, 2 * A1, A1 - A3, A1 + A3)
         )
-        assert vertex_contribution(*vertex_key(p, 0)).rational_function() == expect
+        assert _marked_pair_vertex_factor(p, 0).rational_function() == expect
 
 
 def test_fixed_edge_contribution_value():
@@ -743,11 +757,13 @@ def _reference_edge_factor(t1: int, t2: int, deg: int, fixed: bool) -> RationalF
     "g, d", [(g, d) for d in range(1, 5) for g in range(6)] + [(0, 5)]
 )
 def test_local_factors_match_per_pair_reference(g, d):
-    # Every vertex factor in V+ and every edge factor the class multiplies.
+    # Every vertex factor in V+, the mark-free factor times the string
+    # factor of the vertex's marks, against the reference with the marks as
+    # plain points, and every edge factor the class multiplies.
     for pair in enumerate_pairs(g, d):
         vplus, _ = pair.default_halves()
         for v in vplus:
-            got = vertex_contribution(*vertex_key(pair, v)).rational_function()
+            got = _marked_pair_vertex_factor(pair, v).rational_function()
             assert got == _reference_vertex_contribution(pair, v), (pair, v)
         for i in range(len(pair.graph.edges)):
             got = edge_contribution(*edge_key(pair, i)).rational_function()
@@ -755,16 +771,16 @@ def test_local_factors_match_per_pair_reference(g, d):
 
 
 def _genus0_keys_met(max_degree: int):
-    """The genus-0 V+ vertex keys of every contributing class of degree at
-    most max_degree and genus at most 5, with every mark count up to the
-    plus points of the vertex's label."""
+    """(label, 0, ends, n) for the genus-0 V+ vertex keys of every
+    contributing class of degree at most max_degree and genus at most 5, n
+    every mark count up to the plus points of the vertex's label."""
     keys = set()
     for d in range(1, max_degree + 1):
         for g in range(d % 2 == 0, 6, 2):
             for locus, _ in _unmarked_classes(g, d):
                 vplus, _ = locus.default_halves()
                 for v in vplus:
-                    label, genus, ends, _ = vertex_key(locus, v)
+                    label, genus, ends = vertex_key(locus, v)
                     if genus == 0:
                         k = (d + 1) // 2 if label == 1 else d // 2
                         keys.update((label, 0, ends, n) for n in range(k + 1))
@@ -772,9 +788,10 @@ def _genus0_keys_met(max_degree: int):
 
 
 def test_genus0_vertex_factor_matches_lambda_route():
-    # The closed genus-0 factor equals the general route on every genus-0
-    # key met up to degree 6 (a Lambda-product integral for the stable ones)
-    # and on every unstable key with edge degrees at most 3 (a weight
+    # The closed genus-0 factor times the string factor of n marks equals
+    # the general route with n plain points on every genus-0 (label, genus,
+    # ends, n) met up to degree 6 (a Lambda-product integral for the stable
+    # ones) and on every unstable one with edge degrees at most 3 (a weight
     # product): one edge with 0 or 1 marks, or two edges and no mark.
     ends = [(other, deg) for other in (1, 2, 3, 4) for deg in (1, 2, 3)]
     unstable = set()
@@ -788,19 +805,21 @@ def test_genus0_vertex_factor_matches_lambda_route():
     met = _genus0_keys_met(6)
     assert len(met - unstable) > 100
     for key in unstable | met:
-        got = vertex_contribution(*key).rational_function()
+        got = _marked_vertex_factor(*key).rational_function()
         assert got == _reference_vertex_factor(*key), key
 
 
 def test_factor_caches_hold_one_entry_per_local_key():
+    # Cache misses of a cold gw_real(0, 5): vertex, edge and string factors.
+    # Mark-free vertex keys took the vertex misses from 80.
     probe = (
         "from realgw.localization import edge_contribution, gw_real, "
-        "vertex_contribution\n"
+        "string_factor, vertex_contribution\n"
         "print(gw_real(0, 5), vertex_contribution.cache_info().misses, "
-        "edge_contribution.cache_info().misses)\n"
+        "edge_contribution.cache_info().misses, string_factor.cache_info().misses)\n"
     )
     done = _run_fresh(probe)
-    assert done.stdout.split() == ["5", "80", "10"]
+    assert done.stdout.split() == ["5", "40", "10", "68"]
 
 
 def _run_fresh(probe: str) -> subprocess.CompletedProcess:
@@ -996,7 +1015,7 @@ def test_memo_values_are_reduced_integer_pairs():
 @pytest.mark.parametrize(
     "call, low, high",
     [
-        ("cli.main(['gw', '--genus', '4', '--degree', '3'])", 1, 16),
+        ("cli.main(['gw', '--genus', '4', '--degree', '3'])", 1, 10),
         ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 1, 90),
         ("localization.gw_real(0, 5)", 0, 0),
     ],
@@ -1014,7 +1033,8 @@ def test_cold_run_normalization_count(call, low, high):
     # took gw-4-3 from 18 and gw_real(0,5), whose vertices all have genus 0,
     # from 31 to none.  Reading the identity suite's two-partition series
     # off three base series by exact images, and forming each symmetric
-    # product once, took verify-order6 from 216.
+    # product once, took verify-order6 from 216.  Mark-free vertex keys,
+    # with fewer Lambda integrals to normalize, took gw-4-3 from 16.
     # The bench's deg4-column heavy layer wraps poly_gcd, so the other two
     # runs must make some.
     assert low <= _cold_call_count("exact_arith.poly_gcd", call) <= high
@@ -1030,23 +1050,23 @@ def test_cold_genus0_run_makes_no_lambda_product_calls():
 
 
 @pytest.mark.parametrize(
-    "call, bound",
+    "call, low, high",
     [
-        ("cli.main(['gw', '--genus', '4', '--degree', '3'])", 6),
-        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 703),
-        ("localization.gw_real(0, 5)", 10),
+        ("cli.main(['gw', '--genus', '4', '--degree', '3'])", 0, 0),
+        ("cli.main(['verify', '--suite', 'all', '--order', '6'])", 1, 703),
+        ("localization.gw_real(0, 5)", 0, 0),
     ],
     ids=["gw-4-3", "verify-order6", "gw-real-0-5"],
 )
-def test_cold_run_polynomial_product_count(call, bound):
+def test_cold_run_polynomial_product_count(call, low, high):
     # Polynomial.__mul__ calls of a cold run, counted in a fresh interpreter.
     # The Lambda integral and the factored class sum multiply their factor
     # powers out by one Kronecker substitution on integers, with no power
     # table of polynomials: that took the first two from 84 and 1,298.  The
     # identity suite's base series and images took verify-order6 from
-    # 1,187.  The factored class sum of gw_real(0, 5) makes none; its 10
-    # multiply the polynomial parts of two Factored count-vector terms.
-    assert 0 < _cold_call_count("exact_arith.Polynomial.__mul__", call) <= bound
+    # 1,187.  One term per unmarked class, with no count-vector terms whose
+    # polynomial parts multiply, took gw-4-3 from 6 and gw-real-0-5 from 10.
+    assert low <= _cold_call_count("exact_arith.Polynomial.__mul__", call) <= high
 
 
 def test_cold_genus0_run_linear_combinations():
@@ -1098,7 +1118,8 @@ def test_cold_run_polynomial_products():
     # interpreter.  Assembling the Lambda-product integrals over shared bases
     # with one process-wide power table took them from 25,926; the closed
     # genus-0 vertex factor, built on integer coefficient lists, from 1,486;
-    # multiplying the base powers out by Kronecker substitution, from 1,385.
+    # multiplying the base powers out by Kronecker substitution, from 1,385;
+    # one term per unmarked class, from 412.
     probe = (
         "from realgw import exact_arith, localization\n"
         "calls = 0\n"
@@ -1113,7 +1134,7 @@ def test_cold_run_polynomial_products():
     done = _run_fresh(probe)
     value, calls = done.stdout.split()
     assert value == "43/128"
-    assert 0 < int(calls) <= 412
+    assert 0 < int(calls) <= 77
 
 
 @pytest.mark.parametrize(
@@ -1155,7 +1176,7 @@ def test_cold_run_series_constructions(call, bound):
 @pytest.mark.parametrize(
     "argv, bound",
     [
-        (["gw", "--genus", "4", "--degree", "3"], 196),
+        (["gw", "--genus", "4", "--degree", "3"], 53),
         (["verify", "--suite", "all", "--order", "6"], 182),
     ],
     ids=["gw-4-3", "verify-order6"],
@@ -1164,7 +1185,9 @@ def test_cold_run_hodge_integral_calls(argv, bound):
     # hodge_integral calls of a cold CLI run, recursive ones included,
     # counted in a fresh interpreter.  Looking the Lambda-product values up
     # once per shape and lambda multiset took them from 809 and 5,146; the
-    # dilaton step, which does not recurse, from 227 and 185.
+    # dilaton step, which does not recurse, from 227 and 185; mark-free
+    # vertex keys, so one Lambda integral per vertex whatever its marks,
+    # took gw-4-3 from 192.
     assert 0 < _cold_call_count("hodge.hodge_integral", f"cli.main({argv!r})") <= bound
 
 
@@ -1177,7 +1200,7 @@ def test_cold_run_hodge_integral_calls(argv, bound):
     + [pytest.param(0, 7, marks=pytest.mark.slow)],
 )
 def test_factored_class_sum_equals_left_to_right_sum(g, d):
-    # The count-vector total gw_real checks, against the sum of the
+    # The one-term-per-class total gw_real checks, against the sum of the
     # per-marked-class values, as rational functions before any constant
     # test.  The marked side is the left-to-right rational-function sum in
     # enumeration order; at degree 7 its 13,704 values are summed by
@@ -1199,7 +1222,7 @@ def test_weight_dependent_sum_raises(monkeypatch):
 
     def skewed(*key):
         out = original(*key)
-        return out * Factored.weight(A3.num) if key == (1, 0, ((2, 1),), 1) else out
+        return out * Factored.weight(A3.num) if key == (1, 0, ((2, 1),)) else out
 
     monkeypatch.setattr(localization, "vertex_contribution", skewed)
     with pytest.raises(ArithmeticError, match="not constant"):
@@ -1367,6 +1390,22 @@ def test_degree9_genus2_pin():
 
 
 @pytest.mark.slow
+def test_degree9_genus4_pin():
+    # Past the bundled table, so regression pins from this code, not
+    # independent oracles; one term per unmarked class makes the 32,524
+    # classes affordable.  GW(0,9) and GW(2,9) are the literals pinned
+    # above, and GW(1,9) = GW(3,9) = 0 by the parity rule (d - g even).
+    value = gw_real(4, 9)
+    assert value == Fraction(-937637, 5760)
+    gw = InvariantTable(
+        "real",
+        "GW",
+        {(0, 9): Fraction(1993), (2, 9): Fraction(26393, 24), (4, 9): value},
+    )
+    assert e_from_gw(gw).entries[(4, 9)] == -404
+
+
+@pytest.mark.slow
 def test_degree10_genus1_pin():
     # Past the bundled table, so regression pins from this code, not
     # independent oracles.  GW(0,10) vanishes by the parity rule (d - g
@@ -1432,7 +1471,7 @@ def contribution_with_halves(pair: AdmissiblePair, halves) -> RationalFunction:
     vplus, eplus = halves
     out = Factored.const(Fraction(1, pair.aut_order))
     for v in vplus:
-        out = out * vertex_contribution(*vertex_key(pair, v))
+        out = out * _marked_pair_vertex_factor(pair, v)
     for i in pair.involution.fixed_edges() + list(eplus):
         out = out * edge_contribution(*edge_key(pair, i))
     return out.rational_function()

@@ -130,6 +130,25 @@ def test_one_power_sum_for_the_lambda_integral_and_the_class_sum():
     assert imported & {"Polynomial", "linear_combination"} == set()
 
 
+def test_one_string_factor_for_the_marks():
+    # Marks enter only by the string equation: vertex factors are keyed on
+    # mark-free local data, the psi-weight sum S is built in string_factor
+    # alone, and the class sum loops over no mark count vectors, so
+    # _compositions is left to the genus splits.
+    tree = ast.parse((SRC / "localization.py").read_text(encoding="utf-8"))
+    vertex = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "vertex_contribution"
+    )
+    assert [a.arg for a in vertex.args.args] == ["label", "genus", "neighbours"]
+
+    def local_callers(name):
+        return {fn for path, fn in _callers(name) if path == "localization.py"}
+
+    assert local_callers("_difference") == {"string_factor"}
+    assert local_callers("_compositions") == {"_unmarked_classes"}
+
+
 def test_one_exact_division_in_exact_arith():
     # Dividing a polynomial exactly is written once, in _divide_out on the
     # pseudo-division that the gcd also uses; no other division is left.
